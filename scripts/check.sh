@@ -35,6 +35,17 @@ cluster_report="$repo/build/cluster_smoke_report.json"
 "$repo/build/src/obsquery" --report="$cluster_report" --rebalances >/dev/null
 "$repo/build/src/obsquery" --report="$cluster_report" --rebalances --pool=0 >/dev/null
 "$repo/build/src/fuzzsim" --episodes=25 --mode=cluster --seed=707
+# Jobs-identity at benchmark scale: a 256-node JSQ(2) episode with a node-0
+# throttle, two replicas run serially and in parallel, must write
+# byte-identical reports (the due-node advance makes this affordable).
+cluster256_spec=(--nodes=256 --dispatch=jsq --repeats=2 --duration-s=2
+  --warmup-s=0.2 --seed=42 --perturb-node=0
+  --perturb="at=500ms dvfs core=0 scale=0.25; at=500ms dvfs core=1 scale=0.25; at=500ms dvfs core=2 scale=0.25; at=500ms dvfs core=3 scale=0.25")
+for j in 1 2; do
+  "$repo/build/src/clustersim" "${cluster256_spec[@]}" --jobs="$j" \
+    --report-json="$repo/build/cluster256_jobs$j.json" >/dev/null
+done
+cmp "$repo/build/cluster256_jobs1.json" "$repo/build/cluster256_jobs2.json"
 
 echo "== hetero-smoke: big.LITTLE partition bench, SHARE fuzz, analytic grid =="
 # The quick big.LITTLE sweep (SHARE vs the count/queue-length baselines),

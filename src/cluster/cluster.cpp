@@ -84,6 +84,10 @@ ClusterSim::ClusterSim(const ClusterConfig& config)
                             initial_workers[static_cast<std::size_t>(n)],
                             node.cores, /*rec=*/nullptr);
   }
+  loads_.assign(pools_.size(), PoolLoad{});
+  due_.reset(config_.nodes);
+  for (int n = 0; n < config_.nodes; ++n)
+    due_.set(n, nodes_[static_cast<std::size_t>(n)].sim->next_event_time());
 }
 
 ClusterSim::~ClusterSim() = default;
@@ -105,28 +109,92 @@ serve::ServeRuntime* ClusterSim::open_pool_on(int pool, int node) {
   return raw;
 }
 
+void ClusterSim::NodeHeap::reset(int nodes) {
+  // All keys equal: id order is already heap order.
+  heap_.resize(static_cast<std::size_t>(nodes));
+  pos_.resize(static_cast<std::size_t>(nodes));
+  for (std::size_t i = 0; i < heap_.size(); ++i)
+    put(i, {kNever, static_cast<int>(i)});
+}
+
+void ClusterSim::NodeHeap::set(int n, SimTime t) {
+  const std::size_t i = pos_[static_cast<std::size_t>(n)];
+  const SimTime old = heap_[i].time;
+  heap_[i].time = t;
+  if (t < old) sift_up(i);
+  else if (t > old) sift_down(i);
+}
+
+void ClusterSim::NodeHeap::due(SimTime t, std::vector<int>& out) const {
+  out.clear();
+  if (heap_[0].time > t) return;
+  // The entries at or before t form a subtree at the root: walk it
+  // breadth-first, `out` doubling as the queue of heap indices.
+  out.push_back(0);
+  for (std::size_t q = 0; q < out.size(); ++q) {
+    const auto i = static_cast<std::size_t>(out[q]);
+    for (std::size_t c = 2 * i + 1; c <= 2 * i + 2 && c < heap_.size(); ++c)
+      if (heap_[c].time <= t) out.push_back(static_cast<int>(c));
+  }
+  for (int& i : out) i = heap_[static_cast<std::size_t>(i)].node;
+}
+
+void ClusterSim::NodeHeap::put(std::size_t i, Entry e) {
+  heap_[i] = e;
+  pos_[static_cast<std::size_t>(e.node)] = i;
+}
+
+void ClusterSim::NodeHeap::sift_up(std::size_t i) {
+  const Entry e = heap_[i];
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!before(e, heap_[parent])) break;
+    put(i, heap_[parent]);
+    i = parent;
+  }
+  put(i, e);
+}
+
+void ClusterSim::NodeHeap::sift_down(std::size_t i) {
+  const Entry e = heap_[i];
+  const std::size_t size = heap_.size();
+  for (;;) {
+    std::size_t child = 2 * i + 1;
+    if (child >= size) break;
+    if (child + 1 < size && before(heap_[child + 1], heap_[child])) ++child;
+    if (!before(heap_[child], e)) break;
+    put(i, heap_[child]);
+    i = child;
+  }
+  put(i, e);
+}
+
+void ClusterSim::advance_due(SimTime t) {
+  due_.due(t, due_scratch_);
+  // Ascending id, the order an all-nodes sweep would run them in: node
+  // completions then reach the shared latency histogram in the same order,
+  // so even its floating-point sum is unchanged.
+  std::sort(due_scratch_.begin(), due_scratch_.end());
+  for (const int n : due_scratch_) {
+    Simulator& sim = *nodes_[static_cast<std::size_t>(n)].sim;
+    sim.run_until(t);
+    due_.set(n, sim.next_event_time());
+  }
+}
+
 void ClusterSim::advance_nodes(SimTime t) {
   for (Node& node : nodes_) node.sim->run_until(t);
 }
 
-std::int64_t ClusterSim::node_in_flight(int node) const {
-  // All incarnations homed on `node`, draining ones included: their
-  // in-service tails still occupy the node.
-  std::int64_t total = 0;
-  for (const Pool& p : pools_)
-    for (const auto& inc : p.incarnations)
-      if (inc.node == node && !inc.rt->retired()) total += inc.rt->in_flight();
-  return total;
+void ClusterSim::touch(int n) {
+  nodes_[static_cast<std::size_t>(n)].sim->run_until(cq_.now());
+  touched_.push_back(n);
 }
 
-double ClusterSim::node_load(int node) const {
-  // The frontend's view: requests assigned to pools currently homed here,
-  // in-transit included. Draining remainders on the old node are excluded
-  // on purpose — load should follow where new traffic lands.
-  std::int64_t load = 0;
-  for (const Pool& p : pools_)
-    if (p.node == node) load += p.assigned;
-  return static_cast<double>(load);
+void ClusterSim::rekey_touched() {
+  for (const int n : touched_)
+    due_.set(n, nodes_[static_cast<std::size_t>(n)].sim->next_event_time());
+  touched_.clear();
 }
 
 double ClusterSim::node_effective_capacity(int node) const {
@@ -149,13 +217,9 @@ void ClusterSim::arrive(SimTime t) {
   ++stats_.total_generated;
   if (r.recorded) ++stats_.offered;
 
-  static thread_local std::vector<PoolLoad> loads;
-  loads.clear();
-  loads.reserve(pools_.size());
-  for (const Pool& p : pools_) loads.push_back({p.assigned});
-  const int pool = pick_pool(config_.dispatch, config_.jsq_d, loads,
+  const int pool = pick_pool(config_.dispatch, config_.jsq_d, loads_,
                              rr_cursor_, dispatch_rng_);
-  ++pools_[static_cast<std::size_t>(pool)].assigned;
+  ++loads_[static_cast<std::size_t>(pool)].assigned;
   ++in_transit_;
   cq_.schedule(t + config_.hop, [this, pool, r] { deliver(pool, r); });
 
@@ -166,25 +230,27 @@ void ClusterSim::arrive(SimTime t) {
 
 void ClusterSim::deliver(int pool, Request r) {
   --in_transit_;
-  Pool& p = pools_[static_cast<std::size_t>(pool)];
-  const int node = p.node;
-  const bool over_admission =
-      config_.node_admission_cap > 0 &&
-      node_in_flight(node) >= config_.node_admission_cap;
+  const Pool& p = pools_[static_cast<std::size_t>(pool)];
+  touch(p.node);  // inject() stamps the request with the node's now().
+  Node& node = nodes_[static_cast<std::size_t>(p.node)];
+  const bool over_admission = config_.node_admission_cap > 0 &&
+                              node.in_flight >= config_.node_admission_cap;
   const bool accepted = !over_admission && p.runtime->inject(r);
   if (!accepted) {
-    --p.assigned;
+    --loads_[static_cast<std::size_t>(pool)].assigned;
     ++stats_.total_dropped;
     if (r.recorded) ++stats_.dropped;
     return;
   }
+  ++node.in_flight;
   if (r.recorded) ++stats_.admitted;
 }
 
 void ClusterSim::on_pool_complete(int pool, serve::ServeRuntime* incarnation,
                                   int node, const Request& r) {
-  Pool& p = pools_[static_cast<std::size_t>(pool)];
-  --p.assigned;
+  const Pool& p = pools_[static_cast<std::size_t>(pool)];
+  --loads_[static_cast<std::size_t>(pool)].assigned;
+  --nodes_[static_cast<std::size_t>(node)].in_flight;
   ++stats_.total_completed;
   const SimTime done = incarnation->simulator().now() + config_.hop;
   if (r.recorded) {
@@ -206,11 +272,26 @@ void ClusterSim::on_pool_complete(int pool, serve::ServeRuntime* incarnation,
   }
 }
 
-void ClusterSim::rebalance_once() { epoch(); }
+void ClusterSim::rebalance_once() {
+  epoch();
+  rekey_touched();
+}
 
 void ClusterSim::epoch() {
   const SimTime t = cq_.now();
   ++epoch_index_;
+
+  // The frontend's view of each node's load: requests assigned to pools
+  // currently homed there, in-transit included. Draining remainders on the
+  // old node are excluded on purpose — load should follow where new
+  // traffic lands. One pass over pools serves both loops below.
+  const auto nodes = static_cast<std::size_t>(config_.nodes);
+  std::vector<std::int64_t> assigned(nodes, 0);
+  for (std::size_t p = 0; p < pools_.size(); ++p)
+    assigned[static_cast<std::size_t>(pools_[p].node)] += loads_[p].assigned;
+  std::vector<double> capacity(nodes);
+  for (int n = 0; n < config_.nodes; ++n)
+    capacity[static_cast<std::size_t>(n)] = node_effective_capacity(n);
 
   // Loads are normalized by each machine's *current* effective capacity —
   // the paper's thesis applied at the global tier: a backlog on a throttled
@@ -219,14 +300,14 @@ void ClusterSim::epoch() {
   double mean = 0.0;
   double max_load = 0.0;
   int hottest = 0;
-  std::vector<double> loads(static_cast<std::size_t>(config_.nodes));
-  for (int n = 0; n < config_.nodes; ++n) {
-    const double l = node_load(n) / node_effective_capacity(n);
-    loads[static_cast<std::size_t>(n)] = l;
+  std::vector<double> loads(nodes);
+  for (std::size_t n = 0; n < nodes; ++n) {
+    const double l = static_cast<double>(assigned[n]) / capacity[n];
+    loads[n] = l;
     mean += l;
     if (l > max_load) {
       max_load = l;
-      hottest = n;
+      hottest = static_cast<int>(n);
     }
   }
   mean /= static_cast<double>(config_.nodes);
@@ -251,8 +332,8 @@ void ClusterSim::epoch() {
       const Pool& pool = pools_[static_cast<std::size_t>(p)];
       if (pool.node != hottest) continue;
       if (candidate < 0 ||
-          pool.assigned >
-              pools_[static_cast<std::size_t>(candidate)].assigned)
+          loads_[static_cast<std::size_t>(p)].assigned >
+              loads_[static_cast<std::size_t>(candidate)].assigned)
         candidate = p;
     }
     // ...to the node whose predicted ratio after adopting the pool (its
@@ -264,11 +345,12 @@ void ClusterSim::epoch() {
     double best_predicted = 0.0;
     if (candidate >= 0) {
       const double pool_load = static_cast<double>(
-          pools_[static_cast<std::size_t>(candidate)].assigned);
+          loads_[static_cast<std::size_t>(candidate)].assigned);
       for (int n = 0; n < config_.nodes; ++n) {
         if (n == hottest) continue;
+        const auto i = static_cast<std::size_t>(n);
         const double predicted =
-            (node_load(n) + pool_load) / node_effective_capacity(n);
+            (static_cast<double>(assigned[i]) + pool_load) / capacity[i];
         if (coldest < 0 || predicted < best_predicted) {
           best_predicted = predicted;
           coldest = n;
@@ -290,6 +372,8 @@ void ClusterSim::epoch() {
       rec.from_load = loads[static_cast<std::size_t>(hottest)];
       rec.to_load = loads[static_cast<std::size_t>(coldest)];
 
+      touch(hottest);
+      touch(coldest);
       Pool& pool = pools_[static_cast<std::size_t>(candidate)];
       serve::ServeRuntime* old_rt = pool.runtime;
       serve::ServeRuntime* fresh = open_pool_on(candidate, coldest);
@@ -300,6 +384,7 @@ void ClusterSim::epoch() {
       // tail finishes on the source, then the old incarnation retires.
       const auto drained = old_rt->drain_queued();
       rec.drained = static_cast<std::int64_t>(drained.size());
+      nodes_[static_cast<std::size_t>(hottest)].in_flight -= rec.drained;
       for (const Request& r : drained) {
         // Back out the original admission; delivery at the destination
         // re-admits (or drops), so each request nets to one count.
@@ -335,8 +420,9 @@ ClusterResult ClusterSim::run() {
     cq_.schedule(config_.rebalance.epoch, [this] { epoch(); });
 
   while (!cq_.empty() && cq_.next_time() <= config_.duration) {
-    advance_nodes(cq_.next_time());
+    advance_due(cq_.next_time());
     cq_.run_next();
+    rekey_touched();
   }
   advance_nodes(config_.duration);
   for (Pool& p : pools_)

@@ -135,11 +135,13 @@ struct ClusterResult {
 
 /// The cluster simulation driver. One EventQueue orders cluster-level
 /// events (arrivals, hop deliveries, rebalance epochs); before each event
-/// at time t every node Simulator is advanced to t, so node-local activity
-/// always precedes cluster activity at the same instant and the whole run
-/// is deterministic under the seed. Node simulators never enqueue cluster
-/// events themselves — completions record immediately (the response hop is
-/// a constant) — which is what makes the conservative advance sound.
+/// at time t every node Simulator with an event due at or before t runs to
+/// t, in ascending node id, so node-local activity always precedes cluster
+/// activity at the same instant and the whole run is deterministic under
+/// the seed. A node the event itself acts on is brought to t first. Node
+/// simulators never enqueue cluster events themselves — completions record
+/// immediately (the response hop is a constant) — which is what makes the
+/// conservative advance sound, and skipping nodes with nothing due exact.
 class ClusterSim {
  public:
   explicit ClusterSim(const ClusterConfig& config);
@@ -158,7 +160,9 @@ class ClusterSim {
   }
   const ClusterStats& stats() const { return stats_; }
   /// Live + draining incarnations' in-flight totals summed per node.
-  std::int64_t node_in_flight(int node) const;
+  std::int64_t node_in_flight(int node) const {
+    return nodes_[static_cast<std::size_t>(node)].in_flight;
+  }
   /// Force one rebalance pass now (tests drive epochs directly).
   void rebalance_once();
 
@@ -169,7 +173,6 @@ class ClusterSim {
   };
   struct Pool {
     int node = -1;
-    std::int64_t assigned = 0;  ///< Dispatch-level load (see PoolLoad).
     serve::ServeRuntime* runtime = nullptr;  ///< Live incarnation.
     /// Every incarnation ever created, kept alive until the run ends so
     /// draining pools finish their in-service tails safely.
@@ -180,16 +183,53 @@ class ClusterSim {
     std::unique_ptr<serve::PolicyStack> stack;
     std::unique_ptr<perturb::SimPerturbDriver> perturber;
     std::vector<CoreId> cores;
+    /// Admitted, unfinished requests on this node, draining incarnations
+    /// included: their in-service tails still occupy the machine.
+    std::int64_t in_flight = 0;
   };
 
+  /// Indexed binary min-heap of node next-event times keyed (time, node
+  /// id). Every node has exactly one entry, re-keyed in place; a node with
+  /// nothing pending is keyed kNever, so it is never due.
+  class NodeHeap {
+   public:
+    /// One entry per node, all keyed kNever.
+    void reset(int nodes);
+    void set(int n, SimTime t);
+    /// Replace `out` with the ids of every node due at or before t; their
+    /// entries stay in place for the caller to re-key.
+    void due(SimTime t, std::vector<int>& out) const;
+
+   private:
+    struct Entry {
+      SimTime time;
+      int node;
+    };
+    static bool before(const Entry& a, const Entry& b) {
+      return a.time < b.time || (a.time == b.time && a.node < b.node);
+    }
+    void put(std::size_t i, Entry e);
+    void sift_up(std::size_t i);
+    void sift_down(std::size_t i);
+
+    std::vector<Entry> heap_;
+    std::vector<std::size_t> pos_;  ///< Node id -> heap index.
+  };
+
+  /// Run every node with an event due at or before t to t, ascending id.
+  void advance_due(SimTime t);
+  /// Run every node to t, ascending id (the end-of-run drain).
   void advance_nodes(SimTime t);
+  /// Bring node n to the current cluster time before a cluster action
+  /// mutates it; the node is re-keyed once the action is done.
+  void touch(int n);
+  void rekey_touched();
   void arrive(SimTime t);
   void deliver(int pool, Request r);
   void on_pool_complete(int pool, serve::ServeRuntime* incarnation, int node,
                         const Request& r);
   serve::ServeRuntime* open_pool_on(int pool, int node);
   void epoch();
-  double node_load(int node) const;
   /// Sum of the node's online managed cores' *current* clock scales — the
   /// machine's effective capacity as of now, DVFS and hotplug included.
   double node_effective_capacity(int node) const;
@@ -198,6 +238,11 @@ class ClusterSim {
   EventQueue cq_;
   std::vector<Node> nodes_;
   std::vector<Pool> pools_;
+  /// Dispatch-level load per pool id (see PoolLoad), handed to pick_pool.
+  std::vector<PoolLoad> loads_;
+  NodeHeap due_;
+  std::vector<int> due_scratch_;
+  std::vector<int> touched_;
   workload::ArrivalProcess arrivals_;
   workload::ServiceTimeDist service_;
   Rng dispatch_rng_;

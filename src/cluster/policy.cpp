@@ -45,15 +45,19 @@ int pick_pool(ClusterDispatch d, int jsq_d, std::span<const PoolLoad> pools,
       // Sample d distinct pools (partial Fisher-Yates over pool ids), then
       // take the least loaded of the sample, ties to the lowest id. The
       // draw count depends only on (d, n), never on loads, so the sampling
-      // stream stays aligned across policy-equivalent runs.
+      // stream stays aligned across policy-equivalent runs. The id array
+      // persists as the identity between calls: each pick undoes its k
+      // swaps in reverse, so it costs O(d), not O(pools).
       const int k = std::clamp(jsq_d, 1, n);
       static thread_local std::vector<int> ids;
-      ids.resize(static_cast<std::size_t>(n));
-      for (int i = 0; i < n; ++i) ids[static_cast<std::size_t>(i)] = i;
+      static thread_local std::vector<int> swapped;
+      while (static_cast<int>(ids.size()) < n)
+        ids.push_back(static_cast<int>(ids.size()));
+      swapped.resize(static_cast<std::size_t>(k));
       int best = -1;
       for (int i = 0; i < k; ++i) {
-        const auto j = static_cast<int>(
-            rng.uniform_int(i, n - 1));
+        const auto j = static_cast<int>(rng.uniform_int(i, n - 1));
+        swapped[static_cast<std::size_t>(i)] = j;
         std::swap(ids[static_cast<std::size_t>(i)],
                   ids[static_cast<std::size_t>(j)]);
         const int cand = ids[static_cast<std::size_t>(i)];
@@ -65,6 +69,10 @@ int pick_pool(ClusterDispatch d, int jsq_d, std::span<const PoolLoad> pools,
              cand < best))
           best = cand;
       }
+      for (int i = k - 1; i >= 0; --i)
+        std::swap(ids[static_cast<std::size_t>(i)],
+                  ids[static_cast<std::size_t>(
+                      swapped[static_cast<std::size_t>(i)])]);
       return best;
     }
   }

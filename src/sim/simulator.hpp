@@ -157,6 +157,8 @@ class Simulator {
   /// Execute one event; false when none are pending.
   bool step() { return events_.run_next(); }
   void run_until(SimTime t) { events_.run_until(t); }
+  /// Time of the earliest pending event, or kNever when none is pending.
+  SimTime next_event_time() { return events_.next_time(); }
 
   /// Total events executed so far; wall-clock / events gives the
   /// simulator's end-to-end cost per event (see bench/micro_hotpath).

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -68,6 +70,53 @@ TEST(ClusterDispatchPolicy, JsqDDrawCountIndependentOfLoads) {
   pick_pool(ClusterDispatch::JsqD, 3, a, ca, ra);
   pick_pool(ClusterDispatch::JsqD, 3, b, cb, rb);
   EXPECT_EQ(ra.uniform_u64(1u << 30), rb.uniform_u64(1u << 30));
+}
+
+/// The textbook JSQ(d) sampler: a fresh identity id array on every pick, a
+/// partial Fisher-Yates over it, and the least loaded of the sample with
+/// ties to the lowest id.
+int naive_jsq(int d, const std::vector<PoolLoad>& pools, Rng& rng) {
+  const int n = static_cast<int>(pools.size());
+  const int k = std::clamp(d, 1, n);
+  std::vector<int> ids(static_cast<std::size_t>(n));
+  std::iota(ids.begin(), ids.end(), 0);
+  int best = -1;
+  for (int i = 0; i < k; ++i) {
+    const auto j = static_cast<int>(rng.uniform_int(i, n - 1));
+    std::swap(ids[static_cast<std::size_t>(i)], ids[static_cast<std::size_t>(j)]);
+    const int cand = ids[static_cast<std::size_t>(i)];
+    const std::int64_t c = pools[static_cast<std::size_t>(cand)].assigned;
+    if (best < 0 || c < pools[static_cast<std::size_t>(best)].assigned ||
+        (c == pools[static_cast<std::size_t>(best)].assigned && cand < best))
+      best = cand;
+  }
+  return best;
+}
+
+TEST(ClusterDispatchPolicy, JsqDMatchesNaiveFullResetSampler) {
+  // Same pick and same RNG state as the naive sampler on every call. The
+  // pool count changes from call to call, so the sampler's reused id array
+  // must come back to the identity after each pick whatever n was.
+  Rng load_rng(5);
+  Rng fast(77);
+  Rng naive(77);
+  std::uint64_t cursor = 0;
+  std::vector<PoolLoad> pools;
+  const int sizes[] = {1, 2, 3, 256};
+  for (int call = 0; call < 10000; ++call) {
+    const int n = sizes[call % 4];
+    const int ds[] = {1, 2, n, n + 5};
+    const int d = ds[(call / 4) % 4];
+    pools.assign(static_cast<std::size_t>(n), {});
+    // Loads in a narrow range, so ties (and the lowest-id rule) are common.
+    for (PoolLoad& p : pools) p.assigned = load_rng.uniform_int(0, 3);
+    ASSERT_EQ(pick_pool(ClusterDispatch::JsqD, d, pools, cursor, fast),
+              naive_jsq(d, pools, naive))
+        << "call " << call << " n=" << n << " d=" << d;
+    Rng fast_next = fast;
+    Rng naive_next = naive;
+    ASSERT_EQ(fast_next.next_u64(), naive_next.next_u64()) << "call " << call;
+  }
 }
 
 TEST(ClusterDispatchPolicy, NamesRoundTrip) {
@@ -324,6 +373,95 @@ TEST(ClusterRun, AdmissionCapShedsInsteadOfQueueing) {
       2.0 * serve::rate_for_utilization(config.topo, 4, 1.5, 5000.0);
   const ClusterResult res = run_cluster(config);
   EXPECT_GT(res.stats.dropped, 0);
+  expect_conservation(res.stats);
+}
+
+/// 32 SPEED nodes at utilization 0.8 behind JSQ(2), an admission cap, a
+/// 100 ms rebalance epoch, and node 0 dropping to 1/10 clock at 300 ms.
+ClusterConfig golden_config() {
+  ClusterConfig config = base_config(32);
+  config.policy = Policy::Speed;
+  config.dispatch = ClusterDispatch::JsqD;
+  config.jsq_d = 2;
+  config.node_admission_cap = 12;
+  config.arrival.rate_rps =
+      32.0 * serve::rate_for_utilization(config.topo, 4, 0.8, 5000.0);
+  config.rebalance.epoch = msec(100);
+  config.rebalance.threshold = 0.3;
+  for (int c = 0; c < 4; ++c) {
+    perturb::PerturbEvent ev;
+    ev.at = msec(300);
+    ev.kind = perturb::PerturbKind::Dvfs;
+    ev.core = c;
+    ev.scale = 0.1;
+    config.node_perturb[0].add(ev);
+  }
+  return config;
+}
+
+struct Golden {
+  std::int64_t total_completed;
+  std::int64_t total_dropped;
+  std::int64_t pool_migrations;
+  std::vector<std::int64_t> completed_by_node;
+  double p50;
+  double p99;
+  double mean;
+};
+
+void expect_golden(const ClusterResult& res, const Golden& g) {
+  EXPECT_EQ(res.stats.total_completed, g.total_completed);
+  EXPECT_EQ(res.stats.total_dropped, g.total_dropped);
+  EXPECT_EQ(res.pool_migrations, g.pool_migrations);
+  EXPECT_EQ(res.completed_by_node, g.completed_by_node);
+  // Exact, not near: the mean's floating-point sum depends on the order in
+  // which node completions reach the cluster histogram.
+  EXPECT_EQ(res.stats.latency.percentile(50), g.p50);
+  EXPECT_EQ(res.stats.latency.percentile(99), g.p99);
+  EXPECT_EQ(res.stats.latency.mean(), g.mean);
+}
+
+// Golden fingerprints: exact outputs of two fixed episodes. Any change to
+// which node simulator runs when — and so to the order in which
+// completions, deliveries and migrations interleave — moves these numbers.
+TEST(ClusterGolden, JsqEpisodeWithRebalanceThrottleAndAdmissionCap) {
+  expect_golden(
+      run_cluster(golden_config()),
+      {40537, 225, 5,
+       {62,   1232, 1236, 1225, 1216, 1204, 1199, 1228, 1144, 1134, 1203,
+        1166, 1230, 1146, 1173, 1197, 1197, 1155, 1156, 1211, 1196, 1186,
+        1164, 1161, 1168, 1170, 1116, 1113, 1123, 1127, 1106, 1118},
+       5112318.6701298701, 31442742.923636351, 7122860.8962755743});
+}
+
+TEST(ClusterGolden, RoundRobinZeroHopEpisode) {
+  // hop = 0: every delivery lands at its arrival instant, so cluster events
+  // and node events share timestamps throughout.
+  ClusterConfig config = golden_config();
+  config.dispatch = ClusterDispatch::RoundRobin;
+  config.hop = 0;
+  expect_golden(
+      run_cluster(config),
+      {39674, 1053, 4,
+       {64,   1143, 1146, 1143, 1136, 1140, 1142, 1143, 1144, 1148, 1144,
+        1137, 1138, 1142, 1168, 1174, 1138, 1143, 1140, 1143, 1135, 1143,
+        1228, 1141, 1139, 1148, 1149, 1149, 1147, 1138, 1135, 1142},
+       5008156.1068249261, 34345398.382702596, 7208442.5161471497});
+}
+
+TEST(ClusterRun, NodeInFlightSumsToInFlightAtEnd) {
+  ClusterConfig config = golden_config();
+  config.dispatch = ClusterDispatch::RoundRobin;
+  ClusterSim sim(config);
+  const ClusterResult res = sim.run();
+  ASSERT_GE(res.pool_migrations, 1);
+  ASSERT_GT(res.stats.total_dropped, 0);  // The cap was exercised.
+  std::int64_t sum = 0;
+  for (int n = 0; n < sim.num_nodes(); ++n) {
+    EXPECT_GE(sim.node_in_flight(n), 0) << "node " << n;
+    sum += sim.node_in_flight(n);
+  }
+  EXPECT_EQ(sum, res.stats.in_flight_end);
   expect_conservation(res.stats);
 }
 
