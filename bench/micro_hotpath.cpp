@@ -1,10 +1,12 @@
 // Hot-path microbenchmarks tracking the simulator's perf trajectory:
 //
-//   1. Event-queue churn: schedule / 25% cancel+reschedule / run against a
+//   1. Event-queue churn: schedule / 25% cancel+schedule / run against a
 //      steady pending set (64, 1024, 16384 events) with a realistic 24-byte
 //      event capture. Reports events/sec and ns/event.
-//   2. End-to-end simulation throughput: a full SPEED-YIELD NPB run on the
-//      tigerton preset, reporting simulator events/sec and wall-clock.
+//   2. End-to-end simulation throughput: full SPEED-YIELD NPB runs on the
+//      tigerton preset, reporting simulator events/sec and wall-clock — ep.C
+//      (no bandwidth demand) and the memory-bound cg.B, whose every dispatch
+//      re-times all running cores.
 //   3. Sweep wall-clock: run_experiment at --jobs=1 vs --jobs=N for the
 //      same config (results are byte-identical; only wall-clock differs).
 //   4. Telemetry overhead: the same serve episode untraced vs recorded at
@@ -34,6 +36,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "balance/linux_load.hpp"
@@ -68,9 +71,9 @@ double best_events_per_sec(int passes, Body&& body) {
 
 /// Pattern 1: steady-state churn against `live` pending events. Every
 /// iteration schedules one event at a pseudo-random future time, cancels
-/// and reschedules a quarter of them (the Simulator's cancel+reschedule on
-/// every dispatch), and runs one event. The 24-byte capture (pointer + two
-/// scalars) is the shape of a real run-stop or balancer-tick event.
+/// and re-schedules a quarter of them, and runs one event. The 24-byte
+/// capture (pointer + two scalars) is the shape of a real wake-up or
+/// balancer-tick event.
 std::uint64_t churn(int live, std::uint64_t iters) {
   EventQueue q;
   std::uint64_t fired = 0;
@@ -125,33 +128,46 @@ int main(int argc, char** argv) {
 
   // --- 2. End-to-end simulation throughput --------------------------------
   {
-    const Topology topo = presets::tigerton();
-    const auto prof = npb::by_name("ep.C");
-    double best_eps = 0.0;
-    double best_wall = 0.0;
-    for (int p = 0; p < passes; ++p) {
-      Simulator sim(topo, {}, args.seed);
-      SpmdAppSpec spec = prof.to_spec(16, {});
-      SpmdApp app(sim, spec);
-      LinuxLoadBalancer lb;
-      lb.attach(sim);
-      app.launch(SpmdApp::Placement::LinuxFork, workload::first_cores(8));
-      SpeedBalancer speed({}, app.threads(), workload::first_cores(8));
-      speed.attach(sim);
-      const auto t0 = Clock::now();
-      sim.run_while_pending([&] { return app.finished(); }, sec(3600));
-      const double dt = seconds_since(t0);
-      const double eps =
-          dt > 0 ? static_cast<double>(sim.events_executed()) / dt : 0.0;
-      if (eps > best_eps) {
-        best_eps = eps;
-        best_wall = dt;
+    // Best-of-passes events/sec and its wall time for `threads` threads of
+    // `bench` on the first `cores` tigerton cores under SPEED-YIELD.
+    const auto end_to_end = [&](const char* bench, int threads, int cores) {
+      const Topology topo = presets::tigerton();
+      const auto prof = npb::by_name(bench);
+      double best_eps = 0.0;
+      double best_wall = 0.0;
+      for (int p = 0; p < passes; ++p) {
+        Simulator sim(topo, {}, args.seed);
+        SpmdAppSpec spec = prof.to_spec(threads, {});
+        SpmdApp app(sim, spec);
+        LinuxLoadBalancer lb;
+        lb.attach(sim);
+        app.launch(SpmdApp::Placement::LinuxFork, workload::first_cores(cores));
+        SpeedBalancer speed({}, app.threads(), workload::first_cores(cores));
+        speed.attach(sim);
+        const auto t0 = Clock::now();
+        sim.run_while_pending([&] { return app.finished(); }, sec(3600));
+        const double dt = seconds_since(t0);
+        const double eps =
+            dt > 0 ? static_cast<double>(sim.events_executed()) / dt : 0.0;
+        if (eps > best_eps) {
+          best_eps = eps;
+          best_wall = dt;
+        }
       }
-    }
-    metrics["sim_end_to_end_events_per_sec"] = best_eps;
+      return std::make_pair(best_eps, best_wall);
+    };
     Table table({"scenario", "M events/s", "wall s"});
+    // ep has no bandwidth demand: dispatches never re-time other cores.
+    const auto [ep_eps, ep_wall] = end_to_end("ep.C", 16, 8);
+    metrics["sim_end_to_end_events_per_sec"] = ep_eps;
     table.add_row({"ep.C x16 on 8 cores, SPEED-YIELD",
-                   Table::num(best_eps / 1e6, 2), Table::num(best_wall, 3)});
+                   Table::num(ep_eps / 1e6, 2), Table::num(ep_wall, 3)});
+    // cg.B saturates the bus: every dispatch re-times every running core
+    // (the speed-refresh path).
+    const auto [cg_eps, cg_wall] = end_to_end("cg.B", 16, 12);
+    metrics["sim_membound_events_per_sec"] = cg_eps;
+    table.add_row({"cg.B x16 on 12 cores, SPEED-YIELD (memory-bound)",
+                   Table::num(cg_eps / 1e6, 2), Table::num(cg_wall, 3)});
     report.emit("end-to-end simulation throughput", table);
   }
 

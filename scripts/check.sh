@@ -73,6 +73,16 @@ echo "== spmd-smoke: spmd-mode fuzz episodes =="
 # cancels in buckets, equal-timestamp cross-tier promotion) — plus the
 # exec-conservation probes that query the staged metrics tables mid-batch.
 "$repo/build/src/fuzzsim" --episodes=25 --mode=spmd --seed=505
+# Jobs-identity on a saturated bus: cg.B's every dispatch re-times all
+# running cores, so this puts the per-core stop timers and the
+# one-segment-per-stretch run log under the oracle. Two replicas run
+# serially and in parallel must write byte-identical reports.
+for j in 1 2; do
+  "$repo/build/src/simrun" --bench=cg.B --threads=16 --cores=12 --repeats=2 \
+    --seed=7 --jobs="$j" --report-json="$repo/build/spmd_cgB_jobs$j.json" \
+    >/dev/null
+done
+cmp "$repo/build/spmd_cgB_jobs1.json" "$repo/build/spmd_cgB_jobs2.json"
 
 echo "== obs-smoke: traced serve episode, span conservation, overhead gate =="
 # One serve episode traced at 1/1 and at 1/64 span sampling. servesim exits 3

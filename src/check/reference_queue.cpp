@@ -30,16 +30,32 @@ int ReferenceEventQueue::pop() {
   return id;
 }
 
+void ReferenceEventQueue::arm(int id, SimTime t) {
+  cancel(id);
+  schedule(id, t);
+}
+
 namespace {
 
-/// What a fired event does inside its handler: optionally schedule a child
-/// (child_dt == 0 exercises schedule-at-the-current-timestamp during pop)
-/// and optionally cancel another event, which by fire time may already have
-/// executed — exercising cancel-of-a-stale-handle against recycled slots.
+/// Re-armable timers registered on the real queue; timer k is logical id
+/// kTimerBase + k in the reference queue and in the fired traces.
+constexpr int kTimers = 4;
+constexpr int kTimerBase = 1 << 30;
+
+/// What a fired event or timer does inside its handler, in this order:
+/// optionally cancel another event (which by fire time may already have
+/// executed — exercising cancel-of-a-stale-handle against recycled slots),
+/// disarm a timer (possibly the one firing, which is already disarmed), arm
+/// a timer (arm_dt == 0 arms at the current timestamp), and schedule a
+/// child (child_dt == 0 exercises schedule-at-the-current-timestamp during
+/// pop).
 struct FirePlan {
   bool spawn_child = false;
   SimTime child_dt = 0;
   int cancel_id = -1;
+  int disarm_timer = -1;
+  int arm_timer = -1;
+  SimTime arm_dt = 0;
 };
 
 struct Controller {
@@ -47,8 +63,18 @@ struct Controller {
   ReferenceEventQueue ref;
   std::map<int, EventHandle> handles;
   std::vector<FirePlan> plans;
+  /// Plan each timer runs when it next fires (set when it is armed).
+  std::vector<FirePlan> timer_plans = std::vector<FirePlan>(kTimers);
   int next_id = 0;
   int last_fired = -1;
+  FirePlan last_plan;
+
+  Controller() {
+    for (int k = 0; k < kTimers; ++k)
+      real.add_timer([this, k] {
+        on_fire(kTimerBase + k, timer_plans[static_cast<std::size_t>(k)]);
+      });
+  }
 
   int new_event(SimTime t, const FirePlan& plan) {
     const int id = next_id++;
@@ -56,26 +82,83 @@ struct Controller {
     // The real handler mutates the REAL queue from inside run_next (that is
     // the scenario under test); the controller mirrors the same mutations
     // onto the reference queue after the pop returns.
-    handles[id] = real.schedule(t, [this, id] { on_fire(id); });
+    handles[id] = real.schedule(t, [this, id] {
+      on_fire(id, plans[static_cast<std::size_t>(id)]);
+    });
     ref.schedule(id, t);
     return id;
   }
 
-  void on_fire(int id) {
+  void arm(int k, SimTime t, const FirePlan& plan) {
+    timer_plans[static_cast<std::size_t>(k)] = plan;
+    real.arm(static_cast<std::uint32_t>(k), t);
+    ref.arm(kTimerBase + k, t);
+  }
+
+  void disarm(int k) {
+    real.disarm(static_cast<std::uint32_t>(k));
+    ref.cancel(kTimerBase + k);
+  }
+
+  void on_fire(int id, FirePlan plan) {
     last_fired = id;
-    const FirePlan plan = plans[static_cast<std::size_t>(id)];
+    last_plan = plan;
     if (plan.cancel_id >= 0) {
       const auto it = handles.find(plan.cancel_id);
       if (it != handles.end()) real.cancel(it->second);
     }
+    if (plan.disarm_timer >= 0)
+      real.disarm(static_cast<std::uint32_t>(plan.disarm_timer));
+    if (plan.arm_timer >= 0) {
+      // A handler-armed timer fires with an empty plan, so re-arm chains at
+      // one timestamp stay finite.
+      timer_plans[static_cast<std::size_t>(plan.arm_timer)] = FirePlan{};
+      real.arm(static_cast<std::uint32_t>(plan.arm_timer),
+               real.now() + plan.arm_dt);
+    }
     if (plan.spawn_child) {
       const int child = next_id++;
       plans.push_back(FirePlan{});
-      handles[child] = real.schedule(real.now() + plan.child_dt,
-                                     [this, child] { on_fire(child); });
+      handles[child] = real.schedule(real.now() + plan.child_dt, [this, child] {
+        on_fire(child, plans[static_cast<std::size_t>(child)]);
+      });
     }
   }
+
+  /// Apply the handler mutations of `plan`, fired at `now`, to the
+  /// reference queue in the order on_fire applied them to the real one.
+  void mirror(const FirePlan& plan, SimTime now) {
+    if (plan.cancel_id >= 0) ref.cancel(plan.cancel_id);
+    if (plan.disarm_timer >= 0) ref.cancel(kTimerBase + plan.disarm_timer);
+    if (plan.arm_timer >= 0)
+      ref.arm(kTimerBase + plan.arm_timer, now + plan.arm_dt);
+    // The child id the real handler allocated is next_id - 1 (handlers
+    // allocate exactly one id when they spawn).
+    if (plan.spawn_child) ref.schedule(next_id - 1, now + plan.child_dt);
+  }
 };
+
+/// A random handler plan over the ids and timers seen so far.
+FirePlan random_plan(Rng& rng, int next_id, double spawn_chance) {
+  FirePlan plan;
+  if (rng.chance(spawn_chance)) {
+    plan.spawn_child = true;
+    // Mostly immediate children; occasionally a far-future child, which
+    // lands in the wheel from inside a pop.
+    plan.child_dt = rng.chance(0.5)   ? 0
+                    : rng.chance(0.1) ? rng.uniform_int(70'000, 400'000)
+                                      : rng.uniform_int(0, 20);
+  }
+  if (next_id > 0 && rng.chance(0.25))
+    plan.cancel_id = static_cast<int>(rng.uniform_int(0, next_id - 1));
+  if (rng.chance(0.15))
+    plan.disarm_timer = static_cast<int>(rng.uniform_int(0, kTimers - 1));
+  if (rng.chance(0.2)) {
+    plan.arm_timer = static_cast<int>(rng.uniform_int(0, kTimers - 1));
+    plan.arm_dt = rng.chance(0.6) ? 0 : rng.uniform_int(0, 20);
+  }
+  return plan;
+}
 
 }  // namespace
 
@@ -107,13 +190,6 @@ int fuzz_event_queue(std::uint64_t seed, int ops,
     ctl.last_fired = -1;
     ctl.real.run_next();
     const int want = ctl.ref.pop();
-    const FirePlan plan = ctl.plans[static_cast<std::size_t>(want)];
-    // Mirror the handler's mutations onto the reference queue. The child id
-    // the real handler allocated is next_id - 1 (handlers allocate exactly
-    // one id when they spawn); reconstruct the same id deterministically.
-    if (plan.cancel_id >= 0) ctl.ref.cancel(plan.cancel_id);
-    if (plan.spawn_child && ctl.last_fired == want)
-      ctl.ref.schedule(ctl.next_id - 1, ctl.real.now() + plan.child_dt);
     ++fired;
     if (ctl.last_fired != want || ctl.real.now() != ctl.ref.now()) {
       violations.push_back(Violation{
@@ -125,6 +201,7 @@ int fuzz_event_queue(std::uint64_t seed, int ops,
               "us"});
       return false;
     }
+    ctl.mirror(ctl.last_plan, ctl.real.now());
     now = ctl.real.now();
     return true;
   };
@@ -137,21 +214,11 @@ int fuzz_event_queue(std::uint64_t seed, int ops,
 
   for (int i = 0; i < ops; ++i) {
     const double op = rng.uniform();
-    if (op < 0.42) {
+    if (op < 0.40) {
       // Schedule at now + dt; small dt range forces heavy same-time ties.
-      FirePlan plan;
-      if (rng.chance(0.30)) {
-        plan.spawn_child = true;
-        // Mostly immediate children; occasionally a far-future child, which
-        // lands in the wheel from inside a pop.
-        plan.child_dt = rng.chance(0.5)   ? 0
-                        : rng.chance(0.1) ? rng.uniform_int(70'000, 400'000)
-                                          : rng.uniform_int(0, 20);
-      }
-      if (ctl.next_id > 0 && rng.chance(0.25))
-        plan.cancel_id = static_cast<int>(rng.uniform_int(0, ctl.next_id - 1));
-      ctl.new_event(now + rng.uniform_int(0, 25), plan);
-    } else if (op < 0.52) {
+      ctl.new_event(now + rng.uniform_int(0, 25),
+                    random_plan(rng, ctl.next_id, 0.30));
+    } else if (op < 0.50) {
       // Far-future schedule: beyond the wheel's near horizon (~65ms), often
       // beyond one ring revolution (~1s), exercising the overflow list and
       // its re-bucketing at revolution boundaries.
@@ -161,7 +228,7 @@ int fuzz_event_queue(std::uint64_t seed, int ops,
       const SimTime t = now + rng.uniform_int(70'000, 2'500'000);
       far_times.push_back(t);
       ctl.new_event(t, plan);
-    } else if (op < 0.56) {
+    } else if (op < 0.54) {
       // Re-hit a previously used far timestamp exactly: by now the earlier
       // event may still be in the wheel while this one routes to the heap
       // (or both share a bucket) — the equal-time promotion race.
@@ -170,13 +237,31 @@ int fuzz_event_queue(std::uint64_t seed, int ops,
           rng.uniform_int(0, static_cast<std::int64_t>(far_times.size()) - 1))];
       if (t < now) continue;
       ctl.new_event(t, FirePlan{});
-    } else if (op < 0.72) {
+    } else if (op < 0.66) {
       // Cancel a random id: pending, fired, or already cancelled.
       if (ctl.next_id == 0) continue;
       const int id = static_cast<int>(rng.uniform_int(0, ctl.next_id - 1));
       const auto it = ctl.handles.find(id);
       if (it != ctl.handles.end()) ctl.real.cancel(it->second);
       ctl.ref.cancel(id);
+    } else if (op < 0.74) {
+      // Arm (or re-arm) a timer: near the clock, tied with heap entries; on
+      // a far timestamp, tied with an entry that may sit in the wheel; or
+      // far ahead of everything.
+      const int k = static_cast<int>(rng.uniform_int(0, kTimers - 1));
+      const double where = rng.uniform();
+      SimTime t = now + rng.uniform_int(0, 25);
+      if (where < 0.25 && !far_times.empty()) {
+        const SimTime far = far_times[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(far_times.size()) - 1))];
+        if (far >= now) t = far;
+      } else if (where < 0.35) {
+        t = now + rng.uniform_int(70'000, 2'500'000);
+      }
+      ctl.arm(k, t, random_plan(rng, ctl.next_id, 0.2));
+    } else if (op < 0.78) {
+      // Disarm a timer: armed, already fired, or never armed.
+      ctl.disarm(static_cast<int>(rng.uniform_int(0, kTimers - 1)));
     } else {
       if (!pop_both()) {
         if (!violations.empty()) return fired;

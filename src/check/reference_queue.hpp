@@ -25,6 +25,12 @@ class ReferenceEventQueue {
   /// (mirrors EventQueue::cancel's seq-guarded semantics).
   void cancel(int id);
 
+  /// Model of EventQueue::arm for a timer with logical id `id`: cancel any
+  /// pending firing, then insert at `t` — at the multimap upper bound, i.e.
+  /// after every event already pending at `t`. EventQueue::disarm is
+  /// cancel(id).
+  void arm(int id, SimTime t);
+
   /// Pop the earliest pending event and return its id, or -1 when empty.
   int pop();
 
@@ -45,9 +51,13 @@ class ReferenceEventQueue {
 /// events mid-pop). Far-future schedules land in EventQueue's timing-wheel
 /// tier, so the script also covers cancel-while-in-wheel, wheel-to-heap
 /// promotion racing a heap entry at the same timestamp, and overflow
-/// re-bucketing across ring revolutions. Appends a Violation per divergence:
-/// pop-order mismatch, fired-set mismatch, size or emptiness disagreement.
-/// Returns the number of events both queues fired.
+/// re-bucketing across ring revolutions. A few re-armable timers ride along:
+/// the script arms and disarms them (at timestamps tied with heap and wheel
+/// entries included), and handlers — timer handlers too — arm timers at the
+/// current timestamp and disarm-then-arm timers that already fired.
+/// Appends a Violation per divergence: pop-order mismatch, fired-set
+/// mismatch, size or emptiness disagreement. Returns the number of events
+/// (timer firings included) both queues fired.
 int fuzz_event_queue(std::uint64_t seed, int ops,
                      std::vector<Violation>& violations);
 

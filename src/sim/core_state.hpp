@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "sim/cfs_queue.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/task.hpp"
 #include "util/time.hpp"
 
@@ -21,8 +20,8 @@ class CoreStore {
     running.assign(n, nullptr);
     run_start.assign(n, SimTime{0});
     slice_end.assign(n, SimTime{0});
+    seg_start.assign(n, SimTime{0});
     current_speed.assign(n, 1.0);
-    stop_event.assign(n, EventHandle{});
     busy_time.assign(n, SimTime{0});
     idle_since.assign(n, SimTime{0});
     online.assign(n, std::uint8_t{1});
@@ -30,10 +29,14 @@ class CoreStore {
   }
 
   std::vector<Task*> running;
-  std::vector<SimTime> run_start;   ///< When the current dispatch began.
+  /// Time up to which the running task's execution is accounted: the
+  /// dispatch, or the last flush (every speed change flushes).
+  std::vector<SimTime> run_start;
   std::vector<SimTime> slice_end;   ///< When the current timeslice expires.
+  /// Start of the running task's unrecorded run segment: the dispatch, or
+  /// the last sync_accounting of this core.
+  std::vector<SimTime> seg_start;
   std::vector<double> current_speed;
-  std::vector<EventHandle> stop_event;  ///< Pending CoreStop per core.
   std::vector<SimTime> busy_time;
   std::vector<SimTime> idle_since;
   std::vector<std::uint8_t> online;
@@ -43,7 +46,7 @@ class CoreStore {
 
 /// Per-core scheduler state: the CFS run queue plus the dispatch bookkeeping
 /// the Simulator needs (who is running, since when, at what effective speed,
-/// and the stop event that will end the current dispatch). The hot fields
+/// and when the current timeslice ends). The hot fields
 /// live in the Simulator's CoreStore; accessors read through to it.
 class CoreState {
  public:
@@ -78,8 +81,8 @@ class CoreState {
   Task*& running_ref() { return store_->running[cid()]; }
   SimTime& run_start_ref() { return store_->run_start[cid()]; }
   SimTime& slice_end_ref() { return store_->slice_end[cid()]; }
+  SimTime& seg_start_ref() { return store_->seg_start[cid()]; }
   double& current_speed_ref() { return store_->current_speed[cid()]; }
-  EventHandle& stop_event_ref() { return store_->stop_event[cid()]; }
   SimTime& busy_time_ref() { return store_->busy_time[cid()]; }
   SimTime& idle_since_ref() { return store_->idle_since[cid()]; }
   std::uint8_t& online_ref() { return store_->online[cid()]; }

@@ -5,7 +5,9 @@
 namespace speedbal {
 
 void EventQueue::run_until(SimTime t) {
-  while (prepare_top() && heap_[0].time <= t) run_next();
+  for (Tier tier = top_tier(); tier != Tier::None && tier_time(tier) <= t;
+       tier = top_tier())
+    fire(tier);
   if (now_ < t) now_ = t;
 }
 
@@ -14,34 +16,13 @@ void EventQueue::run_all() {
   }
 }
 
-EventHandle EventQueue::reschedule(EventHandle h, SimTime t) {
-  if (t < now_)
-    throw std::invalid_argument("EventQueue: reschedule in the past");
-  if (!h.valid() || h.slot >= slots_.size() || slots_[h.slot].seq != h.seq)
-    return EventHandle{};  // Dead handle; the caller must schedule fresh.
-  const std::uint64_t seq = next_seq_++;
-  slots_[h.slot].seq = seq;
-  const HeapEntry e{t, seq, h.slot};
-  const std::uint32_t pos = slot_pos_[h.slot];
-  if (pos == kInWheel) {
-    // The old ring/overflow entry just went stale (seq bumped); route the
-    // replacement wherever it now belongs.
-    --wheel_count_;
-    insert_entry(e);
-  } else if (t - now_ >= kFarHorizon && t >= watermark_) {
-    heap_erase(pos);
-    wheel_insert(e);
-  } else {
-    // Overwrite the key in place and restore the heap property — no slot
-    // recycle, no callable move.
-    const HeapEntry old = heap_[pos];
-    heap_[pos] = e;
-    if (before(e, old))
-      sift_up(pos);
-    else
-      sift_down(pos);
-  }
-  return EventHandle{t, seq, h.slot};
+void EventQueue::rescan_timers() {
+  timer_min_ = kNoTimer;
+  for (const HeapEntry& e : timers_)
+    if (e.time != kTimerOff &&
+        (timer_min_ == kNoTimer || before(e, timers_[timer_min_])))
+      timer_min_ = e.slot;
+  timer_min_stale_ = false;
 }
 
 void EventQueue::wheel_insert(const HeapEntry& e) {
@@ -74,10 +55,10 @@ void EventQueue::promote_bucket() {
   auto& bucket = wheel_[pb & kBucketMask];
   for (const HeapEntry& e : bucket) {
     // Live entries go to the heap, which restores (time, seq) order among
-    // equal timestamps; stale entries (cancelled, or rescheduled away) are
-    // recognized by their seq and dropped. Entries from a later ring
-    // revolution that alias into this bucket are promoted early — the heap
-    // holds any future time correctly, it just carries them sooner.
+    // equal timestamps; cancelled entries are recognized by their stale seq
+    // and dropped. Entries from a later ring revolution that alias into
+    // this bucket are promoted early — the heap holds any future time
+    // correctly, it just carries them sooner.
     if (e.slot < slots_.size() && slots_[e.slot].seq == e.seq &&
         slot_pos_[e.slot] == kInWheel) {
       heap_push(e);

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <new>
 #include <stdexcept>
 #include <type_traits>
@@ -152,6 +153,13 @@ struct EventHandle {
 /// Cancellation in the wheel is lazy: the slot is released immediately and
 /// the stale ring entry is dropped at promotion by its seq mismatch (seqs
 /// are never reused, so a recycled slot cannot false-match).
+///
+/// Beside the two tiers sit a few fixed, re-armable timers (the Simulator's
+/// per-core stop events, retimed on every speed change). Their keys live in
+/// a dense array with a lazily rescanned argmin instead of the heap, so a
+/// re-arm costs a few stores. Arming draws its seq from the same counter as
+/// schedule(), so the pop path — the smaller of the heap top and the
+/// earliest armed timer — keeps one (time, seq) total order over all tiers.
 class EventQueue {
  public:
   /// Schedule `fn` at absolute time `t` (must be >= now()).
@@ -180,42 +188,73 @@ class EventQueue {
     free_slots_.push_back(h.slot);
   }
 
-  /// Move a live event to a new time, reusing its slot and callable — the
-  /// cheap form of cancel + schedule for the per-dispatch stop-event churn
-  /// (no callable move, no slot recycle, and an in-place heap reposition
-  /// when both times are near). `h` must be live (not fired, not
-  /// cancelled); semantics are identical to cancel(h) followed by
-  /// schedule(t, same-fn), including the fresh position in the seq order.
-  EventHandle reschedule(EventHandle h, SimTime t);
+  /// Register a fixed, re-armable timer and return its id (dense from 0).
+  /// A timer is a standing event that lives outside the heap: `arm` retimes
+  /// it with a couple of stores instead of a heap sift, which is what a
+  /// per-core stop event retimed on every speed change needs. Register
+  /// timers up front (typically at construction): `fn` is invoked in place,
+  /// so a timer handler must not register further timers.
+  std::uint32_t add_timer(EventFn fn) {
+    if (timers_.size() >= kMaxTimers)
+      throw std::length_error("EventQueue: too many timers");
+    const auto id = static_cast<std::uint32_t>(timers_.size());
+    timers_.push_back({kTimerOff, 0, id});
+    timer_fns_.push_back(std::move(fn));
+    return id;
+  }
+
+  /// Arm timer `id` to fire at `t` (must be >= now()), replacing any
+  /// pending firing. The key draws a fresh seq from the same counter as
+  /// `schedule`, so timers and scheduled events share one (time, seq)
+  /// total order: arming is exactly cancel + schedule of the same callable.
+  void arm(std::uint32_t id, SimTime t) {
+    if (t < now_) throw std::invalid_argument("EventQueue: arm in the past");
+    const HeapEntry key{t, next_seq_++, id};
+    HeapEntry& slot = timers_[id];
+    if (slot.time == kTimerOff) ++timers_armed_;
+    if (!timer_min_stale_) {
+      // Keep the cached argmin exact when cheap: a new earliest key takes
+      // over; re-arming the current minimum later defers to a rescan.
+      if (timer_min_ == kNoTimer || before(key, timers_[timer_min_]))
+        timer_min_ = id;
+      else if (timer_min_ == id)
+        timer_min_stale_ = true;
+    }
+    slot = key;
+  }
+
+  /// Disarm timer `id`; no-op if it is not armed (already fired, or never
+  /// armed).
+  void disarm(std::uint32_t id) {
+    HeapEntry& slot = timers_[id];
+    if (slot.time == kTimerOff) return;
+    slot.time = kTimerOff;
+    --timers_armed_;
+    if (timer_min_ == id) timer_min_stale_ = true;
+  }
 
   /// Pop and execute the earliest event; returns false when empty.
   bool run_next() {
-    if (!prepare_top()) return false;
-    const HeapEntry top = heap_[0];
-    now_ = top.time;
-    Slot& s = slots_[top.slot];
-    // Move the callable out and release the slot before invoking, so the
-    // handler can schedule or cancel events (including at the same
-    // timestamp) without touching a live slot.
-    EventFn fn = std::move(s.fn);
-    s.seq = 0;
-    pop_root();
-    free_slots_.push_back(top.slot);
-    ++executed_;
-    fn();
+    const Tier tier = top_tier();
+    if (tier == Tier::None) return false;
+    fire(tier);
     return true;
   }
 
-  /// True when no events are pending (either tier).
-  bool empty() const { return heap_.empty() && wheel_count_ == 0; }
-  std::size_t size() const { return heap_.size() + wheel_count_; }
+  /// True when no events are pending (any tier, armed timers included).
+  bool empty() const {
+    return heap_.empty() && wheel_count_ == 0 && timers_armed_ == 0;
+  }
+  std::size_t size() const {
+    return heap_.size() + wheel_count_ + timers_armed_;
+  }
 
   /// Current simulation time (time of the last event popped).
   SimTime now() const { return now_; }
 
   /// Time of the earliest pending event, or kNever if empty. May promote
   /// wheel buckets into the heap to find it (hence non-const).
-  SimTime next_time() { return prepare_top() ? heap_[0].time : kNever; }
+  SimTime next_time() { return tier_time(top_tier()); }
 
   /// Run events until simulation time would exceed `t`; leaves now() == t.
   void run_until(SimTime t);
@@ -223,7 +262,8 @@ class EventQueue {
   /// Run until the queue is empty.
   void run_all();
 
-  /// Total events executed so far (monotonic; for throughput accounting).
+  /// Total events executed so far, timer firings included (monotonic; for
+  /// throughput accounting).
   std::uint64_t executed() const { return executed_; }
 
   /// Events currently parked in the wheel/overflow tier (test hook).
@@ -244,6 +284,12 @@ class EventQueue {
   static constexpr SimTime kFarHorizon = 16 * kBucketWidth;  // ~65 ms
   /// slot_pos_ sentinel: the slot's entry lives in the wheel, not the heap.
   static constexpr std::uint32_t kInWheel = 0xFFFFFFFFu;
+  /// Timer-table bound: the argmin rescan is a linear pass, kept short (the
+  /// Simulator registers one timer per core, at most 64).
+  static constexpr std::size_t kMaxTimers = 64;
+  /// Time of a disarmed timer (sorts after every armed key).
+  static constexpr SimTime kTimerOff = std::numeric_limits<SimTime>::max();
+  static constexpr std::uint32_t kNoTimer = 0xFFFFFFFFu;
 
   struct HeapEntry {
     SimTime time;
@@ -301,6 +347,60 @@ class EventQueue {
     return !heap_.empty();
   }
 
+  enum class Tier { None, Heap, Timer };
+
+  /// Which tier holds the globally earliest pending event: the heap top
+  /// (after wheel promotion) or the earliest armed timer.
+  Tier top_tier() {
+    const bool heap = prepare_top();
+    if (timers_armed_ != 0) {
+      if (timer_min_stale_) rescan_timers();
+      if (!heap || before(timers_[timer_min_], heap_[0])) return Tier::Timer;
+    }
+    return heap ? Tier::Heap : Tier::None;
+  }
+
+  /// Time of the earliest event in `tier` (kNever for Tier::None).
+  SimTime tier_time(Tier tier) const {
+    switch (tier) {
+      case Tier::Heap: return heap_[0].time;
+      case Tier::Timer: return timers_[timer_min_].time;
+      case Tier::None: break;
+    }
+    return kNever;
+  }
+
+  /// Pop and execute the earliest event, which `tier` (top_tier()'s answer)
+  /// holds.
+  void fire(Tier tier) {
+    ++executed_;
+    if (tier == Tier::Timer) {
+      // Disarm before invoking, so the handler may re-arm the timer (at the
+      // current timestamp included).
+      const std::uint32_t id = timer_min_;
+      now_ = timers_[id].time;
+      timers_[id].time = kTimerOff;
+      --timers_armed_;
+      timer_min_stale_ = true;
+      timer_fns_[id]();
+      return;
+    }
+    const HeapEntry top = heap_[0];
+    now_ = top.time;
+    Slot& s = slots_[top.slot];
+    // Move the callable out and release the slot before invoking, so the
+    // handler can schedule or cancel events (including at the same
+    // timestamp) without touching a live slot.
+    EventFn fn = std::move(s.fn);
+    s.seq = 0;
+    pop_root();
+    free_slots_.push_back(top.slot);
+    fn();
+  }
+
+  /// Recompute the cached argmin over the armed timers.
+  void rescan_timers();
+
   /// Promote every live entry of the next-due bucket into the heap and
   /// advance the watermark one bucket width; re-buckets the overflow list
   /// when the ring completes a revolution.
@@ -338,6 +438,17 @@ class EventQueue {
   SimTime watermark_ = 0;
   /// Live (uncancelled) entries across ring + overflow.
   std::size_t wheel_count_ = 0;
+
+  /// Re-armable timers: one (time, seq) key per timer, kTimerOff when
+  /// disarmed (the `slot` field holds the timer id), and the callables
+  /// alongside. timer_min_ caches the earliest armed key's index
+  /// (kNoTimer when none is armed); arm/disarm keep it exact or flag it
+  /// stale, and a stale cache is rescanned on the next pop or peek.
+  std::vector<HeapEntry> timers_;
+  std::vector<EventFn> timer_fns_;
+  std::size_t timers_armed_ = 0;
+  std::uint32_t timer_min_ = kNoTimer;
+  bool timer_min_stale_ = false;
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 1;  ///< 0 marks a free slot.

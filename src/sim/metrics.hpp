@@ -48,7 +48,11 @@ struct MigrationRecord {
   MigrationCause cause = MigrationCause::Affinity;
 };
 
-/// One contiguous stretch of execution of a task on a core.
+/// One contiguous stretch of execution of a task on a core. The Simulator
+/// records one segment per dispatch, from the dispatch to the moment the task
+/// stops running; a Simulator::sync_accounting in the middle of a stretch
+/// splits it into adjacent pieces (same task, same core, end == next start).
+/// Speed changes do not split a segment.
 struct RunSegment {
   TaskId task = -1;
   CoreId core = -1;
@@ -78,8 +82,8 @@ class Metrics {
   }
 
   /// One contiguous execution stretch: stages both the exec-table add and
-  /// the segment/interval append in a single record. This is the
-  /// Simulator's per-dispatch call (previously record_run + record_segment).
+  /// the segment/interval append in a single record. The Simulator calls it
+  /// once per stretch (and at each sync_accounting), not per speed change.
   void record_exec(TaskId task, CoreId core, SimTime start, SimTime dur) {
     stage(task, core, start, dur, kExec | kSegment);
   }

@@ -22,8 +22,11 @@ Simulator::Simulator(const Topology& topo, SimParams params, std::uint64_t seed)
     throw std::invalid_argument("Simulator supports at most 64 cores");
   core_store_.init(static_cast<std::size_t>(topo_.num_cores()));
   cores_.reserve(static_cast<std::size_t>(topo_.num_cores()));
-  for (CoreId c = 0; c < topo_.num_cores(); ++c)
+  for (CoreId c = 0; c < topo_.num_cores(); ++c) {
     cores_.emplace_back(c, params_.cfs, core_store_);
+    // One stop timer per core; its timer id is the CoreId.
+    events_.add_timer([this, c] { core_stop(c); });
+  }
   node_demand_.assign(static_cast<std::size_t>(topo_.num_numa_nodes()), 0.0);
   load_snapshot_.assign(static_cast<std::size_t>(topo_.num_cores()), 0);
 }
@@ -62,7 +65,7 @@ void Simulator::assign_work(Task& t, double work_us) {
   t.wait_mode_ref() = WaitMode::None;
   if (t.state_ref() == TaskState::Running) {
     flush_accounting(t.core_ref());
-    reschedule_stop(t.core_ref());
+    arm_stop(t.core_ref());
   }
 }
 
@@ -73,7 +76,7 @@ void Simulator::set_wait_mode(Task& t, WaitMode mode) {
   if (mode != WaitMode::None) t.remaining_work_ref() = 0.0;
   if (t.state_ref() == TaskState::Running) {
     flush_accounting(t.core_ref());
-    reschedule_stop(t.core_ref());
+    arm_stop(t.core_ref());
   }
 }
 
@@ -263,7 +266,7 @@ void Simulator::set_clock_scale(CoreId c, double scale) {
   if (std::abs(ns - cs.current_speed_ref()) < 1e-12) return;
   flush_accounting(c);  // Charge the elapsed part at the old speed.
   cs.current_speed_ref() = ns;
-  reschedule_stop(c);
+  arm_stop(c);
 }
 
 void Simulator::set_core_online(CoreId c, bool online) {
@@ -323,10 +326,20 @@ bool Simulator::run_while_pending(const std::function<bool()>& until,
 
 // --- Queries ----------------------------------------------------------------
 
-void Simulator::sync_accounting(CoreId c) { flush_accounting(c); }
+void Simulator::sync_accounting(CoreId c) {
+  flush_accounting(c);
+  // Stage the run segment since the dispatch or the last sync, and start
+  // the next one here.
+  auto& cs = core(c);
+  Task* t = cs.running_ref();
+  if (t == nullptr) return;
+  const SimTime dur = now() - cs.seg_start_ref();
+  if (dur > 0) metrics_.record_exec(t->id(), c, cs.seg_start_ref(), dur);
+  cs.seg_start_ref() = now();
+}
 
 void Simulator::sync_all_accounting() {
-  for (CoreId c = 0; c < num_cores(); ++c) flush_accounting(c);
+  for (CoreId c = 0; c < num_cores(); ++c) sync_accounting(c);
 }
 
 std::vector<Task*> Simulator::live_tasks() const {
@@ -383,7 +396,7 @@ void Simulator::start_running(CoreId c, Task& t) {
   assert(cs.running_ref() == nullptr);
   // A task can legitimately arrive here with zero work: migrating a running
   // task flushes its accounting first, and the flush may consume the last
-  // of its work. reschedule_stop() then fires core_stop immediately, which
+  // of its work. arm_stop() then fires core_stop immediately, which
   // runs the normal completion path.
   cs.running_ref() = &t;
   t.state_ref() = TaskState::Running;
@@ -394,6 +407,7 @@ void Simulator::start_running(CoreId c, Task& t) {
   if (t.home_numa_ < 0 && t.total_exec_ref() >= params_.first_touch_exec)
     t.home_numa_ = topo_.core(c).numa_node;
   cs.run_start_ref() = now();
+  cs.seg_start_ref() = now();
   cs.idle_since_ref() = kNever;
   add_running_demand(t, +1);
   cs.current_speed_ref() = compute_speed(t, c);
@@ -409,8 +423,7 @@ void Simulator::start_running(CoreId c, Task& t) {
     slice = cs.queue().timeslice();
   }
   cs.slice_end_ref() = now() + slice;
-  cs.stop_event_ref() = {};
-  reschedule_stop(c);
+  arm_stop(c);
   refresh_speeds(t);
 }
 
@@ -435,7 +448,6 @@ void Simulator::flush_accounting(CoreId c) {
   t->last_ran_ref() = now();
   cs.busy_time_ref() += dur;
   cs.queue().charge(*t, dur);
-  metrics_.record_exec(t->id(), c, now() - dur, dur);
   cs.run_start_ref() = now();
 }
 
@@ -443,16 +455,15 @@ void Simulator::halt_running(CoreId c) {
   auto& cs = core(c);
   Task* t = cs.running_ref();
   if (t == nullptr) return;
-  flush_accounting(c);
-  events_.cancel(cs.stop_event_ref());
-  cs.stop_event_ref() = {};
+  sync_accounting(c);  // The stretch ends: its segment is recorded.
+  events_.disarm(static_cast<std::uint32_t>(c));
   cs.running_ref() = nullptr;
   t->state_ref() = TaskState::Runnable;
   add_running_demand(*t, -1);
   refresh_speeds(*t);
 }
 
-void Simulator::reschedule_stop(CoreId c) {
+void Simulator::arm_stop(CoreId c) {
   auto& cs = core(c);
   Task* t = cs.running_ref();
   assert(t != nullptr);
@@ -469,20 +480,16 @@ void Simulator::reschedule_stop(CoreId c) {
     stop = std::min(stop, now() + dur);
   }
   stop = std::max(stop, now());
-  // The stop callable is identical for every reschedule of a core, so a
-  // live handle is retimed in place (same slot, same callable, fresh seq —
-  // semantics identical to cancel + schedule, minus the slot churn).
-  EventHandle moved = events_.reschedule(cs.stop_event_ref(), stop);
-  if (!moved.valid()) moved = events_.schedule(stop, [this, c] { core_stop(c); });
-  cs.stop_event_ref() = moved;
+  // Re-arming the core's stop timer replaces its pending firing; the fresh
+  // seq gives it the position a cancel + schedule would.
+  events_.arm(static_cast<std::uint32_t>(c), stop);
 }
 
 void Simulator::core_stop(CoreId c) {
   auto& cs = core(c);
   Task* t = cs.running_ref();
   assert(t != nullptr);
-  cs.stop_event_ref() = {};
-  flush_accounting(c);
+  sync_accounting(c);  // The stretch ends: its segment is recorded.
   cs.running_ref() = nullptr;
   t->state_ref() = TaskState::Runnable;
   add_running_demand(*t, -1);
@@ -543,7 +550,7 @@ void Simulator::refresh_speeds(const Task& changed) {
     if (std::abs(ns - cs.current_speed_ref()) < 1e-12) continue;
     flush_accounting(c);  // Charge the elapsed part at the old speed.
     cs.current_speed_ref() = ns;
-    reschedule_stop(c);
+    arm_stop(c);
   }
 }
 

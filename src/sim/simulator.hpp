@@ -131,7 +131,7 @@ class Simulator {
 
   /// DVFS: change one core's relative clock speed mid-run. The running
   /// task's partial execution is charged at the old speed before the new
-  /// one takes effect, and its stop event is rescheduled.
+  /// one takes effect, and its stop timer is re-armed.
   void set_clock_scale(CoreId core, double scale);
 
   /// CPU hotplug. Offlining drains the core: the running task is stopped
@@ -176,7 +176,9 @@ class Simulator {
   }
 
   /// Flush the partial execution of the running task on `core` so that task
-  /// exec times and remaining work are exact as of now().
+  /// exec times, remaining work and every Metrics query are exact as of
+  /// now(). Stages the running stretch's segment so far, so a stretch that
+  /// spans a sync is recorded as two adjacent segments.
   void sync_accounting(CoreId core);
   void sync_all_accounting();
 
@@ -237,11 +239,17 @@ class Simulator {
 
   void dispatch(CoreId core);
   void start_running(CoreId core, Task& t);
+  /// Charge the running task's execution since the last flush at the
+  /// core's current speed: remaining work, warmup, CPU time, CFS vruntime.
+  /// Runs at every speed change; records nothing in Metrics (a stretch's
+  /// segment is staged by sync_accounting, which every stretch end calls).
   void flush_accounting(CoreId core);
   void core_stop(CoreId core);
   /// Stop the running task without requeueing decisions (caller handles).
   void halt_running(CoreId core);
-  void reschedule_stop(CoreId core);
+  /// (Re-)arm the core's stop timer for timeslice expiry or work
+  /// completion at the current speed, whichever comes first.
+  void arm_stop(CoreId core);
   double compute_speed(const Task& t, CoreId core) const;
   void add_running_demand(const Task& t, int sign);
   void refresh_speeds(const Task& changed);

@@ -161,9 +161,10 @@ TEST(EventQueue, HandlerCancelsEqualTimePeer) {
 }
 
 TEST(EventQueue, HandlerReschedulesEqualTimePeer) {
-  // The Simulator's stop-event pattern: a handler cancels a pending event
-  // and reschedules it at the same timestamp. The replacement must run in
-  // its new insertion position (after later-inserted equal-time events).
+  // A handler cancels a pending event and re-schedules it at the same
+  // timestamp (the ordering a timer re-arm reproduces). The replacement
+  // must run in its new insertion position (after later-inserted
+  // equal-time events).
   EventQueue q;
   std::vector<char> order;
   EventHandle b;
@@ -360,82 +361,138 @@ TEST(EventQueue, ManyFarEventsAcrossRevolutionsStaySorted) {
     EXPECT_LE(fired[i - 1], fired[i]);
 }
 
-// --- reschedule -------------------------------------------------------------
+// --- re-armable timers -----------------------------------------------------
 
-TEST(EventQueue, RescheduleMovesEventInHeap) {
+TEST(EventQueue, TimerRearmLaterFiresAfterHeapPeer) {
   EventQueue q;
   std::vector<char> order;
-  const auto a = q.schedule(10, [&] { order.push_back('a'); });
+  const auto a = q.add_timer([&] { order.push_back('a'); });
+  q.arm(a, 10);
   q.schedule(20, [&] { order.push_back('b'); });
-  const auto moved = q.reschedule(a, 30);  // Later...
-  EXPECT_TRUE(moved.valid());
+  q.arm(a, 30);  // Later...
+  EXPECT_EQ(q.size(), 2u);
   q.run_all();
   EXPECT_EQ(order, (std::vector<char>{'b', 'a'}));
   EXPECT_EQ(q.now(), 30);
+  EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueue, RescheduleEarlierInHeap) {
+TEST(EventQueue, TimerRearmEarlier) {
   EventQueue q;
   std::vector<char> order;
   q.schedule(20, [&] { order.push_back('b'); });
-  const auto a = q.schedule(30, [&] { order.push_back('a'); });
-  q.reschedule(a, 10);
+  const auto a = q.add_timer([&] { order.push_back('a'); });
+  q.arm(a, 30);
+  q.arm(a, 10);
   q.run_all();
   EXPECT_EQ(order, (std::vector<char>{'a', 'b'}));
 }
 
-TEST(EventQueue, RescheduleDeadHandleReturnsInvalid) {
+TEST(EventQueue, TimerDisarmOfFiredOrDisarmedTimerIsNoOp) {
   EventQueue q;
   int count = 0;
-  const auto h = q.schedule(10, [&] { ++count; });
+  const auto a = q.add_timer([&] { ++count; });
+  q.disarm(a);  // Never armed.
+  q.arm(a, 10);
   q.run_next();
-  EXPECT_FALSE(q.reschedule(h, 50).valid());  // Fired: dead.
-  const auto h2 = q.schedule(20, [&] { ++count; });
-  q.cancel(h2);
-  EXPECT_FALSE(q.reschedule(h2, 50).valid());  // Cancelled: dead.
-  EXPECT_FALSE(q.reschedule(EventHandle{}, 50).valid());
-  q.run_all();
   EXPECT_EQ(count, 1);
+  q.disarm(a);  // Fired: no-op.
+  EXPECT_TRUE(q.empty());
+  q.arm(a, 20);  // A fired timer re-arms like a fresh one.
+  q.disarm(a);
+  q.disarm(a);  // Already disarmed.
+  EXPECT_TRUE(q.empty());
+  EXPECT_FALSE(q.run_next());
+  q.arm(a, 30);
+  q.run_all();
+  EXPECT_EQ(count, 2);
+  EXPECT_EQ(q.now(), 30);
 }
 
-TEST(EventQueue, RescheduleEqualsCancelPlusSchedule) {
-  // The retimed event must behave as freshly inserted: at an equal
-  // timestamp it fires after already-pending peers.
+TEST(EventQueue, TimerArmEqualsCancelPlusSchedule) {
+  // Arming draws a fresh seq: at an equal timestamp the timer fires after
+  // the events already pending there and before the ones scheduled later.
   EventQueue q;
   std::vector<char> order;
-  const auto a = q.schedule(5, [&] { order.push_back('a'); });
+  const auto a = q.add_timer([&] { order.push_back('a'); });
+  q.arm(a, 5);
   q.schedule(7, [&] { order.push_back('B'); });
-  q.reschedule(a, 7);
+  q.arm(a, 7);
+  q.schedule(7, [&] { order.push_back('C'); });
   q.run_all();
-  EXPECT_EQ(order, (std::vector<char>{'B', 'a'}));
+  EXPECT_EQ(order, (std::vector<char>{'B', 'a', 'C'}));
 }
 
-TEST(EventQueue, RescheduleAcrossTiers) {
+TEST(EventQueue, TimerTiesWithWheelEntries) {
   EventQueue q;
   std::vector<char> order;
-  // Heap -> wheel.
-  const auto a = q.schedule(10, [&] { order.push_back('a'); });
-  const auto a2 = q.reschedule(a, 800'000);
-  EXPECT_TRUE(a2.valid());
+  const auto t = q.add_timer([&] { order.push_back('t'); });
+  const auto u = q.add_timer([&] { order.push_back('u'); });
+  // A wheel entry at 800'000 armed-against after it was scheduled, and a
+  // timer armed at 900'000 before the wheel entry at the same time.
+  q.schedule(800'000, [&] { order.push_back('a'); });
   EXPECT_GT(q.wheel_size(), 0u);
-  // Wheel -> heap.
-  const auto b = q.schedule(900'000, [&] { order.push_back('b'); });
-  q.reschedule(b, 20);
+  q.arm(t, 800'000);
+  q.arm(u, 900'000);
+  q.schedule(900'000, [&] { order.push_back('b'); });
+  // Far -> near: re-arming a far timer next to the clock needs no tier move.
+  const auto v = q.add_timer([&] { order.push_back('v'); });
+  q.arm(v, 2'000'000);
+  q.arm(v, 20);
   q.run_all();
-  EXPECT_EQ(order, (std::vector<char>{'b', 'a'}));
-  EXPECT_EQ(q.now(), 800'000);
+  EXPECT_EQ(order, (std::vector<char>{'v', 'a', 't', 'u', 'b'}));
+  EXPECT_EQ(q.now(), 900'000);
 }
 
-TEST(EventQueue, StaleHandleAfterRescheduleIsDead) {
-  // reschedule returns a fresh handle; the old one must no longer cancel.
+TEST(EventQueue, TimerRearmReplacesPendingFiring) {
   EventQueue q;
-  bool fired = false;
-  const auto h = q.schedule(10, [&] { fired = true; });
-  const auto moved = q.reschedule(h, 20);
-  q.cancel(h);  // Stale seq: no-op.
+  std::vector<SimTime> fired;
+  const auto a = q.add_timer([&] { fired.push_back(q.now()); });
+  q.arm(a, 10);
+  q.arm(a, 20);
   q.run_all();
-  EXPECT_TRUE(fired);
-  q.cancel(moved);  // Fired already: no-op, but safe.
+  EXPECT_EQ(fired, (std::vector<SimTime>{20}));
+  EXPECT_EQ(q.executed(), 1u);
+}
+
+TEST(EventQueue, TimerHandlerRearmsAtCurrentTime) {
+  // The Simulator's stop pattern: a stop handler re-arms the same timer at
+  // the current timestamp. The new firing queues behind the equal-time
+  // events already pending.
+  EventQueue q;
+  std::vector<char> order;
+  int fires = 0;
+  std::uint32_t a = 0;
+  a = q.add_timer([&] {
+    order.push_back('a');
+    if (++fires == 1) q.arm(a, q.now());
+  });
+  q.arm(a, 5);
+  q.schedule(5, [&] { order.push_back('B'); });
+  q.run_all();
+  EXPECT_EQ(order, (std::vector<char>{'a', 'B', 'a'}));
+  EXPECT_EQ(q.executed(), 3u);
+}
+
+TEST(EventQueue, TimersCountInSizeNextTimeAndRunUntil) {
+  EventQueue q;
+  int fired = 0;
+  const auto a = q.add_timer([&] { ++fired; });
+  const auto b = q.add_timer([&] { ++fired; });
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.next_time(), kNever);
+  q.arm(a, 40);
+  q.arm(b, 15);
+  q.schedule(30, [&] { ++fired; });
+  EXPECT_EQ(q.size(), 3u);
+  EXPECT_EQ(q.next_time(), 15);
+  q.run_until(30);
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(q.now(), 30);
+  EXPECT_EQ(q.next_time(), 40);
+  q.disarm(a);
+  EXPECT_TRUE(q.empty());
+  EXPECT_THROW(q.arm(a, 10), std::invalid_argument);  // In the past.
 }
 
 }  // namespace

@@ -1,0 +1,268 @@
+// Golden fingerprints of short SPMD episodes that exercise the simulator's
+// speed-refresh path: a memory-bound run on a saturated bus (every dispatch
+// re-times every running core) and an SMT run with no bandwidth demand (only
+// the sibling of a starting/stopping thread is re-timed). Any change to the
+// speed arithmetic, the event order, or the execution accounting moves the
+// pinned values. The segment digest is taken over the canonical (merged)
+// segment log, so where a stretch of execution is cut into records does not
+// move it.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <sstream>
+#include <vector>
+
+#include "core/scenarios.hpp"
+#include "perturb/timeline.hpp"
+#include "topo/presets.hpp"
+#include "workload/npb.hpp"
+
+namespace speedbal {
+namespace {
+
+struct Fingerprint {
+  std::uint64_t events = 0;
+  double makespan_s = 0.0;
+  std::map<MigrationCause, std::int64_t> migrations;
+  std::vector<std::vector<SimTime>> exec_by_core;  ///< [task][core]
+  std::size_t canonical_segments = 0;
+  std::uint64_t segment_digest = 0;
+};
+
+/// The segment log with every exactly-adjacent same-task same-core pair
+/// merged, ordered by (task, start). Independent of where a contiguous
+/// stretch of execution was cut into records, so it compares segment logs
+/// by the execution they describe.
+std::vector<RunSegment> canonical_segments(const Metrics& m) {
+  std::vector<RunSegment> segs = m.segments();
+  std::stable_sort(segs.begin(), segs.end(),
+                   [](const RunSegment& a, const RunSegment& b) {
+                     return a.task != b.task ? a.task < b.task
+                                             : a.start < b.start;
+                   });
+  std::vector<RunSegment> out;
+  for (const RunSegment& s : segs) {
+    if (!out.empty() && out.back().task == s.task &&
+        out.back().core == s.core &&
+        out.back().start + out.back().dur == s.start) {
+      out.back().dur += s.dur;
+      continue;
+    }
+    out.push_back(s);
+  }
+  return out;
+}
+
+/// FNV-1a over the canonical segments' (task, core, start, dur) fields.
+std::uint64_t fnv1a(const std::vector<RunSegment>& segs) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](std::int64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= static_cast<std::uint64_t>(v >> (8 * i)) & 0xFFu;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (const RunSegment& s : segs) {
+    mix(s.task);
+    mix(s.core);
+    mix(s.start);
+    mix(s.dur);
+  }
+  return h;
+}
+
+Fingerprint run(ExperimentConfig cfg) {
+  Fingerprint fp;
+  cfg.on_run_end = [&fp](Simulator& sim, SpmdApp&, int) {
+    sim.sync_all_accounting();
+    fp.events = sim.events_executed();
+    for (TaskId id = 0; id < sim.num_tasks(); ++id)
+      fp.exec_by_core.push_back(sim.metrics().exec_by_core(id));
+    const auto segs = canonical_segments(sim.metrics());
+    fp.canonical_segments = segs.size();
+    fp.segment_digest = fnv1a(segs);
+  };
+  const ExperimentResult res = run_experiment(cfg);
+  const RunResult& r = res.runs.at(0);
+  EXPECT_TRUE(r.completed);
+  fp.makespan_s = r.runtime_s;
+  fp.migrations = r.migrations_by_cause;
+  return fp;
+}
+
+/// Renders a fingerprint as the initializer the tests below pin, so a
+/// deliberate model change can re-record the values from the failure text.
+std::string render(const Fingerprint& fp) {
+  std::ostringstream os;
+  os.precision(17);
+  os << "events=" << fp.events << " makespan_s=" << fp.makespan_s
+     << " canonical_segments=" << fp.canonical_segments
+     << " segment_digest=" << fp.segment_digest << "ULL\nmigrations:";
+  for (const auto& [cause, n] : fp.migrations)
+    os << " " << to_string(cause) << "=" << n;
+  os << "\nexec_by_core:\n";
+  for (const auto& row : fp.exec_by_core) {
+    os << "  {";
+    for (std::size_t c = 0; c < row.size(); ++c)
+      os << (c ? ", " : "") << row[c];
+    os << "},\n";
+  }
+  return os.str();
+}
+
+void expect_fingerprint(const Fingerprint& got, const Fingerprint& want) {
+  EXPECT_EQ(got.events, want.events);
+  EXPECT_EQ(got.makespan_s, want.makespan_s);
+  EXPECT_EQ(got.migrations, want.migrations);
+  EXPECT_EQ(got.exec_by_core, want.exec_by_core);
+  EXPECT_EQ(got.canonical_segments, want.canonical_segments);
+  EXPECT_EQ(got.segment_digest, want.segment_digest);
+  if (::testing::Test::HasFailure()) ADD_FAILURE() << "got:\n" << render(got);
+}
+
+/// cg.B cut to 150 barriers: 16 threads on 12 tigerton cores under
+/// SPEED-YIELD, the paper's N mod M != 0 case on a saturated bus.
+ExperimentConfig membound_config() {
+  NpbProfile prof = npb::by_name("cg.B");
+  prof.phases = 150;
+  return scenarios::npb_config(presets::tigerton(), prof, 16, 12,
+                               scenarios::Setup::SpeedYield, 1, 7);
+}
+
+TEST(SimRefreshGolden, MemoryBoundCgSpeedYield) {
+  Fingerprint want;
+  want.events = 16808;
+  want.makespan_s = 2.2174689999999999;
+  want.migrations = {{MigrationCause::LinuxNewIdle, 1},
+                     {MigrationCause::SpeedBalancer, 53}};
+  want.exec_by_core = {
+      {89027, 823921, 56280, 0, 0, 0, 0, 0, 0, 670838, 0, 0, 0, 0, 0, 0},
+      {138905, 77808, 0, 0, 0, 532345, 0, 0, 0, 0, 888316, 0, 0, 0, 0, 0},
+      {339195, 0, 75705, 0, 106305, 0, 1029061, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+      {784466, 0, 0, 67620, 0, 0, 0, 0, 458154, 118154, 0, 0, 0, 0, 0, 0},
+      {0, 0, 0, 156048, 1152486, 0, 0, 0, 0, 426020, 0, 0, 0, 0, 0, 0},
+      {0, 0, 591930, 0, 0, 723102, 111311, 106393, 0, 0, 0, 106776, 0, 0, 0, 0},
+      {0, 214362, 1054445, 0, 0, 0, 282679, 0, 0, 0, 0, 112150, 0, 0, 0, 0},
+      {0, 0, 0, 0, 0, 0, 0, 736293, 0, 0, 0, 1053045, 0, 0, 0, 0},
+      {0, 0, 0, 1250369, 0, 0, 111598, 0, 258724, 0, 0, 0, 0, 0, 0, 0},
+      {0, 0, 0, 0, 827260, 0, 0, 15995, 0, 297516, 0, 424048, 0, 0, 0, 0},
+      {416862, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1329153, 0, 0, 0, 0, 0},
+      {0, 0, 0, 0, 131418, 0, 0, 1036027, 0, 0, 0, 521450, 0, 0, 0, 0},
+      {449014, 428516, 0, 0, 0, 0, 682820, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+      {0, 672862, 0, 0, 0, 0, 0, 322761, 0, 704941, 0, 0, 0, 0, 0, 0},
+      {0, 0, 439109, 322503, 0, 962022, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+      {0, 0, 0, 420929, 0, 0, 0, 0, 1500591, 0, 0, 0, 0, 0, 0, 0},
+  };
+  want.canonical_segments = 1609;
+  want.segment_digest = 4633414673547600572ULL;
+  expect_fingerprint(run(membound_config()), want);
+}
+
+TEST(SimRefreshGolden, MemoryBoundCgLoadSleepWithDvfsStep) {
+  // Sleep/wake barriers under the Linux balancer, plus a mid-run DVFS step
+  // on four cores: set_clock_scale re-times running threads between
+  // dispatches.
+  NpbProfile prof = npb::by_name("cg.B");
+  prof.phases = 150;
+  ExperimentConfig cfg = scenarios::npb_config(
+      presets::tigerton(), prof, 16, 12, scenarios::Setup::LoadSleep, 1, 11);
+  for (CoreId c = 0; c < 4; ++c) {
+    perturb::PerturbEvent ev;
+    ev.at = msec(50);
+    ev.kind = perturb::PerturbKind::Dvfs;
+    ev.core = c;
+    ev.scale = 0.5;
+    cfg.perturb.add(ev);
+  }
+  Fingerprint want;
+  want.events = 23731;
+  want.makespan_s = 2.8737110000000001;
+  want.migrations = {{MigrationCause::WakePlacement, 2327},
+                     {MigrationCause::LinuxPeriodic, 102},
+                     {MigrationCause::LinuxNewIdle, 707},
+                     {MigrationCause::LinuxPush, 237}};
+  want.exec_by_core = {
+      {123310, 120532, 97707, 325730, 149685, 168044, 143190, 138991, 133718,
+       158908, 221332, 132677, 0, 0, 0, 0},
+      {120389, 201162, 269809, 237858, 130093, 184963, 101833, 77093, 163019,
+       157501, 165796, 121731, 0, 0, 0, 0},
+      {244553, 224207, 109941, 266491, 257952, 126028, 168321, 120786, 110559,
+       135681, 107727, 98209, 0, 0, 0, 0},
+      {193490, 168940, 178869, 133689, 128816, 153332, 94270, 168728, 167794,
+       186549, 132108, 202434, 0, 0, 0, 0},
+      {246946, 193868, 263241, 107446, 139566, 140327, 178347, 152326, 143679,
+       123970, 140627, 131183, 0, 0, 0, 0},
+      {197929, 164717, 213312, 138675, 86836, 159110, 213250, 118013, 150739,
+       185973, 136686, 195834, 0, 0, 0, 0},
+      {284130, 234073, 318221, 208165, 184952, 107609, 102882, 173720, 128409,
+       80840, 118803, 121534, 0, 0, 0, 0},
+      {318776, 176873, 254851, 234341, 181963, 144247, 149428, 132379, 108298,
+       124116, 117759, 88266, 0, 0, 0, 0},
+      {254468, 127191, 208493, 180502, 168015, 142003, 159992, 164089, 164036,
+       124812, 177129, 98294, 0, 0, 0, 0},
+      {148470, 358797, 182583, 275365, 139183, 156403, 156540, 151950, 140070,
+       125710, 106083, 95289, 0, 0, 0, 0},
+      {195645, 154471, 158548, 203559, 112166, 183060, 198395, 90696, 179057,
+       145250, 187337, 140773, 0, 0, 0, 0},
+      {86586, 195337, 82679, 104732, 159024, 95024, 140793, 211610, 92097,
+       192297, 153913, 268742, 0, 0, 0, 0},
+      {109644, 103095, 144164, 58945, 131468, 117316, 147900, 165123, 111130,
+       162417, 177153, 137807, 0, 0, 0, 0},
+      {58502, 56874, 68977, 50837, 172116, 212921, 137136, 218110, 182561,
+       117008, 142826, 108322, 0, 0, 0, 0},
+      {55500, 88930, 55601, 1359, 111500, 125974, 169089, 123421, 231685,
+       184869, 129341, 226371, 0, 0, 0, 0},
+      {58504, 81576, 43648, 80822, 163290, 174264, 127779, 146536, 140344,
+       153482, 158456, 185009, 0, 0, 0, 0},
+  };
+  want.canonical_segments = 9797;
+  want.segment_digest = 9532575351394939913ULL;
+  expect_fingerprint(run(cfg), want);
+}
+
+TEST(SimRefreshGolden, SmtSiblingRefreshWithoutBandwidthDemand) {
+  // ep has no bandwidth demand, so refresh_speeds only re-times the SMT
+  // sibling of a thread that starts or stops.
+  NpbProfile prof = npb::by_name("ep.S");
+  ASSERT_EQ(prof.mem_bw_demand, 0.0);
+  prof.phases = 40;
+  prof.work_per_phase_us = 3'000.0;
+  ExperimentConfig cfg = scenarios::npb_config(
+      presets::nehalem(), prof, 20, 16, scenarios::Setup::SpeedYield, 1, 3);
+  Fingerprint want;
+  want.events = 3622;
+  want.makespan_s = 0.29727999999999999;
+  want.migrations = {{MigrationCause::LinuxNewIdle, 3},
+                     {MigrationCause::SpeedBalancer, 24}};
+  want.exec_by_core = {
+      {82624, 0, 0, 0, 0, 0, 0, 65453, 0, 0, 0, 0, 0, 0, 0, 0},
+      {0, 80137, 0, 0, 0, 0, 69153, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+      {0, 0, 53909, 0, 94535, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+      {0, 0, 0, 86278, 0, 62175, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+      {0, 0, 0, 0, 202745, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+      {0, 0, 0, 0, 0, 235105, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+      {0, 0, 0, 0, 0, 0, 228127, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+      {0, 0, 0, 0, 0, 0, 0, 231827, 0, 0, 0, 0, 0, 0, 0, 0},
+      {0, 0, 0, 0, 0, 0, 0, 0, 297280, 0, 0, 0, 0, 0, 0, 0},
+      {0, 0, 0, 0, 0, 0, 0, 0, 0, 297280, 0, 0, 0, 0, 0, 0},
+      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 297280, 0, 0, 0, 0, 0},
+      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 297280, 0, 0, 0, 0},
+      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 297280, 0, 0, 0},
+      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 297280, 0, 0},
+      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 297280, 0},
+      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 297280},
+      {214656, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+      {0, 217143, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+      {0, 0, 243371, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+      {0, 0, 0, 211002, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+  };
+  want.canonical_segments = 365;
+  want.segment_digest = 3612595566432313990ULL;
+  expect_fingerprint(run(cfg), want);
+}
+
+}  // namespace
+}  // namespace speedbal

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 
 #include "topo/presets.hpp"
@@ -332,6 +333,139 @@ TEST(Simulator, BandwidthContentionSlowsMemoryTasks) {
       sec(10));
   // Demand 2.0 over capacity 1.0: both run at half speed -> 200 ms.
   EXPECT_NEAR(to_msec(sim.now()), 200.0, 2.0);
+}
+
+/// Task A pinned to core 0 with a timeslice longer than its work, so it
+/// runs as one stretch; task B (bandwidth-demanding, pinned to core 1)
+/// starts and stops in the middle of that stretch, and core 0's clock
+/// halves at 40 ms. Each of those re-times A without ending its stretch.
+struct StretchRig {
+  Simulator sim;
+  Task* a = nullptr;
+  Task* b = nullptr;
+  double speed_with_b = 0.0;
+  double speed_after_dvfs = 0.0;
+
+  static SimParams params() {
+    SimParams p;
+    p.cfs.sched_latency = sec(10);
+    MemoryModelParams mem;
+    mem.node_bw_capacity = 1.0;
+    mem.system_bw_capacity = 1.0;
+    mem.numa_remote_penalty = 0.0;
+    p.mem = mem;
+    return p;
+  }
+
+  StretchRig() : sim(presets::generic(2), params()) {
+    TaskSpec spec;
+    spec.mem_intensity = 0.5;
+    spec.mem_bw_demand = 0.8;
+    spec.name = "a";
+    a = &sim.create_task(spec);
+    spec.name = "b";
+    b = &sim.create_task(spec);
+    sim.assign_work(*a, 100'000.0);
+    sim.assign_work(*b, 10'000.0);
+    sim.start_task_on(*a, 0, 1ULL << 0);
+    sim.schedule_at(msec(10), [this] { sim.start_task_on(*b, 1, 1ULL << 1); });
+    sim.schedule_at(msec(15), [this] {
+      speed_with_b = sim.core(0).current_speed();
+    });
+    sim.schedule_at(msec(40), [this] { sim.set_clock_scale(0, 0.5); });
+    sim.schedule_at(msec(45), [this] {
+      speed_after_dvfs = sim.core(0).current_speed();
+    });
+  }
+
+  void run() {
+    sim.run_while_pending(
+        [&] {
+          return a->state() == TaskState::Finished &&
+                 b->state() == TaskState::Finished;
+        },
+        sec(10));
+    ASSERT_EQ(a->state(), TaskState::Finished);
+    ASSERT_EQ(b->state(), TaskState::Finished);
+  }
+
+  std::vector<RunSegment> segments_of(const Task& t) const {
+    std::vector<RunSegment> out;
+    for (const RunSegment& seg : sim.metrics().segments())
+      if (seg.task == t.id()) out.push_back(seg);
+    return out;
+  }
+};
+
+/// Σ segment durations per (task, core) equals exec_by_core, per task equals
+/// total_exec, and no two segments on one core overlap.
+void expect_segments_consistent(const Simulator& sim) {
+  const Metrics& m = sim.metrics();
+  std::vector<std::vector<SimTime>> sums(
+      static_cast<std::size_t>(sim.num_tasks()),
+      std::vector<SimTime>(static_cast<std::size_t>(sim.num_cores()), 0));
+  for (const RunSegment& seg : m.segments())
+    sums[static_cast<std::size_t>(seg.task)]
+        [static_cast<std::size_t>(seg.core)] += seg.dur;
+  for (TaskId id = 0; id < sim.num_tasks(); ++id) {
+    EXPECT_EQ(sums[static_cast<std::size_t>(id)], m.exec_by_core(id));
+    EXPECT_EQ(m.total_exec(id), sim.task(id).total_exec());
+  }
+  std::vector<RunSegment> by_core = m.segments();
+  std::sort(by_core.begin(), by_core.end(),
+            [](const RunSegment& x, const RunSegment& y) {
+              return x.core != y.core ? x.core < y.core : x.start < y.start;
+            });
+  for (std::size_t i = 1; i < by_core.size(); ++i) {
+    if (by_core[i].core == by_core[i - 1].core) {
+      EXPECT_LE(by_core[i - 1].start + by_core[i - 1].dur, by_core[i].start);
+    }
+  }
+}
+
+TEST(Simulator, SpeedChangesDoNotCutRunSegments) {
+  StretchRig rig;
+  rig.run();
+  // The refreshes really re-timed A: B's bandwidth demand pushed the bus
+  // past capacity, then the DVFS step halved the clock.
+  EXPECT_LT(rig.speed_with_b, 1.0);
+  EXPECT_DOUBLE_EQ(rig.speed_after_dvfs, 0.5);
+  // One stretch each, so one segment each.
+  const auto a_segs = rig.segments_of(*rig.a);
+  ASSERT_EQ(a_segs.size(), 1u);
+  EXPECT_EQ(a_segs[0].core, 0);
+  EXPECT_EQ(a_segs[0].start, 0);
+  EXPECT_EQ(a_segs[0].dur, rig.a->total_exec());
+  const auto b_segs = rig.segments_of(*rig.b);
+  ASSERT_EQ(b_segs.size(), 1u);
+  EXPECT_EQ(b_segs[0].core, 1);
+  EXPECT_EQ(b_segs[0].start, msec(10));
+  expect_segments_consistent(rig.sim);
+}
+
+TEST(Simulator, SyncAccountingMakesWindowsExactMidStretch) {
+  StretchRig rig;
+  SimTime window = -1;
+  SimTime total = -1;
+  SimTime recent = -1;
+  rig.sim.schedule_at(msec(50), [&] {
+    rig.sim.sync_accounting(0);
+    total = rig.sim.metrics().total_exec(rig.a->id());
+    window = rig.sim.metrics().exec_in_window(rig.a->id(), 0, msec(50));
+    recent = rig.sim.metrics().exec_in_window(rig.a->id(), msec(20), msec(50));
+  });
+  rig.run();
+  EXPECT_EQ(total, msec(50));
+  EXPECT_EQ(window, msec(50));
+  EXPECT_EQ(recent, msec(30));
+  // The sync split A's one stretch into two adjacent pieces.
+  const auto a_segs = rig.segments_of(*rig.a);
+  ASSERT_EQ(a_segs.size(), 2u);
+  EXPECT_EQ(a_segs[0].start, 0);
+  EXPECT_EQ(a_segs[0].dur, msec(50));
+  EXPECT_EQ(a_segs[1].start, msec(50));
+  EXPECT_EQ(a_segs[0].core, a_segs[1].core);
+  expect_segments_consistent(rig.sim);
 }
 
 TEST(Simulator, ParkAndUnpark) {
