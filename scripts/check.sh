@@ -84,6 +84,26 @@ for j in 1 2; do
 done
 cmp "$repo/build/spmd_cgB_jobs1.json" "$repo/build/spmd_cgB_jobs2.json"
 
+echo "== stack-smoke: one policy stack per spmd policy, share-log reader =="
+# Every spmd policy attaches its balancers through serve::PolicyStack; two
+# replicas run serially and in parallel must write byte-identical reports.
+# obsquery --shares must then find the repartition log of a HETERO-SHARE run
+# and of a SHARE cluster, whose nodes all log into the one recorder.
+for setup in LOAD-YIELD SPEED-YIELD PINNED DWRR FreeBSD HETERO-SHARE; do
+  for j in 1 2; do
+    "$repo/build/src/simrun" --setup="$setup" --repeats=2 --jobs="$j" \
+      --report-json="$repo/build/stack_${setup}_jobs$j.json" >/dev/null
+  done
+  cmp "$repo/build/stack_${setup}_jobs1.json" "$repo/build/stack_${setup}_jobs2.json"
+done
+share_cluster_report="$repo/build/share_cluster_report.json"
+"$repo/build/src/clustersim" --nodes=4 --policy=SHARE --topo=biglittle2+2x3 \
+  --duration-s=2 --seed=42 --report-json="$share_cluster_report" >/dev/null
+for report in "$repo/build/stack_HETERO-SHARE_jobs1.json" "$share_cluster_report"; do
+  shares_out="$("$repo/build/src/obsquery" --report="$report" --shares)"
+  grep -q "repartition(s)" <<<"$shares_out"
+done
+
 echo "== obs-smoke: traced serve episode, span conservation, overhead gate =="
 # One serve episode traced at 1/1 and at 1/64 span sampling. servesim exits 3
 # if the observability layer's self-measured cost exceeds 5% of the episode

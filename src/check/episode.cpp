@@ -183,7 +183,7 @@ void arm_broken(Simulator& sim, const FuzzScenario& sc, obs::RunRecorder& rec) {
   }
 }
 
-SpeedRuleInputs speed_inputs(const FuzzScenario& sc, const Topology& topo,
+SpeedRuleInputs speed_inputs(const Topology& topo,
                              const SpeedBalanceParams& params) {
   SpeedRuleInputs in;
   in.threshold = params.threshold;
@@ -192,7 +192,6 @@ SpeedRuleInputs speed_inputs(const FuzzScenario& sc, const Topology& topo,
   in.shared_cache_block_scale = params.shared_cache_block_scale;
   in.block_numa = params.block_numa;
   in.topo = &topo;
-  (void)sc;
   return in;
 }
 
@@ -205,6 +204,39 @@ TuningRuleInputs tuning_inputs(const FuzzScenario& sc,
   in.min_dwell_epochs = adaptive.min_dwell_epochs;
   if (sc.adaptive) in.portfolio = default_portfolio(speed);
   return in;
+}
+
+/// SHARE's partition invariant over every recorded repartition epoch.
+void check_shares(const FuzzScenario& sc, const hetero::ShareParams& share,
+                  const obs::RunRecorder& rec, std::vector<Violation>& out) {
+  if (sc.policy == Policy::Share)
+    check_share_conservation(
+        ShareRuleInputs{sc.cores, share.min_share, rec.shares().snapshot()},
+        out);
+}
+
+/// The balancer-rule block a single-machine episode (spmd or serve) runs
+/// over its machine's migration log and recorder. Oscillation and tuning
+/// stability go before the speed rules consume the migration log
+/// (hot-potato freedom binds under every policy; the trajectory checks only
+/// see records when the adaptive controller ran); SHARE's partition
+/// invariant goes last.
+template <class Config>
+void check_balancer_rules(const FuzzScenario& sc, const Config& cfg,
+                          std::vector<MigrationRecord> migrations,
+                          const obs::RunRecorder& rec,
+                          std::vector<Violation>& out) {
+  TuningRuleInputs tin = tuning_inputs(sc, cfg.speed, cfg.adaptive);
+  tin.migrations = migrations;
+  tin.tuning = rec.tuning().snapshot();
+  check_oscillation(tin, out);
+  check_tuning_stability(tin, out);
+  SpeedRuleInputs in = speed_inputs(cfg.topo, cfg.speed);
+  in.migrations = std::move(migrations);
+  in.decisions = rec.decisions().snapshot();
+  in.tuning = std::move(tin.tuning);
+  check_speed_rules(in, out);
+  check_shares(sc, cfg.share, rec, out);
 }
 
 std::int64_t count_pulls(const std::vector<MigrationRecord>& migrations) {
@@ -242,23 +274,7 @@ void run_spmd_episode(const FuzzScenario& sc, EpisodeResult& r) {
 
   check_time_conservation(h.cores, r.violations);
   check_task_placement(h.snaps, r.violations);
-  // Oscillation + tuning stability before the speed rules consume the
-  // migration log (hot-potato freedom binds under every policy; the
-  // trajectory checks only see records when the adaptive controller ran).
-  TuningRuleInputs tin = tuning_inputs(sc, cfg.speed, cfg.adaptive);
-  tin.migrations = h.migrations;
-  tin.tuning = rec.tuning().snapshot();
-  check_oscillation(tin, r.violations);
-  check_tuning_stability(tin, r.violations);
-  SpeedRuleInputs in = speed_inputs(sc, cfg.topo, cfg.speed);
-  in.migrations = std::move(h.migrations);
-  in.decisions = rec.decisions().snapshot();
-  in.tuning = std::move(tin.tuning);
-  check_speed_rules(in, r.violations);
-  if (sc.policy == Policy::Share)
-    check_share_conservation(
-        ShareRuleInputs{sc.cores, cfg.share.min_share, rec.shares().snapshot()},
-        r.violations);
+  check_balancer_rules(sc, cfg, std::move(h.migrations), rec, r.violations);
   if (!r.completed)
     r.violations.push_back(Violation{
         "liveness", "run did not complete within cap=" +
@@ -318,20 +334,7 @@ void run_serve_episode(const FuzzScenario& sc, EpisodeResult& r) {
   check_task_placement(h.snaps, r.violations);
   check_serve_counters(h.serve, r.violations);
   check_span_conservation(rec.spans().snapshot(), r.violations);
-  TuningRuleInputs tin = tuning_inputs(sc, cfg.speed, cfg.adaptive);
-  tin.migrations = h.migrations;
-  tin.tuning = rec.tuning().snapshot();
-  check_oscillation(tin, r.violations);
-  check_tuning_stability(tin, r.violations);
-  SpeedRuleInputs in = speed_inputs(sc, cfg.topo, cfg.speed);
-  in.migrations = std::move(h.migrations);
-  in.decisions = rec.decisions().snapshot();
-  in.tuning = std::move(tin.tuning);
-  check_speed_rules(in, r.violations);
-  if (sc.policy == Policy::Share)
-    check_share_conservation(
-        ShareRuleInputs{sc.cores, cfg.share.min_share, rec.shares().snapshot()},
-        r.violations);
+  check_balancer_rules(sc, cfg, std::move(h.migrations), rec, r.violations);
 
   // Observation-identity oracle: replay the identical scenario with no
   // recorder, probes, or span tracing attached; every result metric must be
@@ -405,10 +408,7 @@ void run_cluster_episode(const FuzzScenario& sc, EpisodeResult& r) {
   }
   // Every node's ShareBalancer logs into the shared recorder; each epoch
   // record is a complete per-node partition and is checked independently.
-  if (sc.policy == Policy::Share)
-    check_share_conservation(
-        ShareRuleInputs{sc.cores, cfg.share.min_share, rec.shares().snapshot()},
-        r.violations);
+  check_shares(sc, cfg.share, rec, r.violations);
 
   // Observation-identity oracle, cluster scope: the recorder (rebalance
   // log, node-tagged run segments) must read the run without perturbing it.

@@ -34,10 +34,8 @@ ClusterSim::ClusterSim(const ClusterConfig& config)
   if (config_.warmup >= config_.duration)
     throw std::invalid_argument("ClusterConfig: warmup must be < duration");
 
-  SimParams sim_params = config_.sim;
-  // Same ULE quirk as run_serve: the stale-snapshot fork placement is
-  // Linux-specific (paper footnote 1).
-  if (config_.policy == Policy::Ule) sim_params.load_snapshot_period = 0;
+  const SimParams sim_params =
+      serve::PolicyStack::sim_params(config_.policy, config_.sim);
 
   const int k = config_.cores > 0 ? config_.cores : config_.topo.num_cores();
   completed_by_node_.assign(static_cast<std::size_t>(config_.nodes), 0);
@@ -67,7 +65,11 @@ ClusterSim::ClusterSim(const ClusterConfig& config)
 
   // Initial pools, round-robin homed: pool p starts on node p % nodes. Every
   // node's user-level balancer attaches over its initial workers at once,
-  // mirroring run_serve's single-pool attachment.
+  // mirroring run_serve's single-pool attachment. SHARE nodes log their
+  // repartition epochs into the cluster recorder; the other node balancers
+  // run unrecorded.
+  obs::RunRecorder* node_rec =
+      config_.policy == Policy::Share ? recorder_ : nullptr;
   pools_.resize(static_cast<std::size_t>(config_.nodes) *
                 static_cast<std::size_t>(config_.pools_per_node));
   std::vector<std::vector<Task*>> initial_workers(
@@ -82,7 +84,7 @@ ClusterSim::ClusterSim(const ClusterConfig& config)
     Node& node = nodes_[static_cast<std::size_t>(n)];
     node.stack->attach_user(*node.sim,
                             initial_workers[static_cast<std::size_t>(n)],
-                            node.cores, /*rec=*/nullptr);
+                            node.cores, node_rec);
   }
   loads_.assign(pools_.size(), PoolLoad{});
   due_.reset(config_.nodes);

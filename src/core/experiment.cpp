@@ -3,8 +3,8 @@
 #include <memory>
 #include <numeric>
 
-#include "balance/pinned.hpp"
 #include "perturb/sim_driver.hpp"
+#include "serve/policy_stack.hpp"
 #include "util/parallel.hpp"
 #include "workload/generator.hpp"
 
@@ -53,13 +53,9 @@ namespace {
 
 RunResult run_once(const ExperimentConfig& config, std::uint64_t seed,
                    obs::RunRecorder* recorder, int rep) {
-  SimParams sim_params = config.sim;
-  // FreeBSD's sched_pickcpu consults the current queue states at thread
-  // creation; the stale-snapshot quirk is specific to the Linux fork path
-  // (the paper's footnote 1). Without it ULE starts balanced and behaves
-  // like static pinning, as the paper observes (Fig. 3).
-  if (config.policy == Policy::Ule) sim_params.load_snapshot_period = 0;
-  Simulator sim(config.topo, sim_params, seed);
+  Simulator sim(config.topo,
+                serve::PolicyStack::sim_params(config.policy, config.sim),
+                seed);
   sim.set_recorder(recorder);
   const int k = config.cores > 0 ? config.cores : config.topo.num_cores();
   const auto cores = workload::first_cores(k);
@@ -81,70 +77,21 @@ RunResult run_once(const ExperimentConfig& config, std::uint64_t seed,
     perturber->arm();
   }
 
-  // Kernel-level policy. Speed/Pinned coexist with the Linux balancer;
-  // DWRR and ULE replace it.
-  std::unique_ptr<LinuxLoadBalancer> linux_lb;
-  std::unique_ptr<DwrrBalancer> dwrr;
-  std::unique_ptr<UleBalancer> ule;
-  switch (config.policy) {
-    case Policy::Dwrr:
-      dwrr = std::make_unique<DwrrBalancer>(config.dwrr);
-      dwrr->attach(sim);
-      break;
-    case Policy::Ule:
-      ule = std::make_unique<UleBalancer>(config.ule);
-      ule->attach(sim);
-      break;
-    case Policy::None:
-      break;
-    default:
-      linux_lb = std::make_unique<LinuxLoadBalancer>(config.linux_load);
-      linux_lb->attach(sim);
-      break;
-  }
+  serve::PolicyStack stack({config.policy, config.speed, config.linux_load,
+                            config.dwrr, config.ule, config.share,
+                            config.adaptive});
+  stack.attach_kernel(sim);
 
-  // SHARE partitions work instead of moving threads: the balancer must
-  // exist before the app (launch-time phase_work queries it), and the hook
-  // goes on a per-run copy of the spec — config.app is shared across
-  // concurrent replicas.
+  // The SHARE partitioner hook goes on a per-run copy of the spec —
+  // config.app is shared across concurrent replicas.
   SpmdAppSpec app_spec = config.app;
-  std::unique_ptr<hetero::ShareBalancer> share;
-  if (config.policy == Policy::Share) {
-    share = std::make_unique<hetero::ShareBalancer>(
-        config.share, std::vector<CoreId>(cores.begin(), cores.end()));
-    app_spec.partitioner = share.get();
-  }
+  if (PhasePartitioner* p = stack.partitioner(cores)) app_spec.partitioner = p;
   SpmdApp app(sim, app_spec);
-  const auto placement =
-      config.policy == Policy::Pinned || config.policy == Policy::Share
-          ? SpmdApp::Placement::RoundRobin
-          : SpmdApp::Placement::LinuxFork;
-  app.launch(placement, cores);
+  app.launch(stack.round_robin_launch() ? SpmdApp::Placement::RoundRobin
+                                        : SpmdApp::Placement::LinuxFork,
+             cores);
   if (make) make->launch(cores);
-
-  // User-level policy on the application's threads.
-  std::unique_ptr<SpeedBalancer> speed;
-  std::unique_ptr<AdaptiveSpeedBalancer> adaptive;
-  std::unique_ptr<PinnedBalancer> pinned;
-  if (config.policy == Policy::Speed && config.adaptive.enabled) {
-    AdaptiveParams ap = config.adaptive;
-    ap.speed = config.speed;
-    adaptive = std::make_unique<AdaptiveSpeedBalancer>(std::move(ap),
-                                                       app.threads(), cores);
-    adaptive->attach(sim);
-    if (recorder != nullptr) adaptive->set_recorder(recorder);
-  } else if (config.policy == Policy::Speed) {
-    speed = std::make_unique<SpeedBalancer>(config.speed, app.threads(), cores);
-    speed->attach(sim);
-    if (recorder != nullptr) speed->set_recorder(recorder);
-  } else if (config.policy == Policy::Pinned) {
-    pinned = std::make_unique<PinnedBalancer>(app.threads(), cores);
-    pinned->attach(sim);
-  } else if (config.policy == Policy::Share) {
-    share->set_managed(app.threads());
-    if (recorder != nullptr) share->set_recorder(recorder);
-    share->attach(sim);
-  }
+  stack.attach_user(sim, app.threads(), cores, recorder);
 
   if (config.on_run_start) config.on_run_start(sim, app, rep);
 

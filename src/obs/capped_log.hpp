@@ -1,0 +1,114 @@
+#pragma once
+
+#include <algorithm>
+#include <array>
+#include <cstddef>
+#include <cstdint>
+#include <iterator>
+#include <mutex>
+#include <utility>
+#include <vector>
+
+namespace speedbal::obs {
+
+namespace detail {
+/// Placeholder kind of a log that keeps no per-kind counters.
+enum class NoKind {};
+template <auto Field>
+struct FieldType {
+  using type = NoKind;
+};
+template <class Record, class T, T Record::*Field>
+struct FieldType<Field> {
+  using type = T;
+};
+}  // namespace detail
+
+/// The append-only record log behind every RunRecorder table: balancer
+/// decisions, request spans, run segments, and the rebalance, share and
+/// tuning epochs. Internally synchronized like every other recorder member.
+/// Storage is capped (`DefaultCap` records until set_cap) so a pathological
+/// run cannot grow the log, or its export, unboundedly: records past the
+/// cap are dropped and counted, and the oldest records survive.
+///
+/// The counted form names the record's outcome field (`KindField`, a
+/// pointer to an enum member numbered 0..NumKinds-1) and keeps one counter
+/// per outcome. Counters are bumped on every add before the cap check: the
+/// cap bounds memory, not the statistics.
+template <class Record, std::size_t DefaultCap, auto KindField = nullptr,
+          int NumKinds = 0>
+class CappedLog {
+ public:
+  using Kind = typename detail::FieldType<KindField>::type;
+
+  void add(const Record& rec) {
+    std::lock_guard<std::mutex> lock(mu_);
+    count_kind(rec);
+    if (records_.size() >= cap_) {
+      ++dropped_;
+      return;
+    }
+    records_.push_back(rec);
+  }
+
+  /// Append a batch under one lock. An empty log adopts a batch that fits
+  /// whole by move; otherwise records append up to the cap and the rest
+  /// are dropped.
+  void add_batch(std::vector<Record> batch) {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const Record& rec : batch) count_kind(rec);
+    if (records_.empty() && batch.size() <= cap_) {
+      records_ = std::move(batch);
+      return;
+    }
+    const std::size_t room = cap_ > records_.size() ? cap_ - records_.size() : 0;
+    const std::size_t take = std::min(room, batch.size());
+    records_.insert(records_.end(), std::make_move_iterator(batch.begin()),
+                    std::make_move_iterator(batch.begin() + take));
+    dropped_ += static_cast<std::int64_t>(batch.size() - take);
+  }
+
+  std::vector<Record> snapshot() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return records_;
+  }
+
+  std::size_t size() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return records_.size();
+  }
+
+  std::int64_t dropped() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return dropped_;
+  }
+
+  void set_cap(std::size_t cap) {
+    std::lock_guard<std::mutex> lock(mu_);
+    cap_ = cap;
+  }
+
+  std::int64_t count(Kind k) const requires(NumKinds > 0) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return counts_[static_cast<std::size_t>(k)];
+  }
+
+  std::array<std::int64_t, NumKinds> counts() const requires(NumKinds > 0) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return counts_;
+  }
+
+ private:
+  void count_kind(const Record& rec) {
+    if constexpr (NumKinds > 0)
+      ++counts_[static_cast<std::size_t>(rec.*KindField)];
+  }
+
+  mutable std::mutex mu_;
+  std::vector<Record> records_;
+  std::array<std::int64_t, NumKinds> counts_{};
+  std::size_t cap_ = DefaultCap;
+  std::int64_t dropped_ = 0;
+};
+
+}  // namespace speedbal::obs

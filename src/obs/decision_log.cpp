@@ -29,44 +29,4 @@ PullReason parse_pull_reason(std::string_view s) {
   return PullReason::NoCandidate;
 }
 
-void DecisionLog::add(const DecisionRecord& rec) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++counts_[static_cast<std::size_t>(rec.reason)];
-  if (records_.size() >= record_cap_) {
-    ++dropped_;
-    return;
-  }
-  records_.push_back(rec);
-}
-
-std::vector<DecisionRecord> DecisionLog::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return records_;
-}
-
-std::size_t DecisionLog::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return records_.size();
-}
-
-std::int64_t DecisionLog::count(PullReason r) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return counts_[static_cast<std::size_t>(r)];
-}
-
-std::array<std::int64_t, kNumPullReasons> DecisionLog::counts() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return counts_;
-}
-
-std::int64_t DecisionLog::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
-}
-
-void DecisionLog::set_record_cap(std::size_t cap) {
-  std::lock_guard<std::mutex> lock(mu_);
-  record_cap_ = cap;
-}
-
 }  // namespace speedbal::obs

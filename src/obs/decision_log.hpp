@@ -1,10 +1,9 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <mutex>
 #include <string_view>
-#include <vector>
+
+#include "obs/capped_log.hpp"
 
 namespace speedbal::obs {
 
@@ -63,25 +62,7 @@ struct DecisionRecord {
 /// Append-only balancer decision log with per-reason counters. Record
 /// storage is capped (counters are not) so pathological runs cannot grow
 /// the log unboundedly.
-class DecisionLog {
- public:
-  void add(const DecisionRecord& rec);
-
-  std::vector<DecisionRecord> snapshot() const;
-  std::size_t size() const;
-
-  std::int64_t count(PullReason r) const;
-  std::array<std::int64_t, kNumPullReasons> counts() const;
-  std::int64_t dropped() const;
-
-  void set_record_cap(std::size_t cap);
-
- private:
-  mutable std::mutex mu_;
-  std::vector<DecisionRecord> records_;
-  std::array<std::int64_t, kNumPullReasons> counts_{};
-  std::size_t record_cap_ = 100000;
-  std::int64_t dropped_ = 0;
-};
+using DecisionLog = CappedLog<DecisionRecord, 100000, &DecisionRecord::reason,
+                              kNumPullReasons>;
 
 }  // namespace speedbal::obs

@@ -20,39 +20,4 @@ RebalanceOutcome parse_rebalance_outcome(std::string_view s) {
   return RebalanceOutcome::NoCandidate;
 }
 
-void RebalanceLog::add(const RebalanceRecord& rec) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++counts_[static_cast<int>(rec.outcome)];
-  if (records_.size() >= record_cap_) {
-    ++dropped_;
-    return;
-  }
-  records_.push_back(rec);
-}
-
-std::vector<RebalanceRecord> RebalanceLog::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return records_;
-}
-
-std::size_t RebalanceLog::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return records_.size();
-}
-
-std::int64_t RebalanceLog::count(RebalanceOutcome o) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return counts_[static_cast<int>(o)];
-}
-
-std::int64_t RebalanceLog::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
-}
-
-void RebalanceLog::set_record_cap(std::size_t cap) {
-  std::lock_guard<std::mutex> lock(mu_);
-  record_cap_ = cap;
-}
-
 }  // namespace speedbal::obs

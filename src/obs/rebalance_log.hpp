@@ -1,9 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string_view>
 #include <vector>
+
+#include "obs/capped_log.hpp"
 
 namespace speedbal::obs {
 
@@ -48,22 +49,7 @@ struct RebalanceRecord {
 
 /// Append-only, capped epoch log — one record per rebalance epoch, so its
 /// growth is bounded by run length / epoch period, not by traffic.
-class RebalanceLog {
- public:
-  void add(const RebalanceRecord& rec);
-
-  std::vector<RebalanceRecord> snapshot() const;
-  std::size_t size() const;
-  std::int64_t count(RebalanceOutcome o) const;
-  std::int64_t dropped() const;
-  void set_record_cap(std::size_t cap);
-
- private:
-  mutable std::mutex mu_;
-  std::vector<RebalanceRecord> records_;
-  std::int64_t counts_[kNumRebalanceOutcomes] = {};
-  std::size_t record_cap_ = 100000;
-  std::int64_t dropped_ = 0;
-};
+using RebalanceLog = CappedLog<RebalanceRecord, 100000,
+                               &RebalanceRecord::outcome, kNumRebalanceOutcomes>;
 
 }  // namespace speedbal::obs

@@ -127,7 +127,7 @@ class RunRecorder {
 };
 
 /// Write one of the exports to `path` ("-" = stdout). Returns false (and
-/// logs) when the file cannot be opened. `what` selects the export:
+/// logs) when the file cannot be opened.
 bool write_trace_file(const RunRecorder& rec, const std::string& path);
 bool write_report_file(const RunRecorder& rec, const std::string& path);
 

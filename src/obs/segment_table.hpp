@@ -1,45 +1,32 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
-#include <vector>
+
+#include "obs/capped_log.hpp"
 
 namespace speedbal::obs {
+
+/// One per-task run segment, a 32-byte POD.
+struct RunSegmentRecord {
+  std::int64_t start_us = 0;
+  std::int64_t dur_us = 0;
+  std::int32_t core = -1;
+  std::int32_t task = -1;
+  std::int32_t node = -1;  ///< Cluster node id, -1 for single-machine runs.
+  std::int32_t pad = 0;
+};
 
 /// Compact store for the simulator's per-task run segments. The segment
 /// export used to push one TraceEvent (heap-allocated name, one mutex
 /// round-trip) per segment into the trace collector — at Yield-mode context
 /// switch rates that is tens of thousands of string allocations charged to
 /// the run, dwarfing the actual tracing hot path. Instead the exporter bulk
-/// appends these 32-byte PODs under a single lock and the Chrome-trace
-/// writer derives the "run" spans lazily, the same batched pattern the
-/// TelemetryBuffer uses for migrations.
-class RunSegmentTable {
- public:
-  struct Segment {
-    std::int64_t start_us = 0;
-    std::int64_t dur_us = 0;
-    std::int32_t core = -1;
-    std::int32_t task = -1;
-    std::int32_t node = -1;  ///< Cluster node id, -1 for single-machine runs.
-    std::int32_t pad = 0;
-  };
-
-  /// Append a batch under one lock. Segments past the cap are dropped and
-  /// counted, mirroring the trace collector's span cap: long runs must not
-  /// produce unboundedly large exports.
-  void add_batch(std::vector<Segment> batch);
-
-  void set_cap(std::size_t cap);
-  std::int64_t dropped() const;
-  std::size_t size() const;
-  std::vector<Segment> snapshot() const;
-
- private:
-  mutable std::mutex mu_;
-  std::vector<Segment> segments_;
-  std::size_t cap_ = 200000;
-  std::int64_t dropped_ = 0;
+/// appends segments with add_batch under a single lock and the
+/// Chrome-trace writer derives the "run" spans lazily, the same batched
+/// pattern the TelemetryBuffer uses for migrations. Capped like the trace
+/// collector's spans: long runs must not produce unboundedly large exports.
+struct RunSegmentTable : CappedLog<RunSegmentRecord, 200000> {
+  using Segment = RunSegmentRecord;
 };
 
 }  // namespace speedbal::obs

@@ -19,39 +19,4 @@ ShareOutcome parse_share_outcome(std::string_view s) {
   return ShareOutcome::BelowHysteresis;
 }
 
-void ShareLog::add(const ShareRecord& rec) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++counts_[static_cast<int>(rec.outcome)];
-  if (records_.size() >= record_cap_) {
-    ++dropped_;
-    return;
-  }
-  records_.push_back(rec);
-}
-
-std::vector<ShareRecord> ShareLog::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return records_;
-}
-
-std::size_t ShareLog::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return records_.size();
-}
-
-std::int64_t ShareLog::count(ShareOutcome o) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return counts_[static_cast<int>(o)];
-}
-
-std::int64_t ShareLog::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
-}
-
-void ShareLog::set_record_cap(std::size_t cap) {
-  std::lock_guard<std::mutex> lock(mu_);
-  record_cap_ = cap;
-}
-
 }  // namespace speedbal::obs

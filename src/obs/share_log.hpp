@@ -1,9 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string_view>
 #include <vector>
+
+#include "obs/capped_log.hpp"
 
 namespace speedbal::obs {
 
@@ -42,22 +43,7 @@ struct ShareRecord {
 
 /// Append-only, capped epoch log — one record per repartition epoch, so its
 /// growth is bounded by run length / balance interval, not by traffic.
-class ShareLog {
- public:
-  void add(const ShareRecord& rec);
-
-  std::vector<ShareRecord> snapshot() const;
-  std::size_t size() const;
-  std::int64_t count(ShareOutcome o) const;
-  std::int64_t dropped() const;
-  void set_record_cap(std::size_t cap);
-
- private:
-  mutable std::mutex mu_;
-  std::vector<ShareRecord> records_;
-  std::int64_t counts_[kNumShareOutcomes] = {};
-  std::size_t record_cap_ = 100000;
-  std::int64_t dropped_ = 0;
-};
+using ShareLog =
+    CappedLog<ShareRecord, 100000, &ShareRecord::outcome, kNumShareOutcomes>;
 
 }  // namespace speedbal::obs

@@ -1,8 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
-#include <vector>
+
+#include "obs/capped_log.hpp"
 
 namespace speedbal::obs {
 
@@ -65,20 +65,6 @@ class SpanSampler {
 /// like every other RunRecorder member. Storage is capped (default 200k
 /// spans, ~14 MB worst case) so span tracing at 1/1 sampling cannot grow a
 /// long run's memory unboundedly; the number dropped is reported.
-class SpanTable {
- public:
-  void add(const RequestSpan& span);
-
-  std::vector<RequestSpan> snapshot() const;
-  std::size_t size() const;
-  std::int64_t dropped() const;
-  void set_cap(std::size_t cap);
-
- private:
-  mutable std::mutex mu_;
-  std::vector<RequestSpan> spans_;
-  std::size_t cap_ = 200000;
-  std::int64_t dropped_ = 0;
-};
+using SpanTable = CappedLog<RequestSpan, 200000>;
 
 }  // namespace speedbal::obs

@@ -21,39 +21,4 @@ TuningOutcome parse_tuning_outcome(std::string_view s) {
   return TuningOutcome::Kept;
 }
 
-void TuningLog::add(const TuningRecord& rec) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++counts_[static_cast<int>(rec.outcome)];
-  if (records_.size() >= record_cap_) {
-    ++dropped_;
-    return;
-  }
-  records_.push_back(rec);
-}
-
-std::vector<TuningRecord> TuningLog::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return records_;
-}
-
-std::size_t TuningLog::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return records_.size();
-}
-
-std::int64_t TuningLog::count(TuningOutcome o) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return counts_[static_cast<int>(o)];
-}
-
-std::int64_t TuningLog::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
-}
-
-void TuningLog::set_record_cap(std::size_t cap) {
-  std::lock_guard<std::mutex> lock(mu_);
-  record_cap_ = cap;
-}
-
 }  // namespace speedbal::obs

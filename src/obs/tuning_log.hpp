@@ -1,9 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string_view>
 #include <vector>
+
+#include "obs/capped_log.hpp"
 
 namespace speedbal::obs {
 
@@ -52,22 +53,7 @@ struct TuningRecord {
 
 /// Append-only, capped tuning-epoch log — one record per controller epoch,
 /// so its growth is bounded by run length / balance interval, not traffic.
-class TuningLog {
- public:
-  void add(const TuningRecord& rec);
-
-  std::vector<TuningRecord> snapshot() const;
-  std::size_t size() const;
-  std::int64_t count(TuningOutcome o) const;
-  std::int64_t dropped() const;
-  void set_record_cap(std::size_t cap);
-
- private:
-  mutable std::mutex mu_;
-  std::vector<TuningRecord> records_;
-  std::int64_t counts_[kNumTuningOutcomes] = {};
-  std::size_t record_cap_ = 100000;
-  std::int64_t dropped_ = 0;
-};
+using TuningLog =
+    CappedLog<TuningRecord, 100000, &TuningRecord::outcome, kNumTuningOutcomes>;
 
 }  // namespace speedbal::obs

@@ -21,6 +21,12 @@ void PolicyStack::attach_kernel(Simulator& sim) {
   }
 }
 
+PhasePartitioner* PolicyStack::partitioner(const std::vector<CoreId>& cores) {
+  if (params_.policy != Policy::Share) return nullptr;
+  share_ = std::make_unique<hetero::ShareBalancer>(params_.share, cores);
+  return share_.get();
+}
+
 void PolicyStack::attach_user(Simulator& sim, std::vector<Task*> workers,
                               std::vector<CoreId> cores,
                               obs::RunRecorder* rec) {
@@ -42,7 +48,8 @@ void PolicyStack::attach_user(Simulator& sim, std::vector<Task*> workers,
     pinned_ = std::make_unique<PinnedBalancer>(std::move(workers), cores_);
     pinned_->attach(sim);
   } else if (params_.policy == Policy::Share) {
-    share_ = std::make_unique<hetero::ShareBalancer>(params_.share, cores_);
+    if (share_ == nullptr)
+      share_ = std::make_unique<hetero::ShareBalancer>(params_.share, cores_);
     share_->set_managed(std::move(workers));
     if (rec != nullptr) share_->set_recorder(rec);
     share_->attach(sim);

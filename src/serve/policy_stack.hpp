@@ -13,7 +13,6 @@
 #include "core/experiment.hpp"
 #include "hetero/share.hpp"
 #include "obs/recorder.hpp"
-#include "serve/server.hpp"
 
 namespace speedbal::serve {
 
@@ -32,15 +31,26 @@ struct PolicyStackParams {
   AdaptiveParams adaptive;
 };
 
-/// The balancer attachment pattern of run_serve, owned as an object so it
-/// can exist once per node in a cluster: a kernel-level policy (Linux load
-/// balancer for SPEED/LOAD/PINNED, DWRR/ULE replacing it, NONE bare) plus
-/// an optional user-level balancer over the worker pool. Pools opened after
+/// The one balancer attachment pattern of every simulated machine — the
+/// batch experiment, the serving runtime, and each cluster node: a
+/// kernel-level policy (Linux load balancer for SPEED/LOAD/PINNED/SHARE,
+/// DWRR/ULE replacing it, NONE bare) plus an optional user-level balancer
+/// over the application's threads or the worker pool. Pools opened after
 /// attach (migrated-in) register through manage(), which mirrors what the
 /// real tool does when new PIDs appear in /proc (paper footnote 6).
 class PolicyStack {
  public:
   explicit PolicyStack(PolicyStackParams params) : params_(std::move(params)) {}
+
+  /// The machine's simulator parameters under `policy`. FreeBSD's
+  /// sched_pickcpu consults the current queue states at thread creation;
+  /// the stale-snapshot fork placement is specific to the Linux fork path
+  /// (the paper's footnote 1). Without it ULE starts balanced and behaves
+  /// like static pinning, as the paper observes (Fig. 3).
+  static SimParams sim_params(Policy policy, SimParams sim) {
+    if (policy == Policy::Ule) sim.load_snapshot_period = 0;
+    return sim;
+  }
 
   /// PINNED and SHARE launch their workers round-robin-placed (SHARE never
   /// migrates — work follows the weights instead); everything else lets
@@ -52,8 +62,14 @@ class PolicyStack {
   /// Attach the kernel-level policy. Call once, before any pool opens.
   void attach_kernel(Simulator& sim);
 
+  /// SHARE partitions work instead of moving threads, so its balancer must
+  /// exist before an SPMD app launches (launch-time phase work queries it):
+  /// under SHARE this creates it over `cores` and returns it, and
+  /// attach_user reuses it. Null under every other policy.
+  PhasePartitioner* partitioner(const std::vector<CoreId>& cores);
+
   /// Attach the user-level policy over the initial worker set. Call once,
-  /// after the first pool opened.
+  /// after the app launched or the first pool opened.
   void attach_user(Simulator& sim, std::vector<Task*> workers,
                    std::vector<CoreId> cores, obs::RunRecorder* rec);
 

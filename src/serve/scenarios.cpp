@@ -54,11 +54,8 @@ ServeResult run_serve(const ServeConfig& config) {
   if (config.warmup >= config.duration)
     throw std::invalid_argument("run_serve: warmup must be < duration");
 
-  SimParams sim_params = config.sim;
-  // Same ULE quirk as the batch experiments: the stale-snapshot fork
-  // placement is Linux-specific (paper footnote 1).
-  if (config.policy == Policy::Ule) sim_params.load_snapshot_period = 0;
-  Simulator sim(config.topo, sim_params, config.seed);
+  Simulator sim(config.topo, PolicyStack::sim_params(config.policy, config.sim),
+                config.seed);
   obs::RunRecorder* recorder = config.recorder;
   sim.set_recorder(recorder);
   const int k = config.cores > 0 ? config.cores : config.topo.num_cores();

@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "check/invariants.hpp"
 #include "cluster/cluster.hpp"
 #include "cluster/policy.hpp"
 #include "perturb/timeline.hpp"
@@ -481,6 +482,26 @@ TEST(ClusterRun, RebalanceLogRecordsEveryEpochWithOutcome) {
     if (r.outcome == obs::RebalanceOutcome::Migrated) ++migrated;
   }
   EXPECT_EQ(migrated, res.pool_migrations);
+}
+
+TEST(ClusterRun, ShareNodesLogConservingPartitionsIntoTheRecorder) {
+  // Every SHARE node's balancer logs its repartition epochs into the
+  // cluster recorder, so the share-conservation invariant sees them all.
+  obs::RunRecorder rec;
+  ClusterConfig config = base_config(4);
+  config.topo = presets::by_name("biglittle2+2x3");
+  config.policy = Policy::Share;
+  config.serve.dispatch = serve::DispatchPolicy::Weighted;
+  config.recorder = &rec;
+  const ClusterResult res = run_cluster(config);
+  ASSERT_GT(res.stats.completed, 0);
+  const auto shares = rec.shares().snapshot();
+  // Four nodes, 2 s at the 100 ms epoch: about 20 epochs per node.
+  EXPECT_GT(shares.size(), 40u);
+  std::vector<check::Violation> violations;
+  check::check_share_conservation(
+      {config.cores, config.share.min_share, shares}, violations);
+  EXPECT_TRUE(violations.empty()) << check::format_violations(violations);
 }
 
 TEST(ClusterConfigValidation, RejectsBadShapes) {

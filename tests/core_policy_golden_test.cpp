@@ -1,0 +1,258 @@
+// Golden fingerprints of every balancer stack a run can attach: the batch
+// (spmd) experiment under each policy, the serving runtime under ULE and
+// SHARE, and a recorded SPEED cluster episode with a pool migration. Each
+// case pins the run's results exactly (runtimes as hexfloats) together with
+// an FNV-1a digest of its full JSON run report, so any change to which
+// balancer attaches when, in what order, or with which recorder moves a
+// pinned value. Between them the recorded runs fill every record log:
+// decisions, speed timeline, spans, run segments, shares, tuning epochs and
+// rebalance epochs.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <sstream>
+#include <string>
+#include <string_view>
+
+#include "cluster/cluster.hpp"
+#include "core/scenarios.hpp"
+#include "serve/scenarios.hpp"
+#include "topo/presets.hpp"
+#include "workload/npb.hpp"
+
+namespace speedbal {
+namespace {
+
+std::uint64_t fnv1a(std::string_view s) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+std::string hexfloat(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
+
+std::string hex64(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+std::string report_digest(const obs::RunRecorder& rec) {
+  std::ostringstream os;
+  rec.write_report_json(os);
+  return hex64(fnv1a(os.str()));
+}
+
+/// Every repeat's completion flag, hexfloat runtime, policy migrations and
+/// per-cause migration counts, then the recorded repeat's report digest.
+std::string fingerprint(const ExperimentResult& res,
+                        const obs::RunRecorder& rec) {
+  std::ostringstream os;
+  for (const RunResult& r : res.runs) {
+    os << (r.completed ? "done " : "capped ") << hexfloat(r.runtime_s)
+       << " policy=" << r.policy_migrations << " [";
+    for (const auto& [cause, n] : r.migrations_by_cause)
+      os << " " << to_string(cause) << "=" << n;
+    os << " ] ";
+  }
+  os << "report=" << report_digest(rec);
+  return os.str();
+}
+
+/// cg.S with 6 threads on 4 of generic4's cores, two repeats at seed 11,
+/// repeat 0 recorded.
+ExperimentConfig spmd_config(scenarios::Setup setup) {
+  ExperimentConfig cfg =
+      scenarios::npb_config(presets::generic(4), npb::by_name("cg.S"), 6, 4,
+                            setup, /*repeats=*/2, /*seed=*/11);
+  cfg.time_cap = sec(60);
+  return cfg;
+}
+
+std::string run_spmd(ExperimentConfig cfg, obs::RunRecorder& rec) {
+  cfg.recorder = &rec;
+  cfg.recorded_repeat = 0;
+  return fingerprint(run_experiment(cfg), rec);
+}
+
+TEST(PolicyGolden, Load) {
+  obs::RunRecorder rec;
+  EXPECT_EQ(run_spmd(spmd_config(scenarios::Setup::LoadYield), rec),
+            "done 0x1.01d566cf41f21p+1 policy=1 [ linux-periodic=1 ]"
+            " done 0x1.0193d5347a5b1p+1 policy=1 [ linux-periodic=1 ]"
+            " report=341ec5906e9912fc");
+}
+
+TEST(PolicyGolden, Speed) {
+  obs::RunRecorder rec;
+  EXPECT_EQ(run_spmd(spmd_config(scenarios::Setup::SpeedYield), rec),
+            "done 0x1.008b7e4de3b8ap+1 policy=22 [ speed=22 ]"
+            " done 0x1.006d58c8eef1cp+1 policy=20 [ linux-newidle=1 speed=20 ]"
+            " report=b3526a40edfc82d7");
+  EXPECT_GT(rec.decisions().size(), 0u);
+  EXPECT_GT(rec.timeline().snapshot().size(), 0u);
+  EXPECT_GT(rec.run_segments().size(), 0u);
+}
+
+TEST(PolicyGolden, SpeedAdaptive) {
+  ExperimentConfig cfg = spmd_config(scenarios::Setup::SpeedYield);
+  cfg.adaptive.enabled = true;
+  obs::RunRecorder rec;
+  EXPECT_EQ(run_spmd(cfg, rec),
+            "done 0x1.00a87e38eb032p+1 policy=23 [ speed=23 ]"
+            " done 0x1.0064a9cdc4439p+1 policy=19 [ linux-newidle=1 speed=19 ]"
+            " report=c08ccf052f336d12");
+  EXPECT_GT(rec.tuning().size(), 0u);
+}
+
+TEST(PolicyGolden, Pinned) {
+  obs::RunRecorder rec;
+  EXPECT_EQ(run_spmd(spmd_config(scenarios::Setup::Pinned), rec),
+            "done 0x1.0032ebe596c83p+1 policy=0 [ ]"
+            " done 0x1.002795703f2d4p+1 policy=0 [ ]"
+            " report=72fc86ba9a9b073f");
+}
+
+TEST(PolicyGolden, Dwrr) {
+  obs::RunRecorder rec;
+  EXPECT_EQ(run_spmd(spmd_config(scenarios::Setup::Dwrr), rec),
+            "done 0x1.a12253111f0c3p+1 policy=108 [ dwrr=108 ]"
+            " done 0x1.b5b9841aac53bp+1 policy=143 [ dwrr=143 ]"
+            " report=0be8a230d801c1a8");
+}
+
+TEST(PolicyGolden, Ule) {
+  obs::RunRecorder rec;
+  EXPECT_EQ(run_spmd(spmd_config(scenarios::Setup::FreeBsd), rec),
+            "done 0x1.00344c37e6f72p+1 policy=0 [ ]"
+            " done 0x1.002795703f2d4p+1 policy=0 [ ]"
+            " report=5cd7827511610d04");
+}
+
+TEST(PolicyGolden, None) {
+  ExperimentConfig cfg = spmd_config(scenarios::Setup::LoadYield);
+  cfg.policy = Policy::None;
+  obs::RunRecorder rec;
+  EXPECT_EQ(run_spmd(cfg, rec),
+            "done 0x1.804b33daf8df8p+1 policy=0 [ ]"
+            " done 0x1.80301a79fec9ap+1 policy=0 [ ]"
+            " report=60b316652c03b2d0");
+}
+
+TEST(PolicyGolden, ShareOnBigLittle) {
+  // The HETERO-SHARE shape: one thread per core, round-robin pinned, the
+  // per-phase work split by measured speed.
+  ExperimentConfig cfg = scenarios::npb_config(
+      presets::by_name("biglittle4+4x3"), npb::by_name("cg.S"), 8, 8,
+      scenarios::Setup::Pinned, /*repeats=*/2, /*seed=*/11);
+  cfg.policy = Policy::Share;
+  cfg.time_cap = sec(60);
+  obs::RunRecorder rec;
+  EXPECT_EQ(run_spmd(cfg, rec),
+            "done 0x1.ba355043e5322p-2 policy=0 [ ]"
+            " done 0x1.bba51a005c465p-2 policy=0 [ ]"
+            " report=8a8353309a66d595");
+  EXPECT_GT(rec.shares().size(), 0u);
+}
+
+/// Four generic4 cores serving exponential 2 ms requests at utilization 0.7
+/// for 1.5 s, every request traced.
+serve::ServeConfig serve_config(Policy policy, obs::RunRecorder& rec) {
+  serve::ServeConfig cfg;
+  cfg.topo = presets::generic(4);
+  cfg.cores = 4;
+  cfg.policy = policy;
+  cfg.serve.workers = 6;
+  cfg.serve.span_sampling_log2 = 0;
+  if (policy == Policy::Share)
+    cfg.serve.dispatch = serve::DispatchPolicy::Weighted;
+  cfg.service.kind = workload::ServiceKind::Exp;
+  cfg.service.mean_us = 2000.0;
+  cfg.arrival.rate_rps = serve::rate_for_utilization(cfg.topo, 4, 0.7, 2000.0);
+  cfg.duration = msec(1500);
+  cfg.warmup = msec(200);
+  cfg.seed = 11;
+  cfg.perturb = perturb::PerturbTimeline::parse_specs(
+      "at=300ms dvfs core=0 scale=0.5");
+  cfg.recorder = &rec;
+  return cfg;
+}
+
+std::string serve_fingerprint(const serve::ServeResult& r) {
+  std::ostringstream os;
+  os << "completed=" << r.stats.completed << " offered=" << r.stats.offered
+     << " admitted=" << r.stats.admitted << " dropped=" << r.stats.dropped
+     << " generated=" << r.generated << " migrations=" << r.total_migrations
+     << " goodput=" << hexfloat(r.goodput_rps)
+     << " mean=" << hexfloat(r.stats.latency.mean())
+     << " p99=" << hexfloat(r.stats.latency.percentile(99));
+  return hex64(fnv1a(os.str()));
+}
+
+TEST(PolicyGolden, ServeUle) {
+  obs::RunRecorder rec;
+  const serve::ServeResult r = serve::run_serve(serve_config(Policy::Ule, rec));
+  EXPECT_EQ(serve_fingerprint(r), "7bd9a840da88de67");
+  EXPECT_EQ(report_digest(rec), "17a2f5be64abb670");
+  EXPECT_GT(rec.spans().size(), 0u);
+}
+
+TEST(PolicyGolden, ServeShare) {
+  obs::RunRecorder rec;
+  const serve::ServeResult r =
+      serve::run_serve(serve_config(Policy::Share, rec));
+  EXPECT_EQ(serve_fingerprint(r), "697e3f05de204078");
+  EXPECT_EQ(report_digest(rec), "89b7d98549e56a26");
+  EXPECT_GT(rec.spans().size(), 0u);
+  EXPECT_GT(rec.shares().size(), 0u);
+}
+
+TEST(PolicyGolden, SpeedClusterWithRebalance) {
+  // Four SPEED nodes behind JSQ(2); node 0 drops to 1/10 clock at 200 ms
+  // and the 100 ms rebalancer moves a pool off it.
+  cluster::ClusterConfig cfg;
+  cfg.nodes = 4;
+  cfg.pools_per_node = 1;
+  cfg.topo = presets::generic(4);
+  cfg.cores = 4;
+  cfg.policy = Policy::Speed;
+  cfg.serve.workers = 4;
+  cfg.dispatch = cluster::ClusterDispatch::JsqD;
+  cfg.jsq_d = 2;
+  cfg.service.kind = workload::ServiceKind::Exp;
+  cfg.service.mean_us = 5000.0;
+  cfg.arrival.rate_rps =
+      4.0 * serve::rate_for_utilization(cfg.topo, 4, 0.7, 5000.0);
+  cfg.duration = msec(1500);
+  cfg.warmup = msec(200);
+  cfg.seed = 11;
+  cfg.rebalance.epoch = msec(100);
+  cfg.rebalance.threshold = 0.3;
+  for (int c = 0; c < 4; ++c) {
+    perturb::PerturbEvent ev;
+    ev.at = msec(200);
+    ev.kind = perturb::PerturbKind::Dvfs;
+    ev.core = c;
+    ev.scale = 0.1;
+    cfg.node_perturb[0].add(ev);
+  }
+  obs::RunRecorder rec;
+  cfg.recorder = &rec;
+  const cluster::ClusterResult res = cluster::run_cluster(cfg);
+  EXPECT_GE(res.pool_migrations, 1);
+  EXPECT_GT(rec.rebalances().size(), 0u);
+  EXPECT_EQ(report_digest(rec), "f6c08192e11e29de");
+}
+
+}  // namespace
+}  // namespace speedbal

@@ -1,13 +1,17 @@
-// Observability layer: the trace collector, speed timeline, decision log,
-// and the RunRecorder exporters. The Chrome-trace and run-report outputs
+// Observability layer: the trace collector, speed timeline, the capped
+// record log behind the decision log and its siblings, and the RunRecorder
+// exporters. The Chrome-trace and run-report outputs
 // are parsed back with the in-tree JSON parser, so these tests double as
 // validity checks for what --trace-out / --report-json write to disk.
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/scenarios.hpp"
 #include "obs/recorder.hpp"
@@ -136,7 +140,7 @@ TEST(SpeedTimeline, GlobalStats) {
 
 TEST(DecisionLog, CountsAndRecordCap) {
   obs::DecisionLog log;
-  log.set_record_cap(2);
+  log.set_cap(2);
   DecisionRecord rec;
   rec.reason = PullReason::Pulled;
   log.add(rec);
@@ -148,6 +152,100 @@ TEST(DecisionLog, CountsAndRecordCap) {
   // Counters keep counting past the cap; record storage does not.
   EXPECT_EQ(log.size(), 2u);
   EXPECT_EQ(log.dropped(), 1);
+}
+
+// --- CappedLog: the one capped record log behind every recorder table ---
+
+enum class Hue { Red = 0, Blue };
+
+/// A record that counts its copies and moves, so tests can tell a
+/// whole-batch move from a record-by-record append.
+struct HueRecord {
+  int seq = 0;
+  Hue hue = Hue::Red;
+  static inline int transfers = 0;
+
+  HueRecord(int s, Hue h) : seq(s), hue(h) {}
+  HueRecord(const HueRecord& o) : seq(o.seq), hue(o.hue) { ++transfers; }
+  HueRecord(HueRecord&& o) noexcept : seq(o.seq), hue(o.hue) { ++transfers; }
+  HueRecord& operator=(const HueRecord& o) {
+    seq = o.seq;
+    hue = o.hue;
+    ++transfers;
+    return *this;
+  }
+  HueRecord& operator=(HueRecord&& o) noexcept { return *this = o; }
+};
+
+using PlainLog = obs::CappedLog<HueRecord, 4>;
+using HueLog = obs::CappedLog<HueRecord, 4, &HueRecord::hue, 2>;
+
+std::vector<HueRecord> hue_batch(int first, int n, Hue hue = Hue::Red) {
+  std::vector<HueRecord> out;
+  for (int i = 0; i < n; ++i) out.emplace_back(first + i, hue);
+  return out;
+}
+
+std::vector<int> seqs(const std::vector<HueRecord>& records) {
+  std::vector<int> out;
+  for (const HueRecord& r : records) out.push_back(r.seq);
+  return out;
+}
+
+TEST(CappedLog, DefaultCapKeepsTheOldestRecordsAndCountsDrops) {
+  PlainLog log;
+  for (int i = 0; i < 6; ++i) log.add(HueRecord(i, Hue::Red));
+  EXPECT_EQ(log.size(), 4u);
+  EXPECT_EQ(log.dropped(), 2);
+  EXPECT_EQ(seqs(log.snapshot()), (std::vector<int>{0, 1, 2, 3}));
+
+  log.set_cap(5);  // Raising the cap makes room again.
+  log.add(HueRecord(6, Hue::Red));
+  log.add(HueRecord(7, Hue::Red));
+  EXPECT_EQ(seqs(log.snapshot()), (std::vector<int>{0, 1, 2, 3, 6}));
+  EXPECT_EQ(log.dropped(), 3);
+}
+
+TEST(CappedLog, CountersKeepCountingPastTheCap) {
+  HueLog log;
+  log.set_cap(2);
+  log.add(HueRecord(0, Hue::Red));
+  log.add(HueRecord(1, Hue::Blue));
+  log.add(HueRecord(2, Hue::Blue));
+  log.add(HueRecord(3, Hue::Red));
+  log.add(HueRecord(4, Hue::Blue));
+  EXPECT_EQ(log.size(), 2u);
+  EXPECT_EQ(log.dropped(), 3);
+  EXPECT_EQ(log.count(Hue::Red), 2);
+  EXPECT_EQ(log.count(Hue::Blue), 3);
+  EXPECT_EQ(log.counts(), (std::array<std::int64_t, 2>{2, 3}));
+}
+
+TEST(CappedLog, AddBatchMovesAFittingBatchIntoAnEmptyLogWhole) {
+  PlainLog log;
+  std::vector<HueRecord> batch = hue_batch(0, 4);
+  HueRecord::transfers = 0;
+  log.add_batch(std::move(batch));
+  EXPECT_EQ(HueRecord::transfers, 0);  // The log adopted the batch's buffer.
+  EXPECT_EQ(log.size(), 4u);
+  EXPECT_EQ(log.dropped(), 0);
+  EXPECT_EQ(seqs(log.snapshot()), (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(CappedLog, AddBatchOverflowAppendsUpToTheCapAndDropsTheRest) {
+  HueLog log;
+  log.add_batch(hue_batch(0, 3, Hue::Red));
+  log.add_batch(hue_batch(10, 3, Hue::Blue));  // One fits, two drop.
+  EXPECT_EQ(seqs(log.snapshot()), (std::vector<int>{0, 1, 2, 10}));
+  EXPECT_EQ(log.dropped(), 2);
+  EXPECT_EQ(log.count(Hue::Red), 3);
+  EXPECT_EQ(log.count(Hue::Blue), 3);
+
+  // A batch larger than the cap into an empty log keeps its head.
+  PlainLog fresh;
+  fresh.add_batch(hue_batch(0, 6));
+  EXPECT_EQ(seqs(fresh.snapshot()), (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(fresh.dropped(), 2);
 }
 
 TEST(RunRecorder, ReportRoundTripsCounters) {

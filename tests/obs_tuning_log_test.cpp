@@ -69,7 +69,7 @@ TEST(TuningLog, CapDropsRecordsButKeepsCounting) {
   // The cap bounds memory, not the statistics: counters keep accumulating
   // so `obsquery --tuning` totals stay truthful on very long runs.
   TuningLog log;
-  log.set_record_cap(2);
+  log.set_cap(2);
   for (int e = 1; e <= 5; ++e) log.add(rec(e, TuningOutcome::Kept, 0, 0));
   EXPECT_EQ(log.size(), 2u);
   EXPECT_EQ(log.dropped(), 3);
