@@ -5,7 +5,8 @@
 // speed arithmetic, the event order, or the execution accounting moves the
 // pinned values. The segment digest is taken over the canonical (merged)
 // segment log, so where a stretch of execution is cut into records does not
-// move it.
+// move it. The window digest pins Metrics::exec_in_window over the whole run,
+// so a change to how windowed sums are computed must reproduce them exactly.
 
 #include <gtest/gtest.h>
 
@@ -30,6 +31,7 @@ struct Fingerprint {
   std::vector<std::vector<SimTime>> exec_by_core;  ///< [task][core]
   std::size_t canonical_segments = 0;
   std::uint64_t segment_digest = 0;
+  std::uint64_t window_digest = 0;
 };
 
 /// The segment log with every exactly-adjacent same-task same-core pair
@@ -56,22 +58,40 @@ std::vector<RunSegment> canonical_segments(const Metrics& m) {
   return out;
 }
 
-/// FNV-1a over the canonical segments' (task, core, start, dur) fields.
-std::uint64_t fnv1a(const std::vector<RunSegment>& segs) {
+/// 64-bit FNV-1a over a stream of int64 values, fed byte by byte.
+struct Fnv1a {
   std::uint64_t h = 1469598103934665603ULL;
-  const auto mix = [&h](std::int64_t v) {
+  void mix(std::int64_t v) {
     for (int i = 0; i < 8; ++i) {
       h ^= static_cast<std::uint64_t>(v >> (8 * i)) & 0xFFu;
       h *= 1099511628211ULL;
     }
-  };
-  for (const RunSegment& s : segs) {
-    mix(s.task);
-    mix(s.core);
-    mix(s.start);
-    mix(s.dur);
   }
-  return h;
+};
+
+/// FNV-1a over the canonical segments' (task, core, start, dur) fields.
+std::uint64_t fnv1a(const std::vector<RunSegment>& segs) {
+  Fnv1a f;
+  for (const RunSegment& s : segs) {
+    f.mix(s.task);
+    f.mix(s.core);
+    f.mix(s.start);
+    f.mix(s.dur);
+  }
+  return f.h;
+}
+
+/// FNV-1a over exec_in_window(task, w, w + 50ms) for every task and every
+/// aligned 50 ms window that starts before `end`, followed per task by the
+/// unaligned window [7ms, 133ms).
+std::uint64_t window_digest(const Metrics& m, int num_tasks, SimTime end) {
+  Fnv1a f;
+  for (TaskId id = 0; id < num_tasks; ++id) {
+    for (SimTime w = 0; w < end; w += msec(50))
+      f.mix(m.exec_in_window(id, w, w + msec(50)));
+    f.mix(m.exec_in_window(id, msec(7), msec(133)));
+  }
+  return f.h;
 }
 
 Fingerprint run(ExperimentConfig cfg) {
@@ -84,6 +104,8 @@ Fingerprint run(ExperimentConfig cfg) {
     const auto segs = canonical_segments(sim.metrics());
     fp.canonical_segments = segs.size();
     fp.segment_digest = fnv1a(segs);
+    fp.window_digest =
+        window_digest(sim.metrics(), sim.num_tasks(), sim.now());
   };
   const ExperimentResult res = run_experiment(cfg);
   const RunResult& r = res.runs.at(0);
@@ -100,7 +122,8 @@ std::string render(const Fingerprint& fp) {
   os.precision(17);
   os << "events=" << fp.events << " makespan_s=" << fp.makespan_s
      << " canonical_segments=" << fp.canonical_segments
-     << " segment_digest=" << fp.segment_digest << "ULL\nmigrations:";
+     << " segment_digest=" << fp.segment_digest
+     << "ULL window_digest=" << fp.window_digest << "ULL\nmigrations:";
   for (const auto& [cause, n] : fp.migrations)
     os << " " << to_string(cause) << "=" << n;
   os << "\nexec_by_core:\n";
@@ -120,6 +143,7 @@ void expect_fingerprint(const Fingerprint& got, const Fingerprint& want) {
   EXPECT_EQ(got.exec_by_core, want.exec_by_core);
   EXPECT_EQ(got.canonical_segments, want.canonical_segments);
   EXPECT_EQ(got.segment_digest, want.segment_digest);
+  EXPECT_EQ(got.window_digest, want.window_digest);
   if (::testing::Test::HasFailure()) ADD_FAILURE() << "got:\n" << render(got);
 }
 
@@ -158,6 +182,7 @@ TEST(SimRefreshGolden, MemoryBoundCgSpeedYield) {
   };
   want.canonical_segments = 1609;
   want.segment_digest = 4633414673547600572ULL;
+  want.window_digest = 9548910065852484103ULL;
   expect_fingerprint(run(membound_config()), want);
 }
 
@@ -220,6 +245,7 @@ TEST(SimRefreshGolden, MemoryBoundCgLoadSleepWithDvfsStep) {
   };
   want.canonical_segments = 9797;
   want.segment_digest = 9532575351394939913ULL;
+  want.window_digest = 15480437567924327196ULL;
   expect_fingerprint(run(cfg), want);
 }
 
@@ -261,6 +287,7 @@ TEST(SimRefreshGolden, SmtSiblingRefreshWithoutBandwidthDemand) {
   };
   want.canonical_segments = 365;
   want.segment_digest = 3612595566432313990ULL;
+  want.window_digest = 2326308002473927326ULL;
   expect_fingerprint(run(cfg), want);
 }
 
