@@ -12,9 +12,8 @@
 //   4. Telemetry overhead: the same serve episode untraced vs recorded at
 //      1/64 span sampling, reporting requests/sec for both plus the
 //      observability layer's self-measured share of the traced wall time.
-//   5. Accounting churn: record_run/record_segment staging into the
-//      arena-backed interval tables, with periodic windowed queries forcing
-//      the exact-at-query drain (the SoA/batched-metrics hot path).
+//   5. Accounting churn: Metrics::record_exec, the one write the Simulator
+//      makes per stretch of execution (exec-table add + segment append).
 //   6. Far-future churn: schedule/cancel far-future events (perturb
 //      timelines, diurnal arrivals) against a live near-time stream — the
 //      timing-wheel tier's O(1) insert path versus heap sift traffic.
@@ -272,7 +271,7 @@ int main(int argc, char** argv) {
     report.emit("telemetry overhead (serve episode, identical results)", table);
   }
 
-  // --- 5. Accounting churn: staged metrics + arena intervals ---------------
+  // --- 5. Accounting churn: one record_exec per stretch --------------------
   {
     const std::uint64_t n = iters;
     const double rps = best_events_per_sec(passes, [&] {
@@ -283,20 +282,16 @@ int main(int argc, char** argv) {
         x = x * 6364136223846793005ULL + 1442695040888963407ULL;
         const TaskId task = static_cast<TaskId>(x % 64);
         const CoreId core = static_cast<CoreId>((x >> 8) % 8);
-        m.record_segment({task, core, t, 10});
-        m.record_run(task, core, 10);
+        m.record_exec(task, core, t, 10);
         t += 10;
-        // A balancer-style exact query every few thousand records drains
-        // whatever is staged — the cadence sync_accounting imposes.
-        if ((i & 0xFFF) == 0) (void)m.exec_in_window(task, 0, t);
       }
-      return 2 * n;  // Two records staged per iteration.
+      return n;
     });
     metrics["accounting_churn_records_per_sec"] = rps;
     Table table({"pattern", "M records/s", "ns/record"});
-    table.add_row({"segment+run staging, 64 tasks x 8 cores",
+    table.add_row({"record_exec, 64 tasks x 8 cores",
                    Table::num(rps / 1e6, 2), Table::num(1e9 / rps, 1)});
-    report.emit("accounting churn (staged metrics, arena intervals)", table);
+    report.emit("accounting churn (one record_exec per stretch)", table);
   }
 
   // --- 6. Far-future churn: timing-wheel tier ------------------------------

@@ -71,7 +71,7 @@ echo "== spmd-smoke: spmd-mode fuzz episodes =="
 # fixed-seed 25-episode leg. The spmd episodes drive the event-queue lockstep
 # oracle — now covering the timing-wheel tier (far-future schedules, lazy
 # cancels in buckets, equal-timestamp cross-tier promotion) — plus the
-# exec-conservation probes that query the staged metrics tables mid-batch.
+# exec-conservation probes that read the metrics exec table mid-run.
 "$repo/build/src/fuzzsim" --episodes=25 --mode=spmd --seed=505
 # Jobs-identity on a saturated bus: cg.B's every dispatch re-times all
 # running cores, so this puts the per-core stop timers and the
@@ -130,6 +130,14 @@ done
 "$repo/build/src/obsquery" --report="$obs_report" --slowest=5 >/dev/null
 "$repo/build/src/obsquery" --report="$obs_report" --storms >/dev/null
 "$repo/build/src/fuzzsim" --episodes=25 --mode=serve --seed=606
+# Jobs-identity for serve, whose run-segment log is the densest of any mode:
+# two SERVE-SPEED replicas run serially and in parallel must write
+# byte-identical reports.
+for j in 1 2; do
+  "$repo/build/src/servesim" --setup=SERVE-SPEED --repeats=2 --jobs="$j" \
+    --report-json="$repo/build/serve_speed_jobs$j.json" >/dev/null
+done
+cmp "$repo/build/serve_speed_jobs1.json" "$repo/build/serve_speed_jobs2.json"
 
 echo "== adaptive-smoke: ablation bench, tuning-log query, stability fuzz =="
 # The quick adaptive-vs-fixed ablation, one adaptive serve episode whose
@@ -157,9 +165,9 @@ fuzz_seed=$((RANDOM * 65536 + RANDOM))
 echo "fuzz-smoke seed: $fuzz_seed"
 "$repo/build/src/fuzzsim" --episodes=400 --seed="$fuzz_seed" --max-seconds=30
 
-echo "== tsan: native balancer + serve + cluster + hetero + adaptive + arena/queue tests =="
-# util_test and sim_test ride along so the bump-arena (Metrics interval
-# storage) and the wheel-tier event queue get sanitizer coverage.
+echo "== tsan: native balancer + serve + cluster + hetero + adaptive + util/queue tests =="
+# util_test and sim_test ride along so the wheel-tier event queue gets
+# sanitizer coverage.
 cmake -B "$repo/build-tsan" -S "$repo" -DSPEEDBAL_SANITIZE=thread >/dev/null
 cmake --build "$repo/build-tsan" -j "$jobs" --target native_test perturb_test serve_test cluster_test hetero_test util_test sim_test adaptive_test
 ctest --test-dir "$repo/build-tsan" --output-on-failure -R 'native_test|perturb_test|serve_test|cluster_test|hetero_test|util_test|sim_test|adaptive_test'
@@ -172,7 +180,7 @@ ctest --test-dir "$repo/build-tsan" --output-on-failure -R 'util_parallel_test'
 cmake --build "$repo/build-tsan" -j "$jobs" --target fuzzsim
 "$repo/build-tsan/src/fuzzsim" --episodes=1 --seed="$fuzz_seed" >/dev/null
 
-echo "== asan: perturbation + native + serve + cluster + hetero + adaptive + arena/queue tests =="
+echo "== asan: perturbation + native + serve + cluster + hetero + adaptive + util/queue tests =="
 cmake -B "$repo/build-asan" -S "$repo" -DSPEEDBAL_SANITIZE=address >/dev/null
 cmake --build "$repo/build-asan" -j "$jobs" --target perturb_test native_test serve_test cluster_test hetero_test util_test sim_test adaptive_test fuzzsim
 ctest --test-dir "$repo/build-asan" --output-on-failure -R 'perturb_test|native_test|serve_test|cluster_test|hetero_test|util_test|sim_test|adaptive_test'

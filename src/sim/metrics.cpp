@@ -52,76 +52,24 @@ void Metrics::set_recorder(obs::RunRecorder* rec) {
   rec->telemetry().set_kind_names(std::move(names));
 }
 
-void Metrics::drain() const {
-  if (pending_.empty()) return;
-  for (const Pending& p : pending_) {
-    if (p.kind & kExec) {
-      const auto t = static_cast<std::size_t>(p.task);
-      if (t >= exec_.size()) exec_.resize(t + 1);
-      auto& per_core = exec_[t];
-      if (per_core.empty())
-        per_core.assign(static_cast<std::size_t>(num_cores_), 0);
-      per_core[static_cast<std::size_t>(p.core)] += p.dur;
-    }
-    if (p.kind & kSegment) drain_segment(p.task, p.core, p.start, p.dur);
-  }
-  pending_.clear();
-}
-
-void Metrics::drain_segment(TaskId task, CoreId core, SimTime start,
-                            SimTime dur) const {
-  segments_.push_back(
-      {task, core, start, dur});
+void Metrics::record_exec(TaskId task, CoreId core, SimTime start,
+                          SimTime dur) {
   const auto t = static_cast<std::size_t>(task);
-  if (t >= intervals_.size()) {
-    intervals_.resize(t + 1);
-    last_core_.resize(t + 1, std::int16_t{-2});
-  }
-  auto& iv = intervals_[t];
-  if (iv.empty() || start >= iv.back().start) {
-    // Exactly-contiguous continuation on the same core: extend the last
-    // interval instead of appending. Windowed sums cannot tell the
-    // difference, and back-to-back dispatches of a lone task collapse to
-    // one entry.
-    if (!iv.empty() && iv.back().end() == start &&
-        last_core_[t] == static_cast<std::int16_t>(core)) {
-      iv.back().dur += dur;
-      return;
-    }
-    const SimTime cum = iv.empty() ? 0 : iv.back().cum + iv.back().dur;
-    iv.push_back(arena_, {start, dur, cum});
-    last_core_[t] = static_cast<std::int16_t>(core);
-    return;
-  }
-  // Out-of-order recording (not produced by the Simulator, but legal for
-  // external callers): sorted insert, then rebuild the running sums from
-  // the insertion point. Disable adjacent-merge for the next append — the
-  // tail is no longer the record most recently seen.
-  const auto pos = std::upper_bound(
-      iv.begin(), iv.end(), start,
-      [](SimTime s, const Interval& i) { return s < i.start; });
-  const auto idx = static_cast<std::size_t>(pos - iv.begin());
-  iv.insert(arena_, idx, {start, dur, 0});
-  for (std::size_t i = idx; i < iv.size(); ++i)
-    iv[i].cum = i == 0 ? 0 : iv[i - 1].cum + iv[i - 1].dur;
-  last_core_[t] = -2;
+  if (t >= exec_.size()) exec_.resize(t + 1);
+  auto& per_core = exec_[t];
+  if (per_core.empty()) per_core.assign(static_cast<std::size_t>(num_cores_), 0);
+  per_core[static_cast<std::size_t>(core)] += dur;
+  segments_.push_back({task, core, start, dur});
 }
 
 void Metrics::reset() {
-  pending_.clear();
   exec_.clear();
-  // ArenaVectors hold pointers into the arena; drop them all before the
-  // slabs are recycled.
-  intervals_.clear();
-  last_core_.clear();
-  arena_.reset();
   segments_.clear();
   migrations_.clear();
   cause_counts_.fill(0);
 }
 
 const std::vector<SimTime>& Metrics::exec_by_core(TaskId task) const {
-  drain();
   const auto t = static_cast<std::size_t>(task);
   if (task < 0 || t >= exec_.size() || exec_[t].empty()) return empty_;
   return exec_[t];
@@ -133,23 +81,12 @@ SimTime Metrics::total_exec(TaskId task) const {
 }
 
 SimTime Metrics::exec_in_window(TaskId task, SimTime from, SimTime to) const {
-  drain();
-  const auto t = static_cast<std::size_t>(task);
-  if (task < 0 || t >= intervals_.size() || from >= to) return 0;
-  const auto& iv = intervals_[t];
-  // First segment ending after `from` and first segment starting at/after
-  // `to` bound the overlapping range; the running sums give its total
-  // duration without iterating it.
-  const auto lo = std::partition_point(
-      iv.begin(), iv.end(), [from](const Interval& i) { return i.end() <= from; });
-  const auto hi = std::partition_point(
-      iv.begin(), iv.end(), [to](const Interval& i) { return i.start < to; });
-  if (lo >= hi) return 0;
-  const Interval& first = *lo;
-  const Interval& last = *(hi - 1);
-  SimTime total = last.cum + last.dur - first.cum;
-  total -= std::max<SimTime>(0, from - first.start);
-  total -= std::max<SimTime>(0, last.end() - to);
+  SimTime total = 0;
+  for (const RunSegment& seg : segments_) {
+    if (seg.task != task) continue;
+    total += std::max<SimTime>(
+        0, std::min(seg.start + seg.dur, to) - std::max(seg.start, from));
+  }
   return total;
 }
 

@@ -11,7 +11,6 @@
 #include "obs/recorder.hpp"
 #include "sim/task.hpp"
 #include "topo/topology.hpp"
-#include "util/arena.hpp"
 #include "util/time.hpp"
 
 namespace speedbal {
@@ -60,19 +59,13 @@ struct RunSegment {
   SimTime dur = 0;
 };
 
-/// Run-wide observability: execution accounting per task per core, the
-/// migration log, and completion times. Collected unconditionally (cheap);
-/// the property tests and figure harnesses read it back.
+/// Run-wide observability: execution per task per core, the run-segment log,
+/// the migration log and its per-cause tally. Collected unconditionally; the
+/// invariant probes read the exec table, the recorder export reads the
+/// segment log, and the property tests and figure harnesses read both.
 ///
-/// Recording is *staged*: the per-event hot path appends one compact POD to
-/// a flat pending buffer (a single store into a linear array — no per-task
-/// indexing, no allocator), and the dense tables (per-task-per-core exec,
-/// interval accumulators, the segment log) are built in batches — when the
-/// buffer fills, or on demand the moment any query method runs. Queries
-/// therefore always see exact values; only the *location* of the work moved
-/// out of the event loop. Interval lists live in a bump arena so their
-/// growth never hits the global allocator; reset() recycles the arena slabs
-/// for the next run.
+/// The Simulator writes one record_exec per stretch of execution (and at each
+/// sync_accounting); every query is a plain read of what was recorded.
 class Metrics {
  public:
   explicit Metrics(int num_cores)
@@ -81,28 +74,9 @@ class Metrics {
     cause_counts_.fill(0);
   }
 
-  /// One contiguous execution stretch: stages both the exec-table add and
-  /// the segment/interval append in a single record. The Simulator calls it
-  /// once per stretch (and at each sync_accounting), not per speed change.
-  void record_exec(TaskId task, CoreId core, SimTime start, SimTime dur) {
-    stage(task, core, start, dur, kExec | kSegment);
-  }
-
-  /// Exec-table-only accounting (no segment); kept for callers that account
-  /// execution without timestamps.
-  void record_run(TaskId task, CoreId core, SimTime dur) {
-    stage(task, core, 0, dur, kExec);
-  }
-
-  /// Record run segments with timestamps, without exec-table accounting
-  /// (`record_exec` does both). Segment capture costs memory proportional
-  /// to context switches; it is always on — runs are short-lived objects.
-  /// Segments of one task are expected in non-decreasing start order (they
-  /// cannot overlap); out-of-order recording is tolerated but pays a sorted
-  /// insert at drain time.
-  void record_segment(const RunSegment& seg) {
-    stage(seg.task, seg.core, seg.start, seg.dur, kSegment);
-  }
+  /// One contiguous execution stretch: adds `dur` to the task's exec on
+  /// `core` and appends the segment to the log.
+  void record_exec(TaskId task, CoreId core, SimTime start, SimTime dur);
 
   void record_migration(const MigrationRecord& rec);
 
@@ -114,13 +88,12 @@ class Metrics {
   void set_recorder(obs::RunRecorder* rec);
   obs::RunRecorder* recorder() const { return recorder_; }
 
-  const std::vector<RunSegment>& segments() const {
-    drain();
-    return segments_;
-  }
+  /// Every recorded segment, in recording order.
+  const std::vector<RunSegment>& segments() const { return segments_; }
 
-  /// Execution time of `task` within the window [from, to) (clipped).
-  /// O(log segments-of-task) via the per-task interval accumulator.
+  /// Execution time of `task` within the window [from, to), clipped at the
+  /// window edges. Scans the segment log: O(segments), for tests and
+  /// offline inspection, not for a balancer's per-interval read.
   SimTime exec_in_window(TaskId task, SimTime from, SimTime to) const;
 
   /// Fraction of the task's execution spent on cores where `pred(core)`
@@ -145,71 +118,17 @@ class Metrics {
   /// Built from the running tally — does not rescan the migration log.
   std::map<MigrationCause, std::int64_t> migration_counts_by_cause() const;
 
-  /// Clear all recorded state for reuse by another run. Retains the outer
-  /// table capacities and the interval arena's slabs, so a reused Metrics
-  /// reaches its high-water memory once and then records allocation-free.
+  /// Clear all recorded state for reuse by another run.
   void reset();
-
-  /// Records staged but not yet drained into the dense tables (test hook;
-  /// any query method drains implicitly).
-  std::size_t staged() const { return pending_.size(); }
 
   int num_cores() const { return num_cores_; }
 
  private:
-  /// One run segment of a task, with the task's cumulative execution before
-  /// this segment (`cum`), enabling O(log n) windowed sums.
-  struct Interval {
-    SimTime start = 0;
-    SimTime dur = 0;
-    SimTime cum = 0;
-    SimTime end() const { return start + dur; }
-  };
-
-  /// Staged accounting record (24 bytes). `kind` says which tables the
-  /// record feeds when drained.
-  struct Pending {
-    SimTime start;
-    SimTime dur;
-    TaskId task;
-    std::int16_t core;
-    std::uint8_t kind;
-  };
-  static constexpr std::uint8_t kExec = 1;     ///< per-task-per-core table
-  static constexpr std::uint8_t kSegment = 2;  ///< segment log + intervals
-
-  /// Drain the pending buffer when it reaches this many records, bounding
-  /// staged memory; queries drain whatever is staged regardless.
-  static constexpr std::size_t kDrainBatch = 8192;
-
-  void stage(TaskId task, CoreId core, SimTime start, SimTime dur,
-             std::uint8_t kind) {
-    pending_.push_back({start, dur, task, static_cast<std::int16_t>(core), kind});
-    if (pending_.size() >= kDrainBatch) drain();
-  }
-
-  /// Apply every staged record, in recording order, to the dense tables.
-  /// Const because queries trigger it: the tables are caches of the staged
-  /// stream, so building them does not change observable state.
-  void drain() const;
-  void drain_segment(TaskId task, CoreId core, SimTime start,
-                     SimTime dur) const;
-
   int num_cores_;
-  mutable std::vector<Pending> pending_;
   /// Per-task per-core execution, indexed [task][core]; rows are allocated
   /// on a task's first run.
-  mutable std::vector<std::vector<SimTime>> exec_;
-  /// Per-task interval accumulator, indexed [task]; sorted by start, with
-  /// exactly-adjacent same-core runs merged (exec_in_window is unaffected:
-  /// contiguous intervals sum identically merged or split). Backed by the
-  /// arena below.
-  mutable std::vector<ArenaVector<Interval>> intervals_;
-  mutable Arena arena_;
-  mutable std::vector<RunSegment> segments_;
-  /// Core of the last interval per task, for the adjacent-merge check
-  /// (intervals themselves don't store the core).
-  mutable std::vector<std::int16_t> last_core_;
+  std::vector<std::vector<SimTime>> exec_;
+  std::vector<RunSegment> segments_;
   std::vector<MigrationRecord> migrations_;
   std::array<std::int64_t, kNumMigrationCauses> cause_counts_;
   /// Correctly-sized all-zero row returned for tasks that never ran, so

@@ -242,7 +242,7 @@ class Simulator {
   /// Charge the running task's execution since the last flush at the
   /// core's current speed: remaining work, warmup, CPU time, CFS vruntime.
   /// Runs at every speed change; records nothing in Metrics (a stretch's
-  /// segment is staged by sync_accounting, which every stretch end calls).
+  /// segment is recorded by sync_accounting, which every stretch end calls).
   void flush_accounting(CoreId core);
   void core_stop(CoreId core);
   /// Stop the running task without requeueing decisions (caller handles).

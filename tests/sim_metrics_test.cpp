@@ -7,9 +7,9 @@ namespace {
 
 TEST(Metrics, RecordsExecByCore) {
   Metrics m(4);
-  m.record_run(1, 0, msec(10));
-  m.record_run(1, 0, msec(5));
-  m.record_run(1, 3, msec(20));
+  m.record_exec(1, 0, 0, msec(10));
+  m.record_exec(1, 0, msec(10), msec(5));
+  m.record_exec(1, 3, msec(15), msec(20));
   const auto& per_core = m.exec_by_core(1);
   ASSERT_EQ(per_core.size(), 4u);
   EXPECT_EQ(per_core[0], msec(15));
@@ -67,9 +67,9 @@ TEST(Metrics, MigrationLogAndCounts) {
 
 TEST(Metrics, SegmentsAndWindowQueries) {
   Metrics m(2);
-  m.record_segment({1, 0, usec(0), usec(100)});
-  m.record_segment({1, 1, usec(200), usec(100)});
-  m.record_segment({2, 0, usec(100), usec(100)});
+  m.record_exec(1, 0, usec(0), usec(100));
+  m.record_exec(1, 1, usec(200), usec(100));
+  m.record_exec(2, 0, usec(100), usec(100));
   ASSERT_EQ(m.segments().size(), 3u);
   // Full window.
   EXPECT_EQ(m.exec_in_window(1, 0, usec(300)), usec(200));
@@ -106,9 +106,9 @@ TEST(Metrics, CachedCauseTallyTracksEveryRecord) {
 TEST(Metrics, WindowQueryExactAtSegmentBoundaries) {
   Metrics m(2);
   // Three segments of task 1: [0,100), [200,300), [300,400).
-  m.record_segment({1, 0, usec(0), usec(100)});
-  m.record_segment({1, 1, usec(200), usec(100)});
-  m.record_segment({1, 0, usec(300), usec(100)});
+  m.record_exec(1, 0, usec(0), usec(100));
+  m.record_exec(1, 1, usec(200), usec(100));
+  m.record_exec(1, 0, usec(300), usec(100));
   // Window touching a segment edge exactly includes/excludes it.
   EXPECT_EQ(m.exec_in_window(1, usec(100), usec(200)), 0);
   EXPECT_EQ(m.exec_in_window(1, usec(100), usec(201)), usec(1));
@@ -123,13 +123,12 @@ TEST(Metrics, WindowQueryExactAtSegmentBoundaries) {
 }
 
 TEST(Metrics, OutOfOrderSegmentRecordingStillSums) {
-  // The Simulator emits segments in time order, but external callers may
-  // not; the interval accumulator must re-sort and keep windowed sums
-  // exact.
+  // The Simulator emits a task's segments in time order, but other callers
+  // may not; windowed sums must not depend on recording order.
   Metrics m(2);
-  m.record_segment({1, 0, usec(200), usec(50)});
-  m.record_segment({1, 1, usec(0), usec(100)});
-  m.record_segment({1, 0, usec(120), usec(30)});
+  m.record_exec(1, 0, usec(200), usec(50));
+  m.record_exec(1, 1, usec(0), usec(100));
+  m.record_exec(1, 0, usec(120), usec(30));
   EXPECT_EQ(m.exec_in_window(1, 0, usec(300)), usec(180));
   EXPECT_EQ(m.exec_in_window(1, usec(50), usec(130)), usec(60));
   EXPECT_EQ(m.exec_in_window(1, usec(130), usec(210)), usec(30));
@@ -137,8 +136,8 @@ TEST(Metrics, OutOfOrderSegmentRecordingStillSums) {
 
 TEST(Metrics, ResidencyFraction) {
   Metrics m(4);
-  m.record_run(1, 0, usec(300));
-  m.record_run(1, 3, usec(100));
+  m.record_exec(1, 0, 0, usec(300));
+  m.record_exec(1, 3, usec(300), usec(100));
   EXPECT_DOUBLE_EQ(m.residency_fraction(1, [](CoreId c) { return c == 0; }), 0.75);
   EXPECT_DOUBLE_EQ(m.residency_fraction(1, [](CoreId c) { return c < 2; }), 0.75);
   EXPECT_DOUBLE_EQ(m.residency_fraction(1, [](CoreId) { return true; }), 1.0);
@@ -146,98 +145,42 @@ TEST(Metrics, ResidencyFraction) {
 }
 
 TEST(Metrics, SegmentsMatchRunTotals) {
-  // Simulator-level consistency: segment sums equal record_run sums.
+  // The segment log and the exec table see the same records: a window
+  // covering the whole run sums to the task's total.
   Metrics m(2);
-  m.record_run(1, 0, usec(120));
-  m.record_segment({1, 0, 0, usec(120)});
-  m.record_run(1, 1, usec(80));
-  m.record_segment({1, 1, usec(120), usec(80)});
+  m.record_exec(1, 0, 0, usec(120));
+  m.record_exec(1, 1, usec(120), usec(80));
   EXPECT_EQ(m.exec_in_window(1, 0, sec(1)), m.total_exec(1));
 }
 
-TEST(Metrics, StagedRecordsDrainOnQuery) {
-  // Records are staged in a pending batch; every query must drain first so
-  // callers always observe exact values at the query point.
+TEST(Metrics, AdjacentSegmentsSumExactlyUnmerged) {
+  // A stretch cut into adjacent same-core pieces (as sync_accounting does)
+  // sums across the cut exactly like one segment would.
   Metrics m(2);
-  m.record_run(1, 0, usec(100));
-  m.record_segment({1, 0, usec(0), usec(100)});
-  EXPECT_GT(m.staged(), 0u);  // Still pending...
-  EXPECT_EQ(m.total_exec(1), usec(100));  // ...but the query sees it.
-  EXPECT_EQ(m.staged(), 0u);
-  m.record_segment({1, 1, usec(100), usec(50)});
-  EXPECT_EQ(m.exec_in_window(1, 0, usec(150)), usec(150));
-}
-
-TEST(Metrics, MidBatchWindowQueryIsExact) {
-  // A query placed between two stagings of the same batch must see exactly
-  // the records staged before it, at full precision.
-  Metrics m(2);
-  m.record_segment({1, 0, usec(0), usec(10)});
-  EXPECT_EQ(m.exec_in_window(1, 0, usec(100)), usec(10));
-  m.record_segment({1, 0, usec(10), usec(10)});  // New batch after drain.
-  m.record_segment({1, 0, usec(30), usec(10)});
-  EXPECT_EQ(m.exec_in_window(1, 0, usec(100)), usec(30));
-  EXPECT_EQ(m.exec_in_window(1, usec(5), usec(35)), usec(20));
-}
-
-TEST(Metrics, OutOfOrderAfterDrainStaysSorted) {
-  // An out-of-order segment arriving after earlier batches already drained
-  // must sorted-insert into the accumulated intervals, and the cumulative
-  // sums must stay exact on both sides of the insertion point.
-  Metrics m(2);
-  m.record_segment({1, 0, usec(100), usec(10)});
-  m.record_segment({1, 0, usec(300), usec(10)});
-  EXPECT_EQ(m.exec_in_window(1, 0, usec(400)), usec(20));  // Drain now.
-  m.record_segment({1, 1, usec(200), usec(10)});  // Belongs in the middle.
-  EXPECT_EQ(m.exec_in_window(1, 0, usec(400)), usec(30));
-  EXPECT_EQ(m.exec_in_window(1, usec(150), usec(250)), usec(10));
-  EXPECT_EQ(m.exec_in_window(1, usec(250), usec(400)), usec(10));
-  // And in-order appends after the sorted insert still work.
-  m.record_segment({1, 0, usec(400), usec(10)});
-  EXPECT_EQ(m.exec_in_window(1, 0, usec(500)), usec(40));
-}
-
-TEST(Metrics, AdjacentSameCoreSegmentsMergeExactly) {
-  // Contiguous same-core segments merge into one interval; windowed sums
-  // across the merged span must be indistinguishable from unmerged ones.
-  Metrics m(2);
-  m.record_segment({1, 0, usec(0), usec(50)});
-  m.record_segment({1, 0, usec(50), usec(50)});
-  m.record_segment({1, 1, usec(100), usec(50)});  // Core switch: no merge.
+  m.record_exec(1, 0, usec(0), usec(50));
+  m.record_exec(1, 0, usec(50), usec(50));
+  m.record_exec(1, 1, usec(100), usec(50));
   EXPECT_EQ(m.exec_in_window(1, 0, usec(150)), usec(150));
   EXPECT_EQ(m.exec_in_window(1, usec(25), usec(75)), usec(50));
   EXPECT_EQ(m.exec_in_window(1, usec(75), usec(125)), usec(50));
   ASSERT_EQ(m.segments().size(), 3u);  // The raw log never merges.
 }
 
-TEST(Metrics, ResetReclaimsArenaAndAcceptsNewRecords) {
-  // reset() must drop all intervals (their arena memory is recycled, not
-  // freed) and leave the instance fully usable for a fresh run.
+TEST(Metrics, ResetThenReuse) {
+  // reset() must drop every record and leave the instance fully usable for
+  // a fresh run.
   Metrics m(2);
   for (int i = 0; i < 5000; ++i)
-    m.record_segment({1, i % 2, usec(i * 10), usec(5)});
+    m.record_exec(1, i % 2, usec(i * 10), usec(5));
   EXPECT_EQ(m.exec_in_window(1, 0, usec(100'000)), usec(25'000));
   m.reset();
   EXPECT_EQ(m.total_exec(1), 0);
   EXPECT_EQ(m.exec_in_window(1, 0, usec(100'000)), 0);
   EXPECT_EQ(m.segments().size(), 0u);
-  EXPECT_EQ(m.staged(), 0u);
-  // Reuse after reset: the arena-backed rows rebuild from scratch.
   for (int i = 0; i < 5000; ++i)
-    m.record_segment({2, i % 2, usec(i * 10), usec(5)});
+    m.record_exec(2, i % 2, usec(i * 10), usec(5));
   EXPECT_EQ(m.exec_in_window(2, 0, usec(100'000)), usec(25'000));
   EXPECT_EQ(m.exec_in_window(1, 0, usec(100'000)), 0);
-}
-
-TEST(Metrics, AutoDrainPastBatchCapIsLossless) {
-  // Staging far past the auto-drain threshold must never drop or double
-  // count a record.
-  Metrics m(2);
-  constexpr int kN = 20'000;  // > kDrainBatch.
-  for (int i = 0; i < kN; ++i) m.record_run(1, i % 2, usec(1));
-  EXPECT_EQ(m.total_exec(1), usec(kN));
-  EXPECT_EQ(m.exec_by_core(1)[0], usec(kN / 2));
-  EXPECT_EQ(m.exec_by_core(1)[1], usec(kN / 2));
 }
 
 TEST(Metrics, CauseNames) {
