@@ -6,7 +6,8 @@
 // balancer attaches when, in what order, or with which recorder moves a
 // pinned value. Between them the recorded runs fill every record log:
 // decisions, speed timeline, spans, run segments, shares, tuning epochs and
-// rebalance epochs.
+// rebalance epochs, and the reason-coverage case drives the SPEED pull rule
+// through every rejection the simulator can log.
 
 #include <gtest/gtest.h>
 
@@ -163,6 +164,58 @@ TEST(PolicyGolden, ShareOnBigLittle) {
             " done 0x1.bba51a005c465p-2 policy=0 [ ]"
             " report=8a8353309a66d595");
   EXPECT_GT(rec.shares().size(), 0u);
+}
+
+
+/// A recorded SPEED episode built to reach every pull-rule reason the
+/// simulator can emit: cg.S on `cores` cores of `topo` with a CPU hog on
+/// core 2, shared-cache pairs on half the post-migration block, and core 1
+/// hotplugged out from 500 ms to 900 ms.
+ExperimentConfig reason_coverage_config(const char* topo, int threads,
+                                        int cores) {
+  ExperimentConfig cfg = scenarios::npb_config(
+      presets::by_name(topo), npb::by_name("cg.S"), threads, cores,
+      scenarios::Setup::SpeedYield, /*repeats=*/1, /*seed=*/11);
+  cfg.time_cap = sec(60);
+  cfg.cpu_hog = true;
+  cfg.cpu_hog_core = 2;
+  cfg.speed.shared_cache_block_scale = 0.5;
+  cfg.perturb = perturb::PerturbTimeline::parse_specs(
+      "at=500ms offline core=1; at=900ms online core=1");
+  return cfg;
+}
+
+std::int64_t reason_count(const obs::RunRecorder& rec, obs::PullReason r) {
+  return rec.decisions().counts()[static_cast<std::size_t>(r)];
+}
+
+TEST(PolicyGolden, SpeedReasonCoverage) {
+  using R = obs::PullReason;
+  // Barcelona's first two NUMA nodes with block_numa on: numa-blocked,
+  // migration-blocked, hot-potato, no-victim, core-offline and a tie-break.
+  obs::RunRecorder numa;
+  EXPECT_EQ(run_spmd(reason_coverage_config("barcelona", 5, 8), numa),
+            "done 0x1.2d080303c07eep+1 policy=11"
+            " [ linux-newidle=1 speed=11 hotplug=1 ] report=3d8e22d16cca64ee");
+  for (const R r : {R::Pulled, R::BelowAverage, R::AboveThreshold,
+                    R::MigrationBlocked, R::NumaBlocked, R::NoCandidate,
+                    R::NoVictim, R::HotPotato, R::CoreOffline})
+    EXPECT_GT(reason_count(numa, r), 0) << obs::to_string(r);
+  bool tie_break = false;
+  for (const obs::DecisionRecord& d : numa.decisions().snapshot())
+    tie_break = tie_break || (d.reason == R::Pulled && d.tie_break);
+  EXPECT_TRUE(tie_break);
+
+  // Four tigerton cores (two L2 pairs) with pulls confined to a cache
+  // group: domain-blocked across the pairs.
+  ExperimentConfig cfg = reason_coverage_config("tigerton", 5, 4);
+  cfg.speed.max_migration_level = DomainLevel::Cache;
+  obs::RunRecorder domain;
+  EXPECT_EQ(run_spmd(cfg, domain), "done 0x1.7a5b078d92fb2p+1 policy=18 [ speed=18 hotplug=1 ]"
+            " report=6223a297b164dfa7");
+  for (const R r : {R::Pulled, R::DomainBlocked, R::MigrationBlocked,
+                    R::NoVictim, R::HotPotato, R::CoreOffline})
+    EXPECT_GT(reason_count(domain, r), 0) << obs::to_string(r);
 }
 
 /// Four generic4 cores serving exponential 2 ms requests at utilization 0.7
