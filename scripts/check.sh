@@ -180,10 +180,12 @@ ctest --test-dir "$repo/build-tsan" --output-on-failure -R 'util_parallel_test'
 cmake --build "$repo/build-tsan" -j "$jobs" --target fuzzsim
 "$repo/build-tsan/src/fuzzsim" --episodes=1 --seed="$fuzz_seed" >/dev/null
 
-echo "== asan: perturbation + native + serve + cluster + hetero + adaptive + util/queue tests =="
+echo "== asan: perturbation + native + balance + serve + cluster + hetero + adaptive + util/queue tests =="
+# balance_test carries the simulated SpeedBalancer cases that drive the
+# shared pull rule's dense vectors and its per-thread hash map.
 cmake -B "$repo/build-asan" -S "$repo" -DSPEEDBAL_SANITIZE=address >/dev/null
-cmake --build "$repo/build-asan" -j "$jobs" --target perturb_test native_test serve_test cluster_test hetero_test util_test sim_test adaptive_test fuzzsim
-ctest --test-dir "$repo/build-asan" --output-on-failure -R 'perturb_test|native_test|serve_test|cluster_test|hetero_test|util_test|sim_test|adaptive_test'
+cmake --build "$repo/build-asan" -j "$jobs" --target perturb_test native_test balance_test serve_test cluster_test hetero_test util_test sim_test adaptive_test fuzzsim
+ctest --test-dir "$repo/build-asan" --output-on-failure -R 'perturb_test|native_test|balance_test|serve_test|cluster_test|hetero_test|util_test|sim_test|adaptive_test'
 "$repo/build-asan/src/fuzzsim" --episodes=1 --seed="$fuzz_seed" >/dev/null
 "$repo/build-asan/src/fuzzsim" --episodes=3 --mode=cluster --seed="$fuzz_seed" >/dev/null
 "$repo/build-asan/src/fuzzsim" --hetero --episodes=3 --seed="$fuzz_seed" >/dev/null

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include "util/log.hpp"
@@ -20,7 +21,6 @@ void SpeedBalancer::attach(Simulator& sim) {
   const auto n = static_cast<std::size_t>(sim.num_cores());
   snapshots_.assign(n, {});
   snapshot_time_.assign(n, SimTime{0});
-  last_involved_.assign(n, kNever);
 
   std::uint64_t mask = 0;
   for (CoreId c : cores_) mask |= 1ULL << c;
@@ -67,10 +67,8 @@ void SpeedBalancer::add_managed(Task& t) {
 }
 
 bool SpeedBalancer::is_blocked(CoreId core) const {
-  const auto i = static_cast<std::size_t>(core);
-  return i < last_involved_.size() && last_involved_[i] != kNever &&
-         sim_->now() - last_involved_[i] <
-             params_.post_migration_block * params_.interval;
+  return rule_.involved_within(core, sim_->now(),
+                               params_.post_migration_block * params_.interval);
 }
 
 void SpeedBalancer::balancer_wake(CoreId local) {
@@ -99,7 +97,6 @@ int SpeedBalancer::measure_core_speeds(CoreId local) {
   const auto n = static_cast<std::size_t>(sim_->num_cores());
   core_speed_.assign(n, 0.0);
   core_present_.assign(n, 0);
-  speed_sum_.assign(n, 0.0);
   speed_cnt_.assign(n, 0);
 
   // Occupancy of each core by managed threads (for the SMT adaptation).
@@ -112,8 +109,10 @@ int SpeedBalancer::measure_core_speeds(CoreId local) {
 
   // speed_i = t_exec / t_real over the elapsed balance interval (demand
   // time instead of real time when demand_scaled; see SpeedBalanceParams).
+  threads_.clear();
   for (Task* t : managed_) {
     if (t->state() == TaskState::Finished) continue;
+    threads_.push_back({t->id(), t->core(), t->migrations()});
     auto& snap = snaps[static_cast<std::size_t>(t->id())];
     const SimTime exec = t->total_exec();
     const SimTime delta = exec - snap.exec;
@@ -139,7 +138,7 @@ int SpeedBalancer::measure_core_speeds(CoreId local) {
     if (params_.measurement_noise > 0.0)
       s = std::max(0.0, s * (1.0 + rng_.normal(0.0, params_.measurement_noise)));
     if (t->core() >= 0) {
-      speed_sum_[static_cast<std::size_t>(t->core())] += s;
+      core_speed_[static_cast<std::size_t>(t->core())] += s;
       ++speed_cnt_[static_cast<std::size_t>(t->core())];
     }
   }
@@ -155,7 +154,7 @@ int SpeedBalancer::measure_core_speeds(CoreId local) {
       core_speed_[i] =
           params_.scale_by_clock ? sim_->topo().core(c).clock_scale : 1.0;
     } else {
-      core_speed_[i] = speed_sum_[i] / static_cast<double>(speed_cnt_[i]);
+      core_speed_[i] /= static_cast<double>(speed_cnt_[i]);
     }
     core_present_[i] = 1;
     ++measured;
@@ -181,16 +180,16 @@ obs::SpeedSample SpeedBalancer::build_sample(CoreId local,
 }
 
 void SpeedBalancer::balance_once(CoreId local) {
+  obs::DecisionRecord base;
+  base.ts_us = sim_->now();
+  base.local = local;
+  obs::DecisionLog* log =
+      recorder_ != nullptr ? &recorder_->decisions() : nullptr;
   if (!sim_->core_online(local)) {
     // The core this balancer pulls for is gone; sit the pass out (it keeps
     // ticking — the core may come back).
-    if (recorder_ != nullptr) {
-      obs::DecisionRecord rec;
-      rec.ts_us = sim_->now();
-      rec.local = local;
-      rec.reason = obs::PullReason::CoreOffline;
-      recorder_->decisions().add(rec);
-    }
+    base.reason = obs::PullReason::CoreOffline;
+    if (log != nullptr) log->add(base);
     return;
   }
   const int measured = measure_core_speeds(local);
@@ -202,152 +201,55 @@ void SpeedBalancer::balance_once(CoreId local) {
   global /= static_cast<double>(measured);
   last_global_ = global;
 
-  const double local_speed = core_speed_[static_cast<std::size_t>(local)];
-  std::int64_t sample_seq = -1;
-  const auto log_decision = [&](obs::PullReason reason, CoreId source,
-                                double source_speed, TaskId victim = -1,
-                                bool tie_break = false,
-                                double warmup_charged_us = 0.0) {
-    if (recorder_ == nullptr) return;
-    obs::DecisionRecord rec;
-    rec.ts_us = sim_->now();
-    rec.local = local;
-    rec.source = source;
-    rec.victim = victim;
-    rec.tie_break = tie_break;
-    rec.local_speed = local_speed;
-    rec.source_speed = source_speed;
-    rec.global = global;
-    rec.reason = reason;
-    rec.sample_seq = sample_seq;
-    rec.warmup_charged_us = warmup_charged_us;
-    recorder_->decisions().add(rec);
-  };
-
+  base.local_speed = core_speed_[static_cast<std::size_t>(local)];
+  base.global = global;
   if (recorder_ != nullptr || sample_observer_) {
     obs::SpeedSample s = build_sample(local, global);
     // The observer (adaptive controller) runs before this pass's decision
     // logic, so a tuning change it applies governs the pass it observed.
     if (sample_observer_) sample_observer_(s);
-    if (recorder_ != nullptr) sample_seq = recorder_->timeline().add(std::move(s));
+    if (recorder_ != nullptr) base.sample_seq = recorder_->timeline().add(std::move(s));
   }
   if (global <= 0.0) return;
 
-  // Attempt to balance only when the local core is faster than average.
-  if (local_speed <= global) {
-    log_decision(obs::PullReason::BelowAverage, -1, 0.0);
-    return;
-  }
-
-  // Post-migration block: both parties of a recent migration sit out for at
-  // least two balance intervals so neither side's speed is stale. Pairs
-  // that share a cache may migrate more often (Section 5.2), so the block
-  // is evaluated per (local, candidate) pair.
-  const auto pair_blocked = [&](CoreId c) {
-    SimTime block = params_.post_migration_block * params_.interval;
-    if (sim_->topo().same_cache(local, c))
-      block = static_cast<SimTime>(static_cast<double>(block) *
-                                   params_.shared_cache_block_scale);
-    const auto involved_within = [&](CoreId core) {
-      const SimTime at = last_involved_[static_cast<std::size_t>(core)];
-      return at != kNever && sim_->now() - at < block;
-    };
-    return involved_within(local) || involved_within(c);
+  const Topology& topo = sim_->topo();
+  const auto veto = [&](CoreId c) -> std::optional<obs::PullReason> {
+    if (params_.block_numa && !topo.same_numa(local, c))
+      return obs::PullReason::NumaBlocked;
+    if (sim_->domains().lowest_common_level(topo, local, c) >
+        params_.max_migration_level)
+      return obs::PullReason::DomainBlocked;
+    return std::nullopt;
   };
+  const PullLimits limits{params_.threshold,
+                          params_.post_migration_block * params_.interval,
+                          params_.shared_cache_block_scale,
+                          params_.hot_potato_guard * params_.interval};
+  obs::DecisionRecord pull = rule_.decide(
+      base, core_speed_, core_present_, threads_, sim_->now(), limits, veto,
+      [&](CoreId a, CoreId b) { return topo.same_cache(a, b); }, log);
+  if (pull.victim < 0) return;
 
-  // Find the slowest suitable remote core: sufficiently below the global
-  // average (threshold T_s), not recently involved, and reachable without
-  // crossing a blocked domain boundary.
-  CoreId source = -1;
-  double source_speed = std::numeric_limits<double>::max();
-  for (CoreId c = 0; c < sim_->num_cores(); ++c) {
-    if (core_present_[static_cast<std::size_t>(c)] == 0) continue;
-    const double s = core_speed_[static_cast<std::size_t>(c)];
-    if (c == local) continue;
-    if (s / global >= params_.threshold) {
-      log_decision(obs::PullReason::AboveThreshold, c, s);
-      continue;
-    }
-    if (params_.block_numa && !sim_->topo().same_numa(local, c)) {
-      log_decision(obs::PullReason::NumaBlocked, c, s);
-      continue;
-    }
-    if (sim_->domains().lowest_common_level(sim_->topo(), local, c) >
-        params_.max_migration_level) {
-      log_decision(obs::PullReason::DomainBlocked, c, s);
-      continue;
-    }
-    if (pair_blocked(c)) {
-      log_decision(obs::PullReason::MigrationBlocked, c, s);
-      continue;
-    }
-    if (s < source_speed) {
-      source_speed = s;
-      source = c;
-    }
-  }
-  if (source < 0) {
-    log_decision(obs::PullReason::NoCandidate, -1, 0.0);
-    return;
-  }
-
-  // Pull the managed thread on the source core that has migrated the least
-  // (avoids creating "hot-potato" tasks that bounce between queues). The
-  // guard makes that a hard rule: a thread this balancer just pushed to
-  // the source may not be pulled straight back within the guard window.
-  const SimTime guard = params_.hot_potato_guard * params_.interval;
-  const auto ping_pong = [&](const Task& t) {
-    if (guard <= 0) return false;
-    const auto i = static_cast<std::size_t>(t.id());
-    if (i >= last_pull_.size()) return false;
-    const LastPull& lp = last_pull_[i];
-    return lp.at != kNever && lp.from == local && lp.to == source &&
-           sim_->now() - lp.at < guard;
-  };
-  Task* victim = nullptr;
-  int co_minimal = 0;  // Threads tied at the minimum migration count.
-  for (Task* t : managed_) {
-    if (t->state() == TaskState::Finished) continue;
-    if (t->core() != source) continue;
-    if (ping_pong(*t)) {
-      log_decision(obs::PullReason::HotPotato, source, source_speed, t->id());
-      continue;
-    }
-    if (victim == nullptr || t->migrations() < victim->migrations()) {
-      victim = t;
-      co_minimal = 1;
-    } else if (t->migrations() == victim->migrations()) {
-      ++co_minimal;
-      if (t->id() < victim->id()) victim = t;
-    }
-  }
-  if (victim == nullptr) {
-    log_decision(obs::PullReason::NoVictim, source, source_speed);
-    return;
-  }
-
-  const double warm_before = victim->warmup_remaining();
-  if (!sim_->set_affinity(*victim, 1ULL << local, /*hard_pin=*/true,
+  Task& victim = sim_->task(static_cast<TaskId>(pull.victim));
+  const double warm_before = victim.warmup_remaining();
+  if (!sim_->set_affinity(victim, 1ULL << local, /*hard_pin=*/true,
                           MigrationCause::SpeedBalancer)) {
     // EINVAL: the local core was hotplugged out between the entry check and
     // the pull. The pass degrades to a no-op rather than wedging.
-    log_decision(obs::PullReason::CoreOffline, source, source_speed,
-                 victim->id());
+    pull.reason = obs::PullReason::CoreOffline;
+    pull.tie_break = false;
+    if (log != nullptr) log->add(pull);
     return;
   }
   // Warmup (cache refill) the migration just charged the victim — the
   // causal cost this decision pays, exported with the decision record.
-  const double warmup_charged = victim->warmup_remaining() - warm_before;
-  SB_LOG(Debug) << "speedbalancer: pull task " << victim->id() << " from core "
-                << source << " (s=" << source_speed << ") to core " << local
-                << " (s=" << local_speed << ", global=" << global << ")";
-  log_decision(obs::PullReason::Pulled, source, source_speed, victim->id(),
-               /*tie_break=*/co_minimal > 1, warmup_charged);
-  last_involved_[static_cast<std::size_t>(local)] = sim_->now();
-  last_involved_[static_cast<std::size_t>(source)] = sim_->now();
-  const auto vi = static_cast<std::size_t>(victim->id());
-  if (vi >= last_pull_.size()) last_pull_.resize(vi + 1);
-  last_pull_[vi] = LastPull{source, local, sim_->now()};
+  pull.warmup_charged_us = victim.warmup_remaining() - warm_before;
+  SB_LOG(Debug) << "speedbalancer: pull task " << pull.victim << " from core "
+                << pull.source << " (s=" << pull.source_speed << ") to core "
+                << local << " (s=" << pull.local_speed
+                << ", global=" << global << ")";
+  if (log != nullptr) log->add(pull);
+  rule_.record_pull(pull.source, local, pull.victim, sim_->now());
 }
 
 }  // namespace speedbal

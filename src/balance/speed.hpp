@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "balance/balancer.hpp"
+#include "balance/pull_rule.hpp"
 #include "obs/recorder.hpp"
 #include "topo/domains.hpp"
 
@@ -41,7 +42,7 @@ struct SpeedBalanceParams {
   /// balance intervals. The least-migrated victim rule makes ping-pong
   /// rare but not impossible (a two-thread tie can alternate); the guard
   /// makes the oscillation invariant hold by construction. 0 disables.
-  int hot_potato_guard = 3;
+  int hot_potato_guard = kHotPotatoGuard;
   /// Weight a thread's measured speed down when its core's SMT sibling
   /// context is also busy (the Nehalem adaptation the paper lists as future
   /// work in Section 6: "a task running on a 'core' where both hardware
@@ -155,12 +156,6 @@ class SpeedBalancer : public Balancer {
     SimTime exec = 0;
     SimTime sleep = 0;
   };
-  /// Endpoints of a task's last speed-balancer pull (hot-potato guard).
-  struct LastPull {
-    CoreId from = -1;
-    CoreId to = -1;
-    SimTime at = kNever;
-  };
 
   void balancer_wake(CoreId local);
   /// Build the pass's speed/queue observation (per-core speeds, global
@@ -168,8 +163,8 @@ class SpeedBalancer : public Balancer {
   obs::SpeedSample build_sample(CoreId local, double global) const;
   /// Measure all managed thread speeds since the last snapshot for `local`'s
   /// balancer into core_speed_/core_present_ (cores with no managed threads
-  /// report full nominal speed: a thread moved there could run unimpeded).
-  /// Returns the number of cores measured.
+  /// report full nominal speed: a thread moved there could run unimpeded)
+  /// and threads_. Returns the number of cores measured.
   int measure_core_speeds(CoreId local);
 
   SpeedBalanceParams params_;
@@ -183,16 +178,13 @@ class SpeedBalancer : public Balancer {
   // managed thread, so map lookups per thread were pure overhead.
   std::vector<std::vector<TaskSnap>> snapshots_;
   std::vector<SimTime> snapshot_time_;
-  // Shared (intra-process) record of each core's last migration involvement
-  // (kNever = never involved), indexed by CoreId.
-  std::vector<SimTime> last_involved_;
-  // Each task's last speed pull, indexed by TaskId (hot-potato guard);
-  // grown lazily as tasks appear.
-  std::vector<LastPull> last_pull_;
+  // Section-5 decision state shared by every per-core balancer: each core's
+  // last migration (cooldown) and each task's last pull (hot-potato guard).
+  PullRule rule_;
   // Per-pass measurement buffers indexed by CoreId, reused across passes.
   std::vector<double> core_speed_;
   std::vector<std::uint8_t> core_present_;
-  std::vector<double> speed_sum_;
+  std::vector<PullThread> threads_;
   std::vector<int> speed_cnt_;
   std::vector<int> managed_on_;  // SMT occupancy scratch.
   double last_global_ = 0.0;

@@ -51,8 +51,7 @@ void CountBalancer::balance_once(CoreId local) {
 
   const SimTime block = params_.post_migration_block * params_.interval;
   const auto blocked = [&](CoreId c) {
-    const auto bit = last_involved_.find(c);
-    return bit != last_involved_.end() && sim_->now() - bit->second < block;
+    return cooldown_.involved_within(c, sim_->now(), block);
   };
   if (blocked(local)) return;
 
@@ -83,8 +82,7 @@ void CountBalancer::balance_once(CoreId local) {
   if (!sim_->set_affinity(*victim, 1ULL << local, /*hard_pin=*/true,
                           MigrationCause::Affinity))
     return;  // Local core hotplugged out mid-pass.
-  last_involved_[local] = sim_->now();
-  last_involved_[source] = sim_->now();
+  cooldown_.record_pull(source, local, victim->id(), sim_->now());
 }
 
 }  // namespace speedbal

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "balance/balancer.hpp"
+#include "balance/pull_rule.hpp"
 
 namespace speedbal {
 
@@ -46,7 +47,7 @@ class CountBalancer : public Balancer {
   std::vector<CoreId> cores_;
   Simulator* sim_ = nullptr;
   Rng rng_{0};
-  std::map<CoreId, SimTime> last_involved_;
+  PullRule cooldown_;  // Post-migration block bookkeeping only.
 };
 
 }  // namespace speedbal

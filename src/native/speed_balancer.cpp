@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <optional>
 
 #include "util/log.hpp"
 
@@ -48,8 +49,7 @@ void NativeSpeedBalancer::pin_round_robin() {
   const auto tids = procfs_.tids(target_);
   std::size_t i = 0;
   for (pid_t tid : tids) {
-    auto [it, inserted] = tids_.emplace(tid, TidState{});
-    it->second.seen = true;
+    const bool inserted = tids_.emplace(tid, TidState{}).second;
     if (inserted && config_.initial_round_robin) {
       const int err =
           set_affinity_errno(tid, CpuSet::single(cores_[i % cores_.size()]),
@@ -60,9 +60,7 @@ void NativeSpeedBalancer::pin_round_robin() {
   }
 }
 
-bool NativeSpeedBalancer::measure(std::map<int, double>& core_speed,
-                                  std::map<pid_t, double>& thread_speed,
-                                  std::map<pid_t, int>& thread_core) {
+bool NativeSpeedBalancer::measure() {
   const std::int64_t fails_before = procfs_.read_failures();
   const auto samples = procfs_.all_task_times(target_);
   const auto now = Clock::now();
@@ -77,32 +75,37 @@ bool NativeSpeedBalancer::measure(std::map<int, double>& core_speed,
 
   const double hz = static_cast<double>(Procfs::ticks_per_second());
   const double wall = have_sample_ ? seconds_between(last_sample_, now) : 0.0;
-
-  std::map<int, std::pair<double, int>> acc;  // core -> (speed sum, count).
+  const bool ready = have_sample_;
+  if (ready) {
+    const auto slots = static_cast<std::size_t>(cores_.back()) + 1;
+    core_speeds_.assign(slots, 0.0);
+    present_.assign(slots, 0);
+    on_core_.assign(slots, 0);
+    for (const int c : cores_) present_[static_cast<std::size_t>(c)] = 1;
+    threads_.clear();
+  }
   for (const auto& s : samples) {
     auto& st = tids_[s.tid];
-    if (have_sample_ && wall > 0.0) {
+    // Threads on CPUs outside the managed set are neither measured nor
+    // pullable.
+    const auto cpu = static_cast<std::size_t>(s.cpu);
+    if (ready && wall > 0.0 && s.cpu >= 0 && cpu < present_.size() &&
+        present_[cpu] != 0) {
       const double cpu_s = static_cast<double>(s.total_ticks() - st.last_ticks) / hz;
-      const double speed = std::clamp(cpu_s / wall, 0.0, 1.0);
-      thread_speed[s.tid] = speed;
-      thread_core[s.tid] = s.cpu;
-      auto& [sum, count] = acc[s.cpu];
-      sum += speed;
-      ++count;
+      core_speeds_[cpu] += std::clamp(cpu_s / wall, 0.0, 1.0);
+      ++on_core_[cpu];
+      threads_.push_back({s.tid, s.cpu, st.migrations});
     }
     st.last_ticks = s.total_ticks();
   }
   last_sample_ = now;
-  const bool ready = have_sample_;
   have_sample_ = true;
   if (!ready) return false;
 
-  for (int c : cores_) {
-    const auto it = acc.find(c);
+  for (const int c : cores_) {
+    const auto i = static_cast<std::size_t>(c);
     // An empty core offers full speed to anything migrated there.
-    core_speed[c] = it == acc.end() || it->second.second == 0
-                        ? 1.0
-                        : it->second.first / it->second.second;
+    core_speeds_[i] = on_core_[i] == 0 ? 1.0 : core_speeds_[i] / on_core_[i];
   }
   return true;
 }
@@ -116,12 +119,14 @@ int NativeSpeedBalancer::step() {
           : std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
                                                                   trace_origin_)
                 .count();
+  obs::DecisionLog* log =
+      recorder_ != nullptr ? &recorder_->decisions() : nullptr;
   const auto log_sample_failed = [&] {
-    if (recorder_ == nullptr) return;
+    if (log == nullptr) return;
     obs::DecisionRecord rec;
     rec.ts_us = ts_us;
     rec.reason = obs::PullReason::SampleFailed;
-    recorder_->decisions().add(rec);
+    log->add(rec);
   };
   // A target that exited but has not been reaped yet keeps its /proc entry
   // as a zombie; treat an all-zombie (or thread-less) process as exited, or
@@ -146,22 +151,15 @@ int NativeSpeedBalancer::step() {
   }
   pin_round_robin();  // Pick up dynamically spawned threads.
 
-  std::map<int, double> core_speed;
-  std::map<pid_t, double> thread_speed;
-  std::map<pid_t, int> thread_core;
   const std::int64_t sample_fails_before = sample_failures_;
-  if (!measure(core_speed, thread_speed, thread_core)) {
+  if (!measure()) {
     if (sample_failures_ > sample_fails_before) log_sample_failed();
     return 0;
   }
 
   double global = 0.0;
-  for (const auto& [c, s] : core_speed) {
-    (void)c;
-    global += s;
-  }
-  global /= static_cast<double>(core_speed.size());
-  core_speeds_ = core_speed;
+  for (const int c : cores_) global += core_speeds_[static_cast<std::size_t>(c)];
+  global /= static_cast<double>(cores_.size());
   global_speed_ = global;
 
   std::int64_t sample_seq = -1;
@@ -171,14 +169,9 @@ int NativeSpeedBalancer::step() {
     sample.observer = -1;  // Sequential sweep, not a per-core balancer.
     sample.global = global;
     for (const int c : cores_) {
-      const double s = core_speed.at(c);
+      const double s = core_speeds_[static_cast<std::size_t>(c)];
       sample.core_speed.push_back(s);
-      int managed = 0;
-      for (const auto& [tid, core] : thread_core) {
-        (void)tid;
-        if (core == c) ++managed;
-      }
-      sample.queue_len.push_back(managed);
+      sample.queue_len.push_back(on_core_[static_cast<std::size_t>(c)]);
       sample.below_threshold.push_back(global > 0.0 &&
                                        s / global < config_.threshold);
     }
@@ -186,29 +179,14 @@ int NativeSpeedBalancer::step() {
   }
   if (global <= 0.0) return 0;
 
-  const auto now = Clock::now();
-  const auto block = config_.post_migration_block * config_.interval;
-  const auto blocked = [&](int c) {
-    const auto it = last_involved_.find(c);
-    return it != last_involved_.end() && now - it->second < block;
-  };
-  const auto log_decision = [&](int local, obs::PullReason reason, int source,
-                                double source_speed, std::int64_t victim = -1,
-                                bool tie_break = false) {
-    if (recorder_ == nullptr) return;
-    obs::DecisionRecord rec;
-    rec.ts_us = ts_us;
-    rec.local = local;
-    rec.source = source;
-    rec.victim = victim;
-    rec.tie_break = tie_break;
-    rec.local_speed = core_speed.at(local);
-    rec.source_speed = source_speed;
-    rec.global = global;
-    rec.reason = reason;
-    rec.sample_seq = sample_seq;
-    recorder_->decisions().add(rec);
-  };
+  const SimTime now = std::chrono::duration_cast<std::chrono::microseconds>(
+                          Clock::now().time_since_epoch())
+                          .count();
+  const SimTime interval_us = config_.interval.count() * kMsec;
+  const PullLimits limits{config_.threshold,
+                          config_.post_migration_block * interval_us,
+                          /*cache_block_scale=*/1.0,
+                          kHotPotatoGuard * interval_us};
 
   // Per-core balancer passes in random order (the distributed balancers of
   // the paper wake with random jitter; order is the only difference).
@@ -226,108 +204,69 @@ int NativeSpeedBalancer::step() {
 
   int moved = 0;
   for (int local : order) {
+    obs::DecisionRecord pull;
+    pull.ts_us = ts_us;
+    pull.local = local;
+    pull.local_speed = core_speeds_[static_cast<std::size_t>(local)];
+    pull.global = global;
+    pull.sample_seq = sample_seq;
+    const auto log_outcome = [&](obs::PullReason reason) {
+      pull.reason = reason;
+      if (log != nullptr) log->add(pull);
+    };
     if (quarantined(local)) {
-      log_decision(local, obs::PullReason::CoreOffline, -1, 0.0);
+      log_outcome(obs::PullReason::CoreOffline);
       continue;
     }
-    if (core_speed.at(local) <= global) {
-      log_decision(local, obs::PullReason::BelowAverage, -1, 0.0);
-      continue;
-    }
-    if (blocked(local)) {
-      log_decision(local, obs::PullReason::LocalBlocked, -1, 0.0);
-      continue;
-    }
-    int source = -1;
-    double source_speed = 2.0;
-    for (int c : cores_) {
-      if (c == local) continue;
-      const double s = core_speed.at(c);
-      if (quarantined(c)) {
-        log_decision(local, obs::PullReason::CoreOffline, c, s);
-        continue;
-      }
-      if (blocked(c)) {
-        log_decision(local, obs::PullReason::MigrationBlocked, c, s);
-        continue;
-      }
-      if (s / global >= config_.threshold) {
-        log_decision(local, obs::PullReason::AboveThreshold, c, s);
-        continue;
-      }
+    const auto veto = [&](int c) -> std::optional<obs::PullReason> {
+      if (quarantined(c)) return obs::PullReason::CoreOffline;
       if (config_.block_numa && c < topo_.num_cpus() &&
-          local < topo_.num_cpus() && !topo_.same_numa(local, c)) {
-        log_decision(local, obs::PullReason::NumaBlocked, c, s);
-        continue;
-      }
-      if (s < source_speed) {
-        source_speed = s;
-        source = c;
-      }
-    }
-    if (source < 0) {
-      log_decision(local, obs::PullReason::NoCandidate, -1, 0.0);
-      continue;
-    }
+          local < topo_.num_cpus() && !topo_.same_numa(local, c))
+        return obs::PullReason::NumaBlocked;
+      return std::nullopt;
+    };
+    pull = rule_.decide(pull, core_speeds_, present_, threads_, now, limits,
+                        veto, [](int, int) { return false; }, log);
+    if (pull.victim < 0) continue;
 
-    pid_t victim = -1;
-    int victim_migrations = 0;
-    int co_minimal = 0;  // Threads tied at the minimum migration count.
-    for (const auto& [tid, core] : thread_core) {
-      if (core != source) continue;
-      const int m = tids_[tid].migrations;
-      if (victim < 0 || m < victim_migrations) {
-        victim = tid;
-        victim_migrations = m;
-        co_minimal = 1;
-      } else if (m == victim_migrations) {
-        ++co_minimal;
-      }
-    }
-    if (victim < 0) {
-      log_decision(local, obs::PullReason::NoVictim, source, source_speed);
-      continue;
-    }
+    const auto victim = static_cast<pid_t>(pull.victim);
     const int err = set_affinity_errno(victim, CpuSet::single(local),
                                        config_.affinity_retry,
                                        config_.fault_injector);
     if (err == ESRCH) continue;  // Tid raced away; not a failure.
-    if (err == EINVAL) {
-      // The destination core vanished (hotplug): every pull into it would
-      // fail the same way, so quarantine it instead of retrying blindly.
-      dead_until_[local] = pass_count_ + config_.dead_core_backoff_passes;
-      ++affinity_failures_;
-      log_decision(local, obs::PullReason::CoreOffline, source, source_speed,
-                   victim);
-      if (recorder_ != nullptr) recorder_->incr("affinity.einval");
-      continue;
-    }
     if (err != 0) {
       ++affinity_failures_;
-      log_decision(local, obs::PullReason::AffinityFailed, source, source_speed,
-                   victim);
-      if (recorder_ != nullptr) recorder_->incr("affinity.failed");
+      pull.tie_break = false;
+      if (err == EINVAL) {
+        // The destination core vanished (hotplug): every pull into it would
+        // fail the same way, so quarantine it instead of retrying blindly.
+        dead_until_[local] = pass_count_ + config_.dead_core_backoff_passes;
+        log_outcome(obs::PullReason::CoreOffline);
+        if (recorder_ != nullptr) recorder_->incr("affinity.einval");
+      } else {
+        log_outcome(obs::PullReason::AffinityFailed);
+        if (recorder_ != nullptr) recorder_->incr("affinity.failed");
+      }
       continue;
     }
     dead_until_.erase(local);  // A successful pull proves the core is back.
     ++tids_[victim].migrations;
     ++migrations_;
     ++moved;
-    last_involved_[local] = now;
-    last_involved_[source] = now;
-    thread_core[victim] = local;
-    log_decision(local, obs::PullReason::Pulled, source, source_speed, victim,
-                 /*tie_break=*/co_minimal > 1);
+    rule_.record_pull(pull.source, local, victim, now);
+    for (PullThread& t : threads_)
+      if (t.id == victim) t = {victim, local, tids_[victim].migrations};
+    log_outcome(obs::PullReason::Pulled);
     if (recorder_ != nullptr) {
       recorder_->trace().instant(ts_us, local, "migration", "migrate",
                                  {{"tid", static_cast<double>(victim)},
-                                  {"from", static_cast<double>(source)},
+                                  {"from", static_cast<double>(pull.source)},
                                   {"to", static_cast<double>(local)}},
                                  {{"cause", "speed"}});
       recorder_->incr("migrations.speed");
     }
     SB_LOG(Debug) << "native speedbalancer: tid " << victim << " core "
-                  << source << " -> " << local;
+                  << pull.source << " -> " << local;
   }
   return moved;
 }

@@ -7,7 +7,9 @@
 #include <cstdint>
 #include <map>
 #include <thread>
+#include <vector>
 
+#include "balance/pull_rule.hpp"
 #include "native/affinity.hpp"
 #include "native/cpu_topology.hpp"
 #include "native/procfs.hpp"
@@ -42,9 +44,11 @@ struct NativeBalancerConfig {
 
 /// The paper's speedbalancer as a real POSIX program component: monitors
 /// the threads of a target process through /proc, pins them round-robin at
-/// startup, and periodically pulls the least-migrated thread from a core
-/// whose measured speed (delta CPU time / delta wall time) is below the
-/// global average, using sched_setaffinity.
+/// startup, and periodically measures speeds (delta CPU time / delta wall
+/// time) into per-CPU arrays and pulls, with sched_setaffinity, the thread
+/// the simulator's Section-5 rule (balance/pull_rule.hpp) picks, so the same
+/// state logs the same reasons. Quarantined and NUMA-crossing cores are its
+/// vetoes; there is no domain block and no shared-cache block scaling.
 ///
 /// The paper runs one balancer thread per core with no shared state except
 /// the global speed; within a single process that distribution only adds
@@ -73,8 +77,9 @@ class NativeSpeedBalancer {
   void stop();
 
   std::int64_t migrations() const { return migrations_; }
-  /// Speeds from the most recent pass, per core (for tests/telemetry).
-  const std::map<int, double>& core_speeds() const { return core_speeds_; }
+  /// Speeds from the most recent pass, indexed by CPU up to the highest
+  /// managed one (for tests/telemetry).
+  const std::vector<double>& core_speeds() const { return core_speeds_; }
   double global_speed() const { return global_speed_; }
   /// Cores currently quarantined after EINVAL pull failures (hotplugged
   /// out); probed again after dead_core_backoff_passes passes.
@@ -95,12 +100,10 @@ class NativeSpeedBalancer {
   struct TidState {
     long last_ticks = 0;
     int migrations = 0;
-    bool seen = false;
   };
 
-  bool measure(std::map<int, double>& core_speed,
-               std::map<pid_t, double>& thread_speed,
-               std::map<pid_t, int>& thread_core);
+  /// Fill core_speeds_/present_/on_core_/threads_; false until two samples.
+  bool measure();
 
   pid_t target_;
   NativeBalancerConfig config_;
@@ -113,8 +116,12 @@ class NativeSpeedBalancer {
   std::chrono::steady_clock::time_point last_sample_{};
   bool have_sample_ = false;
 
-  std::map<int, std::chrono::steady_clock::time_point> last_involved_;
-  std::map<int, double> core_speeds_;
+  PullRule rule_;
+  // Per-pass measurement, indexed by CPU (present_ marks managed CPUs).
+  std::vector<double> core_speeds_;
+  std::vector<std::uint8_t> present_;
+  std::vector<int> on_core_;  // Measured threads per CPU.
+  std::vector<PullThread> threads_;
   double global_speed_ = 0.0;
   std::int64_t migrations_ = 0;
   /// Quarantine bookkeeping: core -> pass index at which to probe again.

@@ -13,7 +13,8 @@ namespace speedbal::obs {
 enum class PullReason {
   Pulled = 0,        ///< A migration was performed.
   BelowAverage,      ///< Pass skipped: local core not faster than the global average.
-  LocalBlocked,      ///< Pass skipped: local core inside its post-migration block.
+  LocalBlocked,      ///< Unused: kept as a report key (a blocked local core
+                     ///< logs MigrationBlocked per candidate).
   AboveThreshold,    ///< Candidate rejected: s_k / s_global >= T_s.
   MigrationBlocked,  ///< Candidate rejected: inside its post-migration block.
   NumaBlocked,       ///< Candidate rejected: would cross a NUMA boundary.

@@ -220,6 +220,7 @@ class Simulator {
   const Task& task(TaskId id) const {
     return tasks_.at(static_cast<std::size_t>(id));
   }
+  Task& task(TaskId id) { return tasks_.at(static_cast<std::size_t>(id)); }
 
   /// True if the balancer may move `t` to `to` (affinity, liveness; note
   /// Linux additionally refuses Running tasks — that is the caller's rule).

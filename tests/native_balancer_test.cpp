@@ -2,14 +2,17 @@
 
 #include <gtest/gtest.h>
 #include <signal.h>
+#include <sys/syscall.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <thread>
 
+#include "check/invariants.hpp"
 #include "obs/recorder.hpp"
 #include "util/json.hpp"
 
@@ -225,6 +228,175 @@ TEST(NativeSpeedBalancer, RecorderSafeAcrossThreads) {
   worker.join();
   EXPECT_GT(reads, 0u);
   EXPECT_GE(rec.timeline().size(), 1u);
+}
+
+TEST(NativeSpeedBalancer, ThreadsOutsideManagedCpusAreIgnored) {
+  // Dense per-CPU arrays span the managed CPUs only: a thread the fixture
+  // reports on CPU 5 must not be measured, counted or offered as a victim.
+  if (!improbable_pids_free()) GTEST_SKIP();
+  FakeProc proc;
+  const long hz = Procfs::ticks_per_second();
+  proc.set_thread(kPid, kTidA, 0, 0);
+  proc.set_thread(kPid, kTidB, 0, 5);
+  NativeSpeedBalancer balancer(kPid, test_config(), Procfs(proc.root()),
+                               two_cpu_topology());
+  obs::RunRecorder rec;
+  balancer.set_recorder(&rec);
+  balancer.step();
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  proc.set_thread(kPid, kTidA, 0, 0);
+  proc.set_thread(kPid, kTidB, 100 * hz, 5);
+  EXPECT_EQ(balancer.step(), 0);
+  ASSERT_EQ(balancer.core_speeds().size(), 2u);
+  EXPECT_NEAR(balancer.core_speeds().at(0), 0.0, 1e-9);
+  EXPECT_NEAR(balancer.core_speeds().at(1), 1.0, 1e-9);  // Empty.
+  EXPECT_NEAR(balancer.global_speed(), 0.5, 1e-9);
+  const auto sample = rec.timeline().snapshot().back();
+  EXPECT_EQ(sample.queue_len, (std::vector<int>{1, 0}));
+  for (const obs::DecisionRecord& d : rec.decisions().snapshot())
+    EXPECT_NE(d.victim, kTidB);
+}
+
+/// A parked helper thread of this process: a real tid that
+/// sched_setaffinity accepts, whose CPU time the fixture reports.
+class ParkedThread {
+ public:
+  ParkedThread() {
+    std::promise<pid_t> tid;
+    std::future<pid_t> got = tid.get_future();
+    worker_ = std::thread([this, &tid] {
+      tid.set_value(static_cast<pid_t>(::syscall(SYS_gettid)));
+      release_.get_future().wait();
+    });
+    tid_ = got.get();
+  }
+  ~ParkedThread() {
+    release_.set_value();
+    worker_.join();
+  }
+  pid_t tid() const { return tid_; }
+
+ private:
+  std::promise<void> release_;
+  std::thread worker_;
+  pid_t tid_ = -1;
+};
+
+/// One NUMA node holding CPUs 0..n-1.
+SysTopology flat_topology(int n) {
+  SysTopology topo;
+  for (int i = 0; i < n; ++i) {
+    SysCpu cpu;
+    cpu.cpu = i;
+    cpu.thread_siblings = CpuSet::single(i);
+    cpu.cache_siblings = CpuSet::single(i);
+    topo.cpus.push_back(cpu);
+  }
+  return topo;
+}
+
+/// Run the simulator's post-hoc Section-5 checkers (threshold, cooldown,
+/// speed-accounting, oscillation) over a native decision log, with the
+/// migrations rebuilt from its Pulled records.
+void expect_section5_rules_hold(const obs::RunRecorder& rec,
+                                const NativeBalancerConfig& config) {
+  check::SpeedRuleInputs in;
+  in.threshold = config.threshold;
+  in.interval = config.interval.count() * kMsec;
+  in.post_migration_block = config.post_migration_block;
+  in.block_numa = config.block_numa;
+  in.decisions = rec.decisions().snapshot();
+  for (const obs::DecisionRecord& d : in.decisions)
+    if (d.reason == obs::PullReason::Pulled)
+      in.migrations.push_back({d.ts_us, static_cast<TaskId>(d.victim),
+                               d.source, d.local,
+                               MigrationCause::SpeedBalancer});
+  EXPECT_FALSE(in.migrations.empty());
+  std::vector<check::Violation> out;
+  check::check_speed_rules(in, out);
+  check::TuningRuleInputs tin;
+  tin.interval = in.interval;
+  tin.hot_potato_guard = kHotPotatoGuard;
+  tin.migrations = in.migrations;
+  check::check_oscillation(tin, out);
+  EXPECT_TRUE(out.empty()) << check::format_violations(out);
+}
+
+/// Two CPUs this process may run on, or none. The parity fixtures pull a
+/// real thread, so both must accept it.
+std::vector<int> two_allowed_cpus() {
+  const std::vector<int> cpus = get_affinity(0).cpus();
+  if (cpus.size() < 2) return {};
+  return {cpus[0], cpus[1]};
+}
+
+/// Parity fixture: one real thread `x` that makes no progress, first on CPU
+/// a while b is empty (so b pulls x from a), then on b while a is empty (so
+/// a is fast and b slow: the reverse pull's state).
+struct PullBack {
+  explicit PullBack(int post_migration_block) {
+    config = test_config();
+    config.cores = CpuSet::of({cpus[0], cpus[1]});
+    config.interval = std::chrono::milliseconds(1000);
+    config.post_migration_block = post_migration_block;
+  }
+  int pull_then_reverse(obs::RunRecorder& rec) {
+    const int a = cpus[0], b = cpus[1];
+    proc.set_thread(kPid, x.tid(), 0, a);
+    NativeSpeedBalancer balancer(kPid, config, Procfs(proc.root()),
+                                 flat_topology(b + 1));
+    balancer.set_recorder(&rec);
+    balancer.step();
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    proc.set_thread(kPid, x.tid(), 0, a);
+    EXPECT_EQ(balancer.step(), 1);  // b pulls x from a.
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    proc.set_thread(kPid, x.tid(), 0, b);
+    const int moved = balancer.step();
+    migrations = balancer.migrations();
+    return moved;
+  }
+
+  std::vector<int> cpus = two_allowed_cpus();
+  FakeProc proc;
+  ParkedThread x;
+  NativeBalancerConfig config;
+  std::int64_t migrations = 0;
+};
+
+TEST(NativeSpeedBalancer, BlockedLocalCoreLogsMigrationBlockedPerCandidate) {
+  if (!improbable_pids_free() || two_allowed_cpus().empty()) GTEST_SKIP();
+  PullBack fx(/*post_migration_block=*/2);
+  obs::RunRecorder rec;
+  // a is fast but inside its post-migration block: like the simulator, the
+  // rule rejects the slow candidate b as migration-blocked.
+  EXPECT_EQ(fx.pull_then_reverse(rec), 0);
+  const auto counts = rec.decisions().counts();
+  EXPECT_EQ(counts[static_cast<std::size_t>(obs::PullReason::MigrationBlocked)], 1);
+  EXPECT_EQ(counts[static_cast<std::size_t>(obs::PullReason::LocalBlocked)], 0);
+  for (const obs::DecisionRecord& d : rec.decisions().snapshot())
+    if (d.reason == obs::PullReason::MigrationBlocked) {
+      EXPECT_EQ(d.local, fx.cpus[0]);
+      EXPECT_EQ(d.source, fx.cpus[1]);
+    }
+  expect_section5_rules_hold(rec, fx.config);
+}
+
+TEST(NativeSpeedBalancer, HotPotatoGuardStopsThePullBack) {
+  if (!improbable_pids_free() || two_allowed_cpus().empty()) GTEST_SKIP();
+  PullBack fx(/*post_migration_block=*/0);
+  obs::RunRecorder rec;
+  // No block, so only the guard stops a from pulling x straight back from
+  // b within kHotPotatoGuard intervals.
+  EXPECT_EQ(fx.pull_then_reverse(rec), 0);
+  EXPECT_EQ(fx.migrations, 1);
+  const auto counts = rec.decisions().counts();
+  EXPECT_EQ(counts[static_cast<std::size_t>(obs::PullReason::HotPotato)], 1);
+  EXPECT_EQ(counts[static_cast<std::size_t>(obs::PullReason::NoVictim)], 1);
+  for (const obs::DecisionRecord& d : rec.decisions().snapshot())
+    if (d.reason == obs::PullReason::HotPotato)
+      EXPECT_EQ(d.victim, fx.x.tid());
+  expect_section5_rules_hold(rec, fx.config);
 }
 
 TEST(NativeSpeedBalancer, BalancesRealSelfWithoutCrashing) {
