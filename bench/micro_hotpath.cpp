@@ -14,9 +14,9 @@
 //      observability layer's self-measured share of the traced wall time.
 //   5. Accounting churn: Metrics::record_exec, the one write the Simulator
 //      makes per stretch of execution (exec-table add + segment append).
-//   6. Far-future churn: schedule/cancel far-future events (perturb
-//      timelines, diurnal arrivals) against a live near-time stream — the
-//      timing-wheel tier's O(1) insert path versus heap sift traffic.
+//   6. Far-future churn: one far-future schedule (1/8 cancelled) per pop
+//      against a live near-time stream. A stress pattern for the heap's
+//      far inserts; none of perfbench's workloads schedules this densely.
 //
 //   micro_hotpath [--quick] [--seed=42] [--jobs=N] [--report-json=FILE]
 //                 [--check-against=FILE] [--check-tolerance=0.20]
@@ -294,7 +294,7 @@ int main(int argc, char** argv) {
     report.emit("accounting churn (one record_exec per stretch)", table);
   }
 
-  // --- 6. Far-future churn: timing-wheel tier ------------------------------
+  // --- 6. Far-future churn: far inserts into the heap -----------------------
   {
     const std::uint64_t far_iters = iters / 2;
     const double eps = best_events_per_sec(passes, [&] {
@@ -304,13 +304,13 @@ int main(int argc, char** argv) {
       std::uint64_t x = 777;
       for (std::uint64_t i = 0; i < far_iters; ++i) {
         x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-        // Far-future: past the wheel's near horizon, frequently past one
-        // ring revolution (overflow list + re-bucketing).
+        // Far-future: 70 ms to ~2 s ahead, so the pending set grows to
+        // thousands of far entries beneath the near stream.
         const SimTime far =
             q.now() + 70'000 + static_cast<SimTime>((x >> 16) % 2'000'000);
         const auto h = q.schedule(far, [fp] { ++*fp; });
-        if ((x & 7) == 0) q.cancel(h);  // Lazy cancel-in-wheel.
-        // A near event keeps the clock marching so buckets promote.
+        if ((x & 7) == 0) q.cancel(h);
+        // A near event keeps the clock marching.
         q.schedule(q.now() + 1 + static_cast<SimTime>(x % 64),
                    [fp] { ++*fp; });
         q.run_next();
@@ -322,7 +322,7 @@ int main(int argc, char** argv) {
     Table table({"pattern", "M events/s", "ns/event"});
     table.add_row({"far-future schedule + 1/8 cancel + drain",
                    Table::num(eps / 1e6, 2), Table::num(1e9 / eps, 1)});
-    report.emit("far-future churn (timing-wheel tier)", table);
+    report.emit("far-future churn (far inserts into the heap)", table);
   }
 
   // --- Metrics mirror + regression gate ------------------------------------

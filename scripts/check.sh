@@ -69,8 +69,8 @@ echo "== bench-smoke: hot-path micro vs committed baseline =="
 echo "== spmd-smoke: spmd-mode fuzz episodes =="
 # 25 spmd-mode episodes so every fuzz mode (spmd/serve/cluster/hetero) gets a
 # fixed-seed 25-episode leg. The spmd episodes drive the event-queue lockstep
-# oracle — now covering the timing-wheel tier (far-future schedules, lazy
-# cancels in buckets, equal-timestamp cross-tier promotion) — plus the
+# oracle — far-future schedules, cancels seconds ahead, equal-timestamp
+# far/near ties and the per-core timers included — plus the
 # exec-conservation probes that read the metrics exec table mid-run.
 "$repo/build/src/fuzzsim" --episodes=25 --mode=spmd --seed=505
 # Jobs-identity on a saturated bus: cg.B's every dispatch re-times all
@@ -166,8 +166,8 @@ echo "fuzz-smoke seed: $fuzz_seed"
 "$repo/build/src/fuzzsim" --episodes=400 --seed="$fuzz_seed" --max-seconds=30
 
 echo "== tsan: native balancer + serve + cluster + hetero + adaptive + util/queue tests =="
-# util_test and sim_test ride along so the wheel-tier event queue gets
-# sanitizer coverage.
+# util_test and sim_test ride along so the event queue gets sanitizer
+# coverage.
 cmake -B "$repo/build-tsan" -S "$repo" -DSPEEDBAL_SANITIZE=thread >/dev/null
 cmake --build "$repo/build-tsan" -j "$jobs" --target native_test perturb_test serve_test cluster_test hetero_test util_test sim_test adaptive_test
 ctest --test-dir "$repo/build-tsan" --output-on-failure -R 'native_test|perturb_test|serve_test|cluster_test|hetero_test|util_test|sim_test|adaptive_test'

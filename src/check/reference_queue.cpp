@@ -143,8 +143,8 @@ FirePlan random_plan(Rng& rng, int next_id, double spawn_chance) {
   FirePlan plan;
   if (rng.chance(spawn_chance)) {
     plan.spawn_child = true;
-    // Mostly immediate children; occasionally a far-future child, which
-    // lands in the wheel from inside a pop.
+    // Mostly immediate children; occasionally a far-future child scheduled
+    // from inside a pop.
     plan.child_dt = rng.chance(0.5)   ? 0
                     : rng.chance(0.1) ? rng.uniform_int(70'000, 400'000)
                                       : rng.uniform_int(0, 20);
@@ -207,9 +207,9 @@ int fuzz_event_queue(std::uint64_t seed, int ops,
   };
 
   // Absolute times of recent far-future schedules, reused to land a second
-  // event (via the near-insert heap path once time has advanced) on the
-  // exact timestamp of an event sitting in the wheel: promotion must
-  // preserve the (time, seq) order across the two tiers.
+  // event (scheduled from close by once time has advanced) on the exact
+  // timestamp of an earlier far one: the queue must keep the (time, seq)
+  // order between them.
   std::vector<SimTime> far_times;
 
   for (int i = 0; i < ops; ++i) {
@@ -219,9 +219,8 @@ int fuzz_event_queue(std::uint64_t seed, int ops,
       ctl.new_event(now + rng.uniform_int(0, 25),
                     random_plan(rng, ctl.next_id, 0.30));
     } else if (op < 0.50) {
-      // Far-future schedule: beyond the wheel's near horizon (~65ms), often
-      // beyond one ring revolution (~1s), exercising the overflow list and
-      // its re-bucketing at revolution boundaries.
+      // Far-future schedule: 70 ms to 2.5 s ahead, the span of balancer
+      // wakes, perturb timelines and long sleeps.
       FirePlan plan;
       if (ctl.next_id > 0 && rng.chance(0.25))
         plan.cancel_id = static_cast<int>(rng.uniform_int(0, ctl.next_id - 1));
@@ -229,9 +228,8 @@ int fuzz_event_queue(std::uint64_t seed, int ops,
       far_times.push_back(t);
       ctl.new_event(t, plan);
     } else if (op < 0.54) {
-      // Re-hit a previously used far timestamp exactly: by now the earlier
-      // event may still be in the wheel while this one routes to the heap
-      // (or both share a bucket) — the equal-time promotion race.
+      // Re-hit a previously used far timestamp exactly: the earlier event
+      // must still fire first — the equal-time far/near tie.
       if (far_times.empty()) continue;
       const SimTime t = far_times[static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(far_times.size()) - 1))];
@@ -246,8 +244,8 @@ int fuzz_event_queue(std::uint64_t seed, int ops,
       ctl.ref.cancel(id);
     } else if (op < 0.74) {
       // Arm (or re-arm) a timer: near the clock, tied with heap entries; on
-      // a far timestamp, tied with an entry that may sit in the wheel; or
-      // far ahead of everything.
+      // a far timestamp, tied with an earlier far schedule; or far ahead of
+      // everything.
       const int k = static_cast<int>(rng.uniform_int(0, kTimers - 1));
       const double where = rng.uniform();
       SimTime t = now + rng.uniform_int(0, 25);

@@ -48,11 +48,10 @@ class ReferenceEventQueue {
 /// Drive EventQueue and ReferenceEventQueue in lockstep over a seeded random
 /// op script (schedules, cancels — including of already-fired handles — and
 /// pops whose handlers re-schedule at the current timestamp and cancel other
-/// events mid-pop). Far-future schedules land in EventQueue's timing-wheel
-/// tier, so the script also covers cancel-while-in-wheel, wheel-to-heap
-/// promotion racing a heap entry at the same timestamp, and overflow
-/// re-bucketing across ring revolutions. A few re-armable timers ride along:
-/// the script arms and disarms them (at timestamps tied with heap and wheel
+/// events mid-pop). Far-future schedules (up to 2.5 s ahead) cover cancels
+/// of events seconds out and a later near schedule landing on the exact
+/// timestamp of an earlier far one. A few re-armable timers ride along: the
+/// script arms and disarms them (at timestamps tied with near and far heap
 /// entries included), and handlers — timer handlers too — arm timers at the
 /// current timestamp and disarm-then-arm timers that already fired.
 /// Appends a Violation per divergence: pop-order mismatch, fired-set

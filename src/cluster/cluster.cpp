@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "perturb/sim_driver.hpp"
-#include "util/parallel.hpp"
 #include "workload/generator.hpp"
 
 namespace speedbal::cluster {
@@ -476,45 +475,28 @@ void export_result_to_recorder(const ClusterResult& result,
 
 ClusterResult run_cluster_repeats(const ClusterConfig& config, int repeats,
                                   int jobs) {
-  if (repeats <= 1) return run_cluster(config);
-  std::vector<ClusterResult> runs(static_cast<std::size_t>(repeats));
-  parallel_for_seeds(jobs, repeats, config.seed,
-                     [&](int rep, std::uint64_t seed) {
-                       ClusterConfig local = config;
-                       local.seed = seed;
-                       if (rep != 0) local.recorder = nullptr;
-                       local.export_result = false;
-                       runs[static_cast<std::size_t>(rep)] = run_cluster(local);
-                     });
-  // Merge in replica order — byte-identical for any `jobs`.
-  ClusterResult out = std::move(runs[0]);
-  double goodput_sum = out.goodput_rps;
-  for (std::size_t i = 1; i < runs.size(); ++i) {
-    const ClusterResult& run = runs[i];
-    out.stats.offered += run.stats.offered;
-    out.stats.admitted += run.stats.admitted;
-    out.stats.dropped += run.stats.dropped;
-    out.stats.completed += run.stats.completed;
-    out.stats.total_generated += run.stats.total_generated;
-    out.stats.total_completed += run.stats.total_completed;
-    out.stats.total_dropped += run.stats.total_dropped;
-    out.stats.in_transit_end += run.stats.in_transit_end;
-    out.stats.in_flight_end += run.stats.in_flight_end;
-    out.stats.latency.merge(run.stats.latency);
-    out.stats.queue_wait.merge(run.stats.queue_wait);
-    out.generated += run.generated;
-    goodput_sum += run.goodput_rps;
-    out.pool_migrations += run.pool_migrations;
-    out.peak_imbalance = std::max(out.peak_imbalance, run.peak_imbalance);
-    for (std::size_t n = 0; n < out.completed_by_node.size() &&
-                            n < run.completed_by_node.size();
-         ++n)
-      out.completed_by_node[n] += run.completed_by_node[n];
-  }
-  out.goodput_rps = goodput_sum / static_cast<double>(repeats);
-  if (config.recorder != nullptr && config.export_result)
-    export_result_to_recorder(out, *config.recorder);
-  return out;
+  return serve::run_replicas(
+      config, repeats, jobs, run_cluster,
+      [](ClusterResult& out, const ClusterResult& run) {
+        out.stats.offered += run.stats.offered;
+        out.stats.admitted += run.stats.admitted;
+        out.stats.dropped += run.stats.dropped;
+        out.stats.completed += run.stats.completed;
+        out.stats.total_generated += run.stats.total_generated;
+        out.stats.total_completed += run.stats.total_completed;
+        out.stats.total_dropped += run.stats.total_dropped;
+        out.stats.in_transit_end += run.stats.in_transit_end;
+        out.stats.in_flight_end += run.stats.in_flight_end;
+        out.stats.latency.merge(run.stats.latency);
+        out.stats.queue_wait.merge(run.stats.queue_wait);
+        out.generated += run.generated;
+        out.pool_migrations += run.pool_migrations;
+        out.peak_imbalance = std::max(out.peak_imbalance, run.peak_imbalance);
+        for (std::size_t n = 0; n < out.completed_by_node.size() &&
+                                n < run.completed_by_node.size();
+             ++n)
+          out.completed_by_node[n] += run.completed_by_node[n];
+      });
 }
 
 }  // namespace speedbal::cluster

@@ -261,7 +261,7 @@ class ClusterSim {
 /// Run the cluster scenario once.
 ClusterResult run_cluster(const ClusterConfig& config);
 
-/// Replica semantics of run_serve_repeats: salted seeds, merge in replica
+/// serve::run_replicas over run_cluster: salted seeds, merge in replica
 /// order, only replica 0 records — byte-identical for any `jobs`.
 ClusterResult run_cluster_repeats(const ClusterConfig& config, int repeats,
                                   int jobs);

@@ -8,19 +8,6 @@
 
 namespace speedbal::hetero {
 
-const char* to_string(ShareParams::Source s) {
-  switch (s) {
-    case ShareParams::Source::Speed: return "speed";
-    case ShareParams::Source::Count: return "count";
-  }
-  return "?";
-}
-
-ShareParams::Source parse_share_source(std::string_view s) {
-  if (s == "count") return ShareParams::Source::Count;
-  return ShareParams::Source::Speed;
-}
-
 ShareBalancer::ShareBalancer(ShareParams params, std::vector<CoreId> cores)
     : params_(params), cores_(std::move(cores)) {
   if (cores_.empty()) throw std::invalid_argument("ShareBalancer: no cores");

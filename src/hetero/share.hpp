@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <string_view>
 #include <vector>
 
 #include "app/partition.hpp"
@@ -56,9 +55,6 @@ struct ShareParams {
   /// epochs — tests drive epoch_once directly.
   bool automatic = true;
 };
-
-const char* to_string(ShareParams::Source s);
-ShareParams::Source parse_share_source(std::string_view s);
 
 /// The SHARE balancer: a Balancer (pins threads, runs a periodic epoch) and
 /// a PhasePartitioner (answers SpmdApp's per-phase work split). Each epoch

@@ -7,7 +7,6 @@
 
 #include "perturb/sim_driver.hpp"
 #include "serve/policy_stack.hpp"
-#include "util/parallel.hpp"
 #include "workload/generator.hpp"
 
 namespace speedbal::serve {
@@ -162,43 +161,23 @@ void export_result_to_recorder(const ServeResult& result,
 
 ServeResult run_serve_repeats(const ServeConfig& config, int repeats,
                               int jobs) {
-  if (repeats <= 1) return run_serve(config);
-  std::vector<ServeResult> runs(static_cast<std::size_t>(repeats));
-  parallel_for_seeds(jobs, repeats, config.seed,
-                     [&](int rep, std::uint64_t seed) {
-                       ServeConfig local = config;
-                       local.seed = seed;
-                       if (rep != 0) local.recorder = nullptr;
-                       // The merged result is exported once below; exporting
-                       // per replica would both waste the serialization and
-                       // record only replica 0's totals.
-                       local.export_result = false;
-                       runs[static_cast<std::size_t>(rep)] = run_serve(local);
-                     });
-  // Merge in replica order: counters sum, histograms merge (no
-  // re-recording of samples), goodput averages.
-  ServeResult out = std::move(runs[0]);
-  double goodput_sum = out.goodput_rps;
-  for (std::size_t r = 1; r < runs.size(); ++r) {
-    const ServeResult& run = runs[r];
-    out.stats.offered += run.stats.offered;
-    out.stats.admitted += run.stats.admitted;
-    out.stats.dropped += run.stats.dropped;
-    out.stats.completed += run.stats.completed;
-    out.stats.max_queue_depth =
-        std::max(out.stats.max_queue_depth, run.stats.max_queue_depth);
-    out.stats.latency.merge(run.stats.latency);
-    out.stats.queue_wait.merge(run.stats.queue_wait);
-    out.generated += run.generated;
-    goodput_sum += run.goodput_rps;
-    out.total_migrations += run.total_migrations;
-    for (const auto& [cause, n] : run.migrations_by_cause)
-      out.migrations_by_cause[cause] += n;
-  }
-  out.goodput_rps = goodput_sum / static_cast<double>(repeats);
-  if (config.recorder != nullptr && config.export_result)
-    export_result_to_recorder(out, *config.recorder);
-  return out;
+  // Histograms merge without re-recording samples.
+  return run_replicas(
+      config, repeats, jobs, run_serve,
+      [](ServeResult& out, const ServeResult& run) {
+        out.stats.offered += run.stats.offered;
+        out.stats.admitted += run.stats.admitted;
+        out.stats.dropped += run.stats.dropped;
+        out.stats.completed += run.stats.completed;
+        out.stats.max_queue_depth =
+            std::max(out.stats.max_queue_depth, run.stats.max_queue_depth);
+        out.stats.latency.merge(run.stats.latency);
+        out.stats.queue_wait.merge(run.stats.queue_wait);
+        out.generated += run.generated;
+        out.total_migrations += run.total_migrations;
+        for (const auto& [cause, n] : run.migrations_by_cause)
+          out.migrations_by_cause[cause] += n;
+      });
 }
 
 }  // namespace speedbal::serve

@@ -4,12 +4,14 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.hpp"
 #include "perturb/timeline.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/server.hpp"
+#include "util/parallel.hpp"
 #include "workload/arrivals.hpp"
 
 namespace speedbal::serve {
@@ -91,12 +93,46 @@ ServeResult run_serve(const ServeConfig& config);
 /// run_serve_repeats calls it once with the merged result.
 void export_result_to_recorder(const ServeResult& result, obs::RunRecorder& rec);
 
-/// Run `repeats` independent replicas (salted seeds derived from
-/// config.seed via replica_seed) up to `jobs`-way parallel and merge:
-/// counters are summed, latency histograms merged, goodput averaged. Only
-/// replica 0 records into config.recorder. Merging happens in replica
-/// order, so the result is byte-identical for any `jobs`. repeats <= 1 is
-/// exactly run_serve.
+/// The one replica runner behind run_serve_repeats and
+/// cluster::run_cluster_repeats. Runs `repeats` independent replicas of
+/// `run` (salted seeds derived from config.seed via replica_seed) up to
+/// `jobs`-way parallel. Only replica 0 records into config.recorder, and no
+/// replica exports its own result. `merge(out, replica)` folds replicas
+/// 1.. into replica 0's result in replica order, and goodput_rps is
+/// averaged here, so the result is byte-identical for any `jobs`. The
+/// merged result is exported once (export_result_to_recorder, found by
+/// argument-dependent lookup) when config.export_result is set.
+/// repeats <= 1 is exactly `run(config)`.
+template <typename Config, typename Run, typename Merge>
+auto run_replicas(const Config& config, int repeats, int jobs, Run run,
+                  Merge merge) {
+  using Result = decltype(run(config));
+  if (repeats <= 1) return run(config);
+  std::vector<Result> runs(static_cast<std::size_t>(repeats));
+  parallel_for_seeds(jobs, repeats, config.seed,
+                     [&](int rep, std::uint64_t seed) {
+                       Config local = config;
+                       local.seed = seed;
+                       if (rep != 0) local.recorder = nullptr;
+                       // Exporting per replica would both waste the
+                       // serialization and record only replica 0's totals.
+                       local.export_result = false;
+                       runs[static_cast<std::size_t>(rep)] = run(local);
+                     });
+  Result out = std::move(runs[0]);
+  double goodput_sum = out.goodput_rps;
+  for (std::size_t r = 1; r < runs.size(); ++r) {
+    merge(out, runs[r]);
+    goodput_sum += runs[r].goodput_rps;
+  }
+  out.goodput_rps = goodput_sum / static_cast<double>(repeats);
+  if (config.recorder != nullptr && config.export_result)
+    export_result_to_recorder(out, *config.recorder);
+  return out;
+}
+
+/// run_replicas over run_serve: counters are summed, latency histograms
+/// merged, goodput averaged.
 ServeResult run_serve_repeats(const ServeConfig& config, int repeats, int jobs);
 
 /// Sum of the managed cores' relative clock speeds: the machine's service

@@ -25,50 +25,6 @@ void EventQueue::rescan_timers() {
   timer_min_stale_ = false;
 }
 
-void EventQueue::wheel_insert(const HeapEntry& e) {
-  const auto pb = static_cast<std::uint64_t>(watermark_) >> kBucketBits;
-  const auto eb = static_cast<std::uint64_t>(e.time) >> kBucketBits;
-  if (eb - pb < kNumBuckets)
-    wheel_[eb & kBucketMask].push_back(e);
-  else
-    overflow_.push_back(e);
-  slot_pos_[e.slot] = kInWheel;
-  ++wheel_count_;
-}
-
-void EventQueue::promote_bucket() {
-  const auto pb = static_cast<std::uint64_t>(watermark_) >> kBucketBits;
-  if ((pb & kBucketMask) == 0 && !overflow_.empty()) {
-    // Ring revolution boundary: pull overflow entries that now fall within
-    // the ring's horizon into their buckets (dropping stale ones).
-    std::size_t keep = 0;
-    for (const HeapEntry& e : overflow_) {
-      if (e.slot >= slots_.size() || slots_[e.slot].seq != e.seq) continue;
-      const auto eb = static_cast<std::uint64_t>(e.time) >> kBucketBits;
-      if (eb - pb < kNumBuckets)
-        wheel_[eb & kBucketMask].push_back(e);
-      else
-        overflow_[keep++] = e;
-    }
-    overflow_.resize(keep);
-  }
-  auto& bucket = wheel_[pb & kBucketMask];
-  for (const HeapEntry& e : bucket) {
-    // Live entries go to the heap, which restores (time, seq) order among
-    // equal timestamps; cancelled entries are recognized by their stale seq
-    // and dropped. Entries from a later ring revolution that alias into
-    // this bucket are promoted early — the heap holds any future time
-    // correctly, it just carries them sooner.
-    if (e.slot < slots_.size() && slots_[e.slot].seq == e.seq &&
-        slot_pos_[e.slot] == kInWheel) {
-      heap_push(e);
-      --wheel_count_;
-    }
-  }
-  bucket.clear();
-  watermark_ += kBucketWidth;
-}
-
 void EventQueue::sift_up(std::size_t i) {
   HeapEntry e = heap_[i];
   while (i > 0) {

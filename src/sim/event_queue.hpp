@@ -134,32 +134,17 @@ struct EventHandle {
 /// equal times fire in insertion order and simulations stay bit-for-bit
 /// reproducible for a given seed.
 ///
-/// Two tiers. Near-future events (the dispatch/stop/preempt churn that is
-/// ~all of a simulation) go straight into an indexed 4-ary min-heap whose
-/// callables live in a freelist-recycled slot table — steady-state
-/// scheduling allocates nothing. Far-future events (perturb timelines,
-/// diurnal arrival schedules, long sleeps) land in a timing wheel: a ring
-/// of per-bucket lists plus an overflow list beyond the ring's horizon.
-/// A bucket-aligned watermark separates the tiers — every wheel entry's
-/// time is >= watermark_ — and the pop path promotes whole buckets into
-/// the heap (advancing the watermark) before it ever pops a heap entry at
-/// or past the watermark. Promotion therefore lands every wheel entry in
-/// the heap before any equal-or-later event fires, and the heap's
-/// (time, seq) order restores the global total order among equal
-/// timestamps. Far events thus cost O(1) to schedule and skip the heap
-/// entirely until their bucket comes due, instead of sifting through
-/// every near-term pop in between.
+/// Scheduled events live in an indexed 4-ary min-heap whose callables sit
+/// in a freelist-recycled slot table, so steady-state scheduling allocates
+/// nothing. The heap stays shallow in practice (a few dozen entries), so a
+/// far-future insert costs about as little as a near one.
 ///
-/// Cancellation in the wheel is lazy: the slot is released immediately and
-/// the stale ring entry is dropped at promotion by its seq mismatch (seqs
-/// are never reused, so a recycled slot cannot false-match).
-///
-/// Beside the two tiers sit a few fixed, re-armable timers (the Simulator's
+/// Beside the heap sit a few fixed, re-armable timers (the Simulator's
 /// per-core stop events, retimed on every speed change). Their keys live in
 /// a dense array with a lazily rescanned argmin instead of the heap, so a
 /// re-arm costs a few stores. Arming draws its seq from the same counter as
 /// schedule(), so the pop path — the smaller of the heap top and the
-/// earliest armed timer — keeps one (time, seq) total order over all tiers.
+/// earliest armed timer — keeps one (time, seq) total order over both.
 class EventQueue {
  public:
   /// Schedule `fn` at absolute time `t` (must be >= now()).
@@ -170,7 +155,7 @@ class EventQueue {
     Slot& s = slots_[slot];
     s.fn = std::move(fn);
     s.seq = seq;
-    insert_entry({t, seq, slot});
+    heap_push({t, seq, slot});
     return EventHandle{t, seq, slot};
   }
 
@@ -179,10 +164,7 @@ class EventQueue {
     if (!h.valid() || h.slot >= slots_.size()) return;
     Slot& s = slots_[h.slot];
     if (s.seq != h.seq) return;  // Already fired, cancelled, or recycled.
-    if (slot_pos_[h.slot] == kInWheel)
-      --wheel_count_;  // Ring/overflow entry goes stale; dropped at promotion.
-    else
-      heap_erase(slot_pos_[h.slot]);
+    heap_erase(slot_pos_[h.slot]);
     s.fn.reset();
     s.seq = 0;
     free_slots_.push_back(h.slot);
@@ -241,19 +223,15 @@ class EventQueue {
     return true;
   }
 
-  /// True when no events are pending (any tier, armed timers included).
-  bool empty() const {
-    return heap_.empty() && wheel_count_ == 0 && timers_armed_ == 0;
-  }
-  std::size_t size() const {
-    return heap_.size() + wheel_count_ + timers_armed_;
-  }
+  /// True when no events are pending (armed timers included).
+  bool empty() const { return heap_.empty() && timers_armed_ == 0; }
+  std::size_t size() const { return heap_.size() + timers_armed_; }
 
   /// Current simulation time (time of the last event popped).
   SimTime now() const { return now_; }
 
-  /// Time of the earliest pending event, or kNever if empty. May promote
-  /// wheel buckets into the heap to find it (hence non-const).
+  /// Time of the earliest pending event, or kNever if empty. Non-const:
+  /// finding it may rescan the timer argmin.
   SimTime next_time() { return tier_time(top_tier()); }
 
   /// Run events until simulation time would exceed `t`; leaves now() == t.
@@ -266,24 +244,9 @@ class EventQueue {
   /// throughput accounting).
   std::uint64_t executed() const { return executed_; }
 
-  /// Events currently parked in the wheel/overflow tier (test hook).
-  std::size_t wheel_size() const { return wheel_count_; }
-
  private:
   static constexpr std::size_t kArity = 4;
 
-  /// Wheel bucket width: 2^12 us ~= 4 ms. One ring revolution covers
-  /// kNumBuckets * 4 ms ~= 1 s; anything further sits in the overflow list
-  /// and is re-bucketed once per revolution.
-  static constexpr int kBucketBits = 12;
-  static constexpr SimTime kBucketWidth = SimTime{1} << kBucketBits;
-  static constexpr std::size_t kNumBuckets = 256;  // power of two
-  static constexpr std::size_t kBucketMask = kNumBuckets - 1;
-  /// Events at least this far ahead of now() are wheel candidates; nearer
-  /// ones always take the heap (the common case, kept zero-overhead).
-  static constexpr SimTime kFarHorizon = 16 * kBucketWidth;  // ~65 ms
-  /// slot_pos_ sentinel: the slot's entry lives in the wheel, not the heap.
-  static constexpr std::uint32_t kInWheel = 0xFFFFFFFFu;
   /// Timer-table bound: the argmin rescan is a linear pass, kept short (the
   /// Simulator registers one timer per core, at most 64).
   static constexpr std::size_t kMaxTimers = 64;
@@ -317,47 +280,23 @@ class EventQueue {
     return slot;
   }
 
-  /// Route a new entry to the heap or the wheel tier.
-  void insert_entry(const HeapEntry& e) {
-    if (e.time - now_ >= kFarHorizon && e.time >= watermark_) {
-      wheel_insert(e);
-      return;
-    }
-    heap_push(e);
-  }
-
   void heap_push(const HeapEntry& e) {
     heap_.push_back(e);
     slot_pos_[e.slot] = static_cast<std::uint32_t>(heap_.size() - 1);
     sift_up(heap_.size() - 1);
   }
 
-  /// Park `e` in the ring bucket covering its time, or the overflow list
-  /// when it is beyond the ring's horizon. Precondition: e.time >= watermark_.
-  void wheel_insert(const HeapEntry& e);
-
-  /// Ensure heap_[0] is the globally earliest pending event, promoting
-  /// wheel buckets as needed; returns false when both tiers are empty.
-  bool prepare_top() {
-    if (wheel_count_ == 0) return !heap_.empty();
-    while (heap_.empty() || heap_[0].time >= watermark_) {
-      promote_bucket();
-      if (wheel_count_ == 0) break;
-    }
-    return !heap_.empty();
-  }
-
   enum class Tier { None, Heap, Timer };
 
-  /// Which tier holds the globally earliest pending event: the heap top
-  /// (after wheel promotion) or the earliest armed timer.
+  /// Which tier holds the globally earliest pending event: the heap top or
+  /// the earliest armed timer.
   Tier top_tier() {
-    const bool heap = prepare_top();
     if (timers_armed_ != 0) {
       if (timer_min_stale_) rescan_timers();
-      if (!heap || before(timers_[timer_min_], heap_[0])) return Tier::Timer;
+      if (heap_.empty() || before(timers_[timer_min_], heap_[0]))
+        return Tier::Timer;
     }
-    return heap ? Tier::Heap : Tier::None;
+    return heap_.empty() ? Tier::None : Tier::Heap;
   }
 
   /// Time of the earliest event in `tier` (kNever for Tier::None).
@@ -401,11 +340,6 @@ class EventQueue {
   /// Recompute the cached argmin over the armed timers.
   void rescan_timers();
 
-  /// Promote every live entry of the next-due bucket into the heap and
-  /// advance the watermark one bucket width; re-buckets the overflow list
-  /// when the ring completes a revolution.
-  void promote_bucket();
-
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
   std::size_t min_child(std::size_t i, std::size_t n) const;
@@ -422,22 +356,10 @@ class EventQueue {
 
   std::vector<HeapEntry> heap_;
   std::vector<Slot> slots_;
-  /// Heap position of each slot's entry (kInWheel for wheel-tier entries),
-  /// parallel to slots_; kept out of Slot so sifting touches a dense 4-byte
-  /// array instead of 64-byte slots.
+  /// Heap position of each slot's entry, parallel to slots_; kept out of
+  /// Slot so sifting touches a dense 4-byte array instead of 64-byte slots.
   std::vector<std::uint32_t> slot_pos_;
   std::vector<std::uint32_t> free_slots_;
-
-  /// Ring of buckets indexed by (absolute bucket number & kBucketMask);
-  /// bucket vectors are recycled, so steady-state far scheduling allocates
-  /// nothing either.
-  std::vector<HeapEntry> wheel_[kNumBuckets];
-  std::vector<HeapEntry> overflow_;
-  /// Bucket-aligned promotion frontier: every wheel/overflow entry has
-  /// time >= watermark_; nothing at/past it may pop before promotion.
-  SimTime watermark_ = 0;
-  /// Live (uncancelled) entries across ring + overflow.
-  std::size_t wheel_count_ = 0;
 
   /// Re-armable timers: one (time, seq) key per timer, kTimerOff when
   /// disarmed (the `slot` field holds the timer id), and the callables

@@ -14,6 +14,7 @@
 #include "serve/scenarios.hpp"
 #include "serve/server.hpp"
 #include "topo/presets.hpp"
+#include "util/parallel.hpp"
 
 namespace speedbal::serve {
 namespace {
@@ -338,6 +339,88 @@ TEST(ServeRun, CapacityAndRateHelpers) {
   EXPECT_DOUBLE_EQ(capacity(topo, 2), 4.0);
   // util * capacity * 1e6 / mean_us.
   EXPECT_DOUBLE_EQ(rate_for_utilization(topo, 4, 0.5, 5000.0), 600.0);
+}
+
+// --- Replica runner ----------------------------------------------------------
+// run_replicas is checked on a stub run so each rule of the skeleton shows on
+// its own: salted seeds, the recorder on replica 0 only, no per-replica
+// export, replica-order merge, goodput averaged, one export of the merge.
+
+struct StubConfig {
+  std::uint64_t seed = 5;
+  obs::RunRecorder* recorder = nullptr;
+  bool export_result = true;
+};
+
+struct StubResult {
+  std::vector<std::uint64_t> seeds;  ///< Replica seeds, in merge order.
+  int recorded = 0;  ///< Replicas that saw the recorder.
+  int exported = 0;  ///< Replicas allowed to export their own result.
+  double goodput_rps = 0.0;
+};
+
+void export_result_to_recorder(const StubResult& result,
+                               obs::RunRecorder& rec) {
+  rec.incr("stub.exports");
+  rec.set_counter("stub.replicas",
+                  static_cast<std::int64_t>(result.seeds.size()));
+}
+
+StubResult stub_run(const StubConfig& config) {
+  StubResult r;
+  r.seeds = {config.seed};
+  r.recorded = config.recorder != nullptr ? 1 : 0;
+  r.exported = config.export_result ? 1 : 0;
+  r.goodput_rps = static_cast<double>(config.seed % 1000);
+  return r;
+}
+
+void stub_merge(StubResult& out, const StubResult& run) {
+  out.seeds.insert(out.seeds.end(), run.seeds.begin(), run.seeds.end());
+  out.recorded += run.recorded;
+  out.exported += run.exported;
+}
+
+TEST(ReplicaRunner, SaltsSeedsRecordsReplicaZeroAndExportsTheMergeOnce) {
+  for (const int jobs : {1, 3}) {
+    obs::RunRecorder rec;
+    StubConfig config;
+    config.recorder = &rec;
+    const StubResult out = run_replicas(config, 4, jobs, stub_run, stub_merge);
+    ASSERT_EQ(out.seeds.size(), 4u) << "jobs=" << jobs;
+    double goodput_sum = 0.0;
+    for (int r = 0; r < 4; ++r) {
+      EXPECT_EQ(out.seeds[static_cast<std::size_t>(r)], replica_seed(5, r));
+      goodput_sum += static_cast<double>(replica_seed(5, r) % 1000);
+    }
+    EXPECT_EQ(out.recorded, 1);
+    EXPECT_EQ(out.exported, 0);
+    EXPECT_DOUBLE_EQ(out.goodput_rps, goodput_sum / 4.0);
+    const auto counters = rec.counters();
+    EXPECT_EQ(counters.at("stub.exports"), 1);
+    EXPECT_EQ(counters.at("stub.replicas"), 4);
+  }
+}
+
+TEST(ReplicaRunner, OneRepeatIsThePlainRun) {
+  obs::RunRecorder rec;
+  StubConfig config;
+  config.recorder = &rec;
+  const StubResult out = run_replicas(config, 1, 4, stub_run, stub_merge);
+  EXPECT_EQ(out.seeds, (std::vector<std::uint64_t>{5}));
+  EXPECT_EQ(out.recorded, 1);
+  EXPECT_EQ(out.exported, 1);  // The run exports its own result.
+  EXPECT_EQ(rec.counters().count("stub.exports"), 0u);
+}
+
+TEST(ReplicaRunner, NoExportWhenTheCallerDisablesIt) {
+  obs::RunRecorder rec;
+  StubConfig config;
+  config.recorder = &rec;
+  config.export_result = false;
+  const StubResult out = run_replicas(config, 3, 2, stub_run, stub_merge);
+  EXPECT_EQ(out.recorded, 1);
+  EXPECT_EQ(rec.counters().count("stub.exports"), 0u);
 }
 
 }  // namespace

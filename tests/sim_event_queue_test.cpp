@@ -247,73 +247,69 @@ TEST(EventQueue, ScheduleAtCurrentTimeDuringPopRunsAfterPendingPeers) {
   EXPECT_EQ(order, (std::vector<char>{'A', 'B', 'a', 'C'}));
 }
 
-// --- Timing-wheel tier ------------------------------------------------------
-// Events further out than the near horizon park in a calendar wheel and are
-// promoted into the heap as the watermark advances. Ordering, cancellation,
-// and handle semantics must be indistinguishable from a heap-only queue.
+// --- Far-future events -----------------------------------------------------
+// Events seconds ahead of the clock (perturb timelines, balancer wakes, long
+// sleeps) share the heap with the near-term churn. Ordering, cancellation,
+// and handle semantics must not depend on how far ahead an event sits.
 
 TEST(EventQueue, FarFutureEventsFireInTimeOrder) {
   EventQueue q;
   std::vector<int> order;
-  // Mix near-horizon, in-ring, and beyond-one-revolution times (bucket width
-  // ~4ms, ring span ~1s).
-  q.schedule(2'000'000, [&] { order.push_back(4); });  // Overflow list.
-  q.schedule(500'000, [&] { order.push_back(3); });    // In the ring.
-  q.schedule(100'000, [&] { order.push_back(2); });    // In the ring.
-  q.schedule(10, [&] { order.push_back(1); });         // Heap.
-  EXPECT_GT(q.wheel_size(), 0u);
+  // Times from microseconds to seconds ahead, scheduled latest first.
+  q.schedule(2'000'000, [&] { order.push_back(4); });
+  q.schedule(500'000, [&] { order.push_back(3); });
+  q.schedule(100'000, [&] { order.push_back(2); });
+  q.schedule(10, [&] { order.push_back(1); });
   EXPECT_EQ(q.size(), 4u);
   q.run_all();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
   EXPECT_EQ(q.now(), 2'000'000);
-  EXPECT_EQ(q.wheel_size(), 0u);
+  EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueue, NextTimeSeesWheelOnlyEvent) {
+TEST(EventQueue, NextTimeSeesFarFutureOnlyEvent) {
   EventQueue q;
-  q.schedule(700'000, [] {});  // Far future: parks in the wheel.
+  q.schedule(700'000, [] {});
   EXPECT_EQ(q.next_time(), 700'000);
   EXPECT_FALSE(q.empty());
 }
 
-TEST(EventQueue, CancelInWheelPreventsExecution) {
+TEST(EventQueue, CancelFarFuturePreventsExecution) {
   EventQueue q;
   bool fired = false;
   const auto h = q.schedule(900'000, [&] { fired = true; });
-  EXPECT_GT(q.wheel_size(), 0u);
   q.cancel(h);
   EXPECT_EQ(q.size(), 0u);
-  q.cancel(h);  // Idempotent on a lazily-cancelled wheel entry.
+  q.cancel(h);  // Idempotent.
   q.run_all();
   EXPECT_FALSE(fired);
   EXPECT_EQ(q.now(), 0);  // Nothing ever fired.
 }
 
-TEST(EventQueue, CancelWheelHandleSparesSlotReuser) {
-  // A cancelled wheel entry is dropped lazily at promotion; its slot may be
-  // recycled before the bucket drains. The stale entry must not fire the
-  // slot's new occupant, and the new occupant must fire exactly once.
+TEST(EventQueue, CancelFarFutureHandleSparesSlotReuser) {
+  // A cancelled far-future event's slot is recycled by the next schedule at
+  // the same time. The new occupant must fire exactly once, and the old
+  // handle must stay dead.
   EventQueue q;
   const auto h1 = q.schedule(800'000, [] {});
-  q.cancel(h1);  // Lazy: the bucket still physically holds the entry.
+  q.cancel(h1);
   int fired = 0;
   const auto h2 = q.schedule(800'000, [&] { ++fired; });
-  EXPECT_EQ(h1.slot, h2.slot);  // Slot recycled while in-bucket.
+  EXPECT_EQ(h1.slot, h2.slot);  // Slot recycled.
+  q.cancel(h1);  // Stale handle: must not cancel the new occupant.
   q.run_all();
   EXPECT_EQ(fired, 1);
 }
 
-TEST(EventQueue, EqualTimestampAcrossTiersKeepsInsertionOrder) {
-  // A parks in the wheel; time advances; B is scheduled at the same instant
-  // but lands in the heap (now near-horizon). Promotion must put A ahead of
-  // B — global (time, seq) insertion order, regardless of tier.
+TEST(EventQueue, EqualTimestampScheduledFarAndNearKeepsInsertionOrder) {
+  // A is scheduled far ahead of t; time advances; B is scheduled at the same
+  // instant from close by. A must still fire ahead of B — global
+  // (time, seq) insertion order, however far ahead each was scheduled.
   EventQueue q;
   std::vector<char> order;
   const SimTime t = 500'000;
-  q.schedule(t, [&] { order.push_back('A'); });  // Far: wheel.
-  EXPECT_GT(q.wheel_size(), 0u);
+  q.schedule(t, [&] { order.push_back('A'); });
   q.schedule(t - 40'000, [&, t] {
-    // Inside the near horizon of t now; this insert routes to the heap.
     q.schedule(t, [&] { order.push_back('B'); });
   });
   q.run_all();
@@ -331,7 +327,7 @@ TEST(EventQueue, HandlerSchedulesFarFutureChild) {
   EXPECT_EQ(fired, (std::vector<SimTime>{10, 1'500'010}));
 }
 
-TEST(EventQueue, RunUntilLeavesWheelEventsPending) {
+TEST(EventQueue, RunUntilLeavesFarFutureEventsPending) {
   EventQueue q;
   int fired = 0;
   q.schedule(100, [&] { ++fired; });
@@ -343,9 +339,9 @@ TEST(EventQueue, RunUntilLeavesWheelEventsPending) {
   EXPECT_EQ(fired, 2);
 }
 
-TEST(EventQueue, ManyFarEventsAcrossRevolutionsStaySorted) {
-  // Deterministic pseudo-random times spanning several ring revolutions,
-  // including duplicates: the fired sequence must be non-decreasing and
+TEST(EventQueue, ManyFarEventsStaySorted) {
+  // Deterministic pseudo-random times spanning five seconds, including
+  // duplicates: the fired sequence must be non-decreasing and
   // complete.
   EventQueue q;
   std::vector<SimTime> fired;
@@ -423,19 +419,18 @@ TEST(EventQueue, TimerArmEqualsCancelPlusSchedule) {
   EXPECT_EQ(order, (std::vector<char>{'B', 'a', 'C'}));
 }
 
-TEST(EventQueue, TimerTiesWithWheelEntries) {
+TEST(EventQueue, TimerTiesWithFarFutureEntries) {
   EventQueue q;
   std::vector<char> order;
   const auto t = q.add_timer([&] { order.push_back('t'); });
   const auto u = q.add_timer([&] { order.push_back('u'); });
-  // A wheel entry at 800'000 armed-against after it was scheduled, and a
-  // timer armed at 900'000 before the wheel entry at the same time.
+  // A far-future entry at 800'000 armed-against after it was scheduled,
+  // and a timer armed at 900'000 before the entry at the same time.
   q.schedule(800'000, [&] { order.push_back('a'); });
-  EXPECT_GT(q.wheel_size(), 0u);
   q.arm(t, 800'000);
   q.arm(u, 900'000);
   q.schedule(900'000, [&] { order.push_back('b'); });
-  // Far -> near: re-arming a far timer next to the clock needs no tier move.
+  // Far -> near: re-arming a far timer next to the clock.
   const auto v = q.add_timer([&] { order.push_back('v'); });
   q.arm(v, 2'000'000);
   q.arm(v, 20);
