@@ -171,7 +171,9 @@ class ServeRuntime : public TaskClient {
     int cur_mig_start = 0;
   };
 
-  ShardLoad load_of(const Shard& s) const;
+  /// Re-key `worker`'s leaf in index_ after its load changed. A no-op for
+  /// the policies that keep no index (round-robin, weighted).
+  void reindex(int worker);
   void start_next(int worker);
   void finish_current(int worker);
   void sample();
@@ -186,10 +188,12 @@ class ServeRuntime : public TaskClient {
   /// completion O(workers).
   std::vector<int> worker_index_;
   std::vector<Shard> shards_;
+  /// Shard loads under JSQ (waiting + in service) or least-loaded (pending
+  /// demand); empty under the other policies.
+  DispatchIndex index_;
   std::uint64_t rr_cursor_ = 0;
   std::vector<double> shard_weights_;  ///< Empty until set_shard_weights.
   std::vector<double> wrr_credit_;     ///< Smooth-WRR running credit.
-  std::vector<ShardLoad> load_scratch_;  ///< Reused per inject (hot path).
   bool open_ = true;
   bool retired_ = false;
   ServeStats stats_;
