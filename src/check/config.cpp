@@ -68,9 +68,10 @@ serve::ServeConfig serve_experiment(const FuzzScenario& sc) {
   cfg.share = share_params(sc);
   // SHARE only reaches the request stream through dispatch weights, so a
   // SHARE serve episode exercises the weighted dispatcher (the SERVE-SHARE
-  // default); other policies keep the generated default.
-  if (sc.policy == Policy::Share)
-    cfg.serve.dispatch = serve::DispatchPolicy::Weighted;
+  // default); other policies use the generated dispatcher.
+  cfg.serve.dispatch = sc.policy == Policy::Share
+                           ? serve::DispatchPolicy::Weighted
+                           : sc.serve_dispatch;
   for (const perturb::PerturbEvent& ev : sc.perturb) cfg.perturb.add(ev);
   return cfg;
 }

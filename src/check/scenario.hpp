@@ -9,6 +9,7 @@
 #include "cluster/policy.hpp"
 #include "core/experiment.hpp"
 #include "perturb/timeline.hpp"
+#include "serve/dispatch.hpp"
 #include "workload/arrivals.hpp"
 
 namespace speedbal::check {
@@ -65,6 +66,9 @@ struct FuzzScenario {
   double mean_service_us = 3000.0;
   SimTime duration = sec(1);
   bool serve_busy_poll = false;  ///< IdleMode::Yield workers.
+  /// Shard dispatch of a serve episode (SHARE always dispatches weighted).
+  /// Defaults to the runtime's JSQ, which pre-dispatch replay specs ran.
+  serve::DispatchPolicy serve_dispatch = serve::DispatchPolicy::JoinShortestQueue;
 
   // Cluster episode shape (reuses the serve fields per node: `workers` is
   // workers per pool, `utilization` is cluster-wide offered load).

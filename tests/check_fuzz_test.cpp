@@ -60,6 +60,28 @@ TEST(CheckFuzz, ScenarioJsonRoundTripIsExact) {
   }
 }
 
+TEST(CheckFuzz, ServeDispatchIsDrawnAndOldSpecsDefaultToJsq) {
+  // Serve episodes draw their shard dispatch from rr / least-loaded / jsq.
+  std::vector<int> drawn(4, 0);
+  for (std::uint64_t seed = 1; seed <= 200; ++seed)
+    ++drawn[static_cast<std::size_t>(generate(seed).serve_dispatch)];
+  EXPECT_GT(drawn[static_cast<std::size_t>(serve::DispatchPolicy::RoundRobin)], 0);
+  EXPECT_GT(drawn[static_cast<std::size_t>(serve::DispatchPolicy::LeastLoaded)], 0);
+  EXPECT_GT(drawn[static_cast<std::size_t>(serve::DispatchPolicy::JoinShortestQueue)], 0);
+  EXPECT_EQ(drawn[static_cast<std::size_t>(serve::DispatchPolicy::Weighted)], 0);
+
+  // A replay spec written before the field existed still loads, as JSQ.
+  FuzzScenario sc = generate(4);
+  sc.serve_dispatch = serve::DispatchPolicy::LeastLoaded;
+  std::string json = sc.to_json();
+  const std::string field = "\"serve_dispatch\":\"least-loaded\",";
+  const std::size_t at = json.find(field);
+  ASSERT_NE(at, std::string::npos) << json;
+  json.erase(at, field.size());
+  EXPECT_EQ(FuzzScenario::from_json(json).serve_dispatch,
+            serve::DispatchPolicy::JoinShortestQueue);
+}
+
 TEST(CheckFuzz, JobsIdentityOracleOnBothModes) {
   // One SPMD and one serve scenario through the jobs=1 vs jobs=4 oracle.
   std::vector<Violation> violations;
