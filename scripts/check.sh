@@ -138,6 +138,14 @@ for j in 1 2; do
     --report-json="$repo/build/serve_speed_jobs$j.json" >/dev/null
 done
 cmp "$repo/build/serve_speed_jobs1.json" "$repo/build/serve_speed_jobs2.json"
+# The same leg under least-loaded dispatch, whose double-valued shard keys
+# and lowest-index ties go through the incremental dispatch index.
+for j in 1 2; do
+  "$repo/build/src/servesim" --setup=SERVE-SPEED --dispatch=least-loaded \
+    --repeats=2 --jobs="$j" \
+    --report-json="$repo/build/serve_speed_ll_jobs$j.json" >/dev/null
+done
+cmp "$repo/build/serve_speed_ll_jobs1.json" "$repo/build/serve_speed_ll_jobs2.json"
 
 echo "== adaptive-smoke: ablation bench, tuning-log query, stability fuzz =="
 # The quick adaptive-vs-fixed ablation, one adaptive serve episode whose
