@@ -84,7 +84,6 @@ class SpmdApp : public TaskClient {
   double phase_work(int thread_index);
   void arrive(Simulator& sim, Task& task);
   void release(Simulator& sim);
-  void give_work_or_finish(Simulator& sim, Task& task);
 
   Simulator& sim_;
   SpmdAppSpec spec_;

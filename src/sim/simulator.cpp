@@ -232,7 +232,6 @@ void Simulator::migrate(Task& t, CoreId to, MigrationCause cause) {
     // migration log (WakePlacement is the only recorded-but-uncounted cause).
     t.core_ref() = to;
     ++t.migrations_;
-    t.last_migration_ = now();
     metrics_.record_migration({now(), t.id(), from, to, cause});
     return;
   }
@@ -243,7 +242,6 @@ void Simulator::migrate(Task& t, CoreId to, MigrationCause cause) {
 
   t.warmup_remaining_ref() += memory_.migration_cost_us(t, from, to);
   ++t.migrations_;
-  t.last_migration_ = now();
   metrics_.record_migration({now(), t.id(), from, to, cause});
 
   t.core_ref() = to;
@@ -360,11 +358,6 @@ void Simulator::live_tasks(std::vector<Task*>& out) const {
 
 void Simulator::tasks_on(CoreId c, std::vector<Task*>& out) const {
   core(c).queue().tasks(out);
-}
-
-bool Simulator::can_migrate(const Task& t, CoreId to) const {
-  return t.state() != TaskState::Finished && t.allowed_on(to) &&
-         t.core() != to && core(to).online();
 }
 
 // --- Dispatch engine ----------------------------------------------------

@@ -222,10 +222,6 @@ class Simulator {
   }
   Task& task(TaskId id) { return tasks_.at(static_cast<std::size_t>(id)); }
 
-  /// True if the balancer may move `t` to `to` (affinity, liveness; note
-  /// Linux additionally refuses Running tasks — that is the caller's rule).
-  bool can_migrate(const Task& t, CoreId to) const;
-
   /// Hook invoked when a core's run queue empties (Linux new-idle
   /// balancing); the hook may migrate a task into the core.
   void set_idle_hook(std::function<void(CoreId)> hook) { idle_hook_ = std::move(hook); }

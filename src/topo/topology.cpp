@@ -75,24 +75,10 @@ std::vector<CoreId> Topology::cores_in_numa(int node) const {
   return out;
 }
 
-std::vector<CoreId> Topology::cores_in_socket(int socket) const {
-  std::vector<CoreId> out;
-  for (const auto& c : cores_)
-    if (c.socket == socket) out.push_back(c.id);
-  return out;
-}
-
 void Topology::set_clock_scale(CoreId id, double scale) {
   if (!(scale > 0.0))
     throw std::invalid_argument("set_clock_scale: scale must be > 0");
   cores_.at(static_cast<std::size_t>(id)).clock_scale = scale;
-}
-
-std::vector<CoreId> Topology::cores_in_cache_group(int group) const {
-  std::vector<CoreId> out;
-  for (const auto& c : cores_)
-    if (c.cache_group == group) out.push_back(c.id);
-  return out;
 }
 
 }  // namespace speedbal

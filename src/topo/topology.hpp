@@ -63,8 +63,6 @@ class Topology {
   bool same_cache(CoreId a, CoreId b) const;
 
   std::vector<CoreId> cores_in_numa(int node) const;
-  std::vector<CoreId> cores_in_socket(int socket) const;
-  std::vector<CoreId> cores_in_cache_group(int group) const;
 
  private:
   std::string name_;

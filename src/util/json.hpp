@@ -70,7 +70,6 @@ class JsonValue {
   static JsonValue parse(std::string_view text);
 
   Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::Null; }
 
   bool as_bool() const;
   double as_number() const;
