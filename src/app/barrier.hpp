@@ -1,5 +1,6 @@
 #pragma once
 
+#include "util/enum_names.hpp"
 #include "util/time.hpp"
 
 namespace speedbal {
@@ -19,7 +20,11 @@ enum class WaitPolicy {
               ///< re-check (the paper's modified UPC runtime).
 };
 
-const char* to_string(WaitPolicy p);
+inline constexpr auto kWaitPolicyNames = enum_names<WaitPolicy>(
+    "barrier policy", "spin", "yield", "sleep", "sleep-poll");
+static_assert(kWaitPolicyNames.ends_at(WaitPolicy::SleepPoll));
+
+inline const char* to_string(WaitPolicy p) { return kWaitPolicyNames[p]; }
 
 /// Barrier configuration shared by every thread of an SPMD application.
 struct BarrierConfig {

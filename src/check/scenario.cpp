@@ -13,57 +13,6 @@
 
 namespace speedbal::check {
 
-const char* to_string(Mode m) {
-  switch (m) {
-    case Mode::Spmd: return "spmd";
-    case Mode::Serve: return "serve";
-    case Mode::Cluster: return "cluster";
-  }
-  return "?";
-}
-
-Mode parse_mode(std::string_view name) {
-  for (Mode m : {Mode::Spmd, Mode::Serve, Mode::Cluster})
-    if (name == to_string(m)) return m;
-  throw std::invalid_argument("unknown mode: " + std::string(name) +
-                              " (available: spmd, serve, cluster)");
-}
-
-const char* to_string(BrokenMode b) {
-  switch (b) {
-    case BrokenMode::None: return "none";
-    case BrokenMode::CrossNuma: return "cross-numa";
-    case BrokenMode::Cooldown: return "cooldown";
-    case BrokenMode::Threshold: return "threshold";
-    case BrokenMode::LoseTask: return "lose-task";
-    case BrokenMode::HotPotato: return "hot-potato";
-  }
-  return "?";
-}
-
-BrokenMode parse_broken_mode(std::string_view name) {
-  for (BrokenMode b : {BrokenMode::None, BrokenMode::CrossNuma,
-                       BrokenMode::Cooldown, BrokenMode::Threshold,
-                       BrokenMode::LoseTask, BrokenMode::HotPotato})
-    if (name == to_string(b)) return b;
-  throw std::invalid_argument(
-      "unknown broken mode: " + std::string(name) +
-      " (available: none, cross-numa, cooldown, threshold, lose-task, "
-      "hot-potato)");
-}
-
-namespace {
-
-WaitPolicy parse_wait_policy(std::string_view name) {
-  for (WaitPolicy p : {WaitPolicy::Spin, WaitPolicy::Yield, WaitPolicy::Sleep,
-                       WaitPolicy::SleepPoll})
-    if (name == to_string(p)) return p;
-  throw std::invalid_argument("unknown barrier policy: " + std::string(name) +
-                              " (available: spin, yield, sleep, sleep-poll)");
-}
-
-}  // namespace
-
 int FuzzScenario::size() const {
   int s = cores + static_cast<int>(perturb.size()) + (adaptive ? 1 : 0);
   if (mode == Mode::Spmd) {
@@ -154,7 +103,7 @@ FuzzScenario FuzzScenario::from_json(std::string_view text) {
   sc.phases = static_cast<int>(doc.at("phases").as_int());
   sc.work_per_phase_us = doc.at("work_per_phase_us").as_number();
   sc.work_jitter = doc.at("work_jitter").as_number();
-  sc.barrier = parse_wait_policy(doc.at("barrier").as_string());
+  sc.barrier = kWaitPolicyNames.parse(doc.at("barrier").as_string());
   sc.workers = static_cast<int>(doc.at("workers").as_int());
   sc.arrival = workload::parse_arrival_kind(doc.at("arrival").as_string());
   sc.service = workload::parse_service_kind(doc.at("service").as_string());

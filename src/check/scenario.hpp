@@ -10,6 +10,7 @@
 #include "core/experiment.hpp"
 #include "perturb/timeline.hpp"
 #include "serve/dispatch.hpp"
+#include "util/enum_names.hpp"
 #include "workload/arrivals.hpp"
 
 namespace speedbal::check {
@@ -19,8 +20,12 @@ namespace speedbal::check {
 /// runtime, or the multi-node cluster simulation on top of it.
 enum class Mode { Spmd, Serve, Cluster };
 
-const char* to_string(Mode m);
-Mode parse_mode(std::string_view name);
+inline constexpr auto kModeNames =
+    enum_names<Mode>("mode", "spmd", "serve", "cluster");
+static_assert(kModeNames.ends_at(Mode::Cluster));
+
+inline const char* to_string(Mode m) { return kModeNames[m]; }
+inline Mode parse_mode(std::string_view name) { return kModeNames.parse(name); }
 
 /// Deliberate defect injected into an episode so the harness can prove each
 /// invariant class actually fires (and so a failing scenario — including an
@@ -36,8 +41,15 @@ enum class BrokenMode {
   HotPotato,  ///< A SPEED-cause pull pair ping-pongs one task A->B->A.
 };
 
-const char* to_string(BrokenMode b);
-BrokenMode parse_broken_mode(std::string_view name);
+inline constexpr auto kBrokenModeNames = enum_names<BrokenMode>(
+    "broken mode", "none", "cross-numa", "cooldown", "threshold", "lose-task",
+    "hot-potato");
+static_assert(kBrokenModeNames.ends_at(BrokenMode::HotPotato));
+
+inline const char* to_string(BrokenMode b) { return kBrokenModeNames[b]; }
+inline BrokenMode parse_broken_mode(std::string_view name) {
+  return kBrokenModeNames.parse(name);
+}
 
 /// One randomized, fully replayable fuzz scenario: every stochastic choice
 /// the episode makes downstream flows from `seed`, and every structural

@@ -2,29 +2,9 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <vector>
 
 namespace speedbal::cluster {
-
-const char* to_string(ClusterDispatch d) {
-  switch (d) {
-    case ClusterDispatch::RoundRobin: return "rr";
-    case ClusterDispatch::LeastLoaded: return "least-loaded";
-    case ClusterDispatch::JsqD: return "jsq";
-  }
-  return "?";
-}
-
-ClusterDispatch parse_cluster_dispatch(std::string_view name) {
-  if (name == "rr") return ClusterDispatch::RoundRobin;
-  if (name == "least-loaded") return ClusterDispatch::LeastLoaded;
-  if (name == "jsq") return ClusterDispatch::JsqD;
-  throw std::invalid_argument("unknown cluster dispatch: " + std::string(name) +
-                              " (available: rr, least-loaded, jsq)");
-}
-
-std::vector<std::string> cluster_dispatch_names() {
-  return {"rr", "least-loaded", "jsq"};
-}
 
 int pick_pool(ClusterDispatch d, int jsq_d, std::span<const PoolLoad> pools,
               std::uint64_t& rr_cursor, Rng& rng) {

@@ -2,10 +2,9 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <string_view>
-#include <vector>
 
+#include "util/enum_names.hpp"
 #include "util/rng.hpp"
 
 namespace speedbal::cluster {
@@ -19,11 +18,17 @@ enum class ClusterDispatch {
                 ///< (d = 2 is power-of-two-choices).
 };
 
-const char* to_string(ClusterDispatch d);
-/// Parse "rr" / "least-loaded" / "jsq" (JSQ(d) spelled "jsq"; d is a
-/// separate knob); throws std::invalid_argument otherwise.
-ClusterDispatch parse_cluster_dispatch(std::string_view name);
-std::vector<std::string> cluster_dispatch_names();
+/// JSQ(d) is spelled "jsq"; d is a separate knob.
+inline constexpr auto kClusterDispatchNames = enum_names<ClusterDispatch>(
+    "cluster dispatch", "rr", "least-loaded", "jsq");
+static_assert(kClusterDispatchNames.ends_at(ClusterDispatch::JsqD));
+
+inline const char* to_string(ClusterDispatch d) {
+  return kClusterDispatchNames[d];
+}
+inline ClusterDispatch parse_cluster_dispatch(std::string_view name) {
+  return kClusterDispatchNames.parse(name);
+}
 
 /// Per-pool load as the frontend sees it: requests dispatched to the pool
 /// (including those still in the network hop) and not yet completed or

@@ -10,19 +10,6 @@
 
 namespace speedbal {
 
-const char* to_string(Policy p) {
-  switch (p) {
-    case Policy::Load: return "LOAD";
-    case Policy::Speed: return "SPEED";
-    case Policy::Pinned: return "PINNED";
-    case Policy::Dwrr: return "DWRR";
-    case Policy::Ule: return "ULE";
-    case Policy::None: return "NONE";
-    case Policy::Share: return "SHARE";
-  }
-  return "?";
-}
-
 bool ExperimentResult::all_completed() const {
   for (const auto& r : runs)
     if (!r.completed) return false;

@@ -18,6 +18,7 @@
 #include "obs/recorder.hpp"
 #include "perturb/timeline.hpp"
 #include "topo/topology.hpp"
+#include "util/enum_names.hpp"
 #include "util/stats.hpp"
 
 namespace speedbal {
@@ -36,7 +37,14 @@ enum class Policy {
            ///< per-phase work shares follow measured core speed (hetero).
 };
 
-const char* to_string(Policy p);
+/// Only the serve, cluster and fuzz front ends parse a Policy (batch runs
+/// name a scenarios::Setup), hence the noun "serve policy".
+inline constexpr auto kPolicyNames =
+    enum_names<Policy>("serve policy", "LOAD", "SPEED", "PINNED", "DWRR",
+                       "ULE", "NONE", "SHARE");
+static_assert(kPolicyNames.ends_at(Policy::Share));
+
+inline const char* to_string(Policy p) { return kPolicyNames[p]; }
 
 /// One experiment: an SPMD application on a machine under a policy,
 /// repeated with different seeds (the paper reports 10+ runs everywhere

@@ -6,20 +6,6 @@
 
 namespace speedbal::scenarios {
 
-const char* to_string(Setup s) {
-  switch (s) {
-    case Setup::OnePerCore: return "One-per-core";
-    case Setup::Pinned: return "PINNED";
-    case Setup::LoadYield: return "LOAD-YIELD";
-    case Setup::LoadSleep: return "LOAD-SLEEP";
-    case Setup::SpeedYield: return "SPEED-YIELD";
-    case Setup::SpeedSleep: return "SPEED-SLEEP";
-    case Setup::Dwrr: return "DWRR";
-    case Setup::FreeBsd: return "FreeBSD";
-  }
-  return "?";
-}
-
 ExperimentConfig npb_config(const Topology& topo, const NpbProfile& prof,
                             int nthreads, int cores, Setup setup, int repeats,
                             std::uint64_t seed) {

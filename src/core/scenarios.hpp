@@ -4,6 +4,7 @@
 #include <string>
 
 #include "core/experiment.hpp"
+#include "util/enum_names.hpp"
 #include "workload/npb.hpp"
 
 namespace speedbal::scenarios {
@@ -21,7 +22,12 @@ enum class Setup {
   FreeBsd,     ///< ULE push balancer; sched_yield barriers.
 };
 
-const char* to_string(Setup s);
+inline constexpr auto kSetupNames = enum_names<Setup>(
+    "setup", "One-per-core", "PINNED", "LOAD-YIELD", "LOAD-SLEEP",
+    "SPEED-YIELD", "SPEED-SLEEP", "DWRR", "FreeBSD");
+static_assert(kSetupNames.ends_at(Setup::FreeBsd));
+
+inline const char* to_string(Setup s) { return kSetupNames[s]; }
 
 /// Build the experiment configuration for running `prof` compiled with
 /// `nthreads` threads on the first `cores` cores of `topo` under `setup`.

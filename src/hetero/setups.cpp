@@ -6,17 +6,6 @@
 
 namespace speedbal::hetero {
 
-const char* to_string(HeteroPolicy p) {
-  switch (p) {
-    case HeteroPolicy::Share: return "SHARE";
-    case HeteroPolicy::ShareCount: return "SHARE-COUNT";
-    case HeteroPolicy::Speed: return "SPEED";
-    case HeteroPolicy::Load: return "LOAD";
-    case HeteroPolicy::Pinned: return "PINNED";
-  }
-  return "?";
-}
-
 std::string clock_ladder(const Topology& t) {
   const auto fmt = [](double v) {
     char buf[32];

@@ -6,6 +6,7 @@
 
 #include "perturb/timeline.hpp"
 #include "topo/topology.hpp"
+#include "util/enum_names.hpp"
 #include "util/time.hpp"
 
 namespace speedbal::hetero {
@@ -21,7 +22,11 @@ enum class HeteroPolicy {
   Pinned,      ///< Round-robin pin, no balancing at all.
 };
 
-const char* to_string(HeteroPolicy p);
+inline constexpr auto kHeteroPolicyNames = enum_names<HeteroPolicy>(
+    "hetero policy", "SHARE", "SHARE-COUNT", "SPEED", "LOAD", "PINNED");
+static_assert(kHeteroPolicyNames.ends_at(HeteroPolicy::Pinned));
+
+inline const char* to_string(HeteroPolicy p) { return kHeteroPolicyNames[p]; }
 
 /// A named asymmetric-machine experiment preset: a heterogeneous topology
 /// (by presets::by_name) plus the policy to run on it, with a one-line

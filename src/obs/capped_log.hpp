@@ -36,7 +36,7 @@ struct FieldType<Field> {
 /// per outcome. Counters are bumped on every add before the cap check: the
 /// cap bounds memory, not the statistics.
 template <class Record, std::size_t DefaultCap, auto KindField = nullptr,
-          int NumKinds = 0>
+          std::size_t NumKinds = 0>
 class CappedLog {
  public:
   using Kind = typename detail::FieldType<KindField>::type;

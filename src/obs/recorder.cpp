@@ -48,13 +48,12 @@ std::map<std::string, std::int64_t> RunRecorder::counters() const {
     out = counters_;
   }
   const auto counts = decisions_.counts();
-  for (int r = 0; r < kNumPullReasons; ++r) {
-    const auto reason = static_cast<PullReason>(r);
-    if (reason == PullReason::Pulled)
-      out["pulls.performed"] = counts[static_cast<std::size_t>(r)];
+  for (std::size_t r = 0; r < counts.size(); ++r) {
+    if (r == static_cast<std::size_t>(PullReason::Pulled))
+      out["pulls.performed"] = counts[r];
     else
-      out["pulls.rejected." + std::string(to_string(reason))] =
-          counts[static_cast<std::size_t>(r)];
+      out["pulls.rejected." + std::string(kPullReasonNames.names[r])] =
+          counts[r];
   }
   const std::int64_t dropped = trace_.dropped_spans();
   if (dropped > 0) out["trace.dropped_spans"] = dropped;
@@ -504,9 +503,8 @@ void RunRecorder::write_report_json(std::ostream& os) const {
   w.key("decisions").begin_object();
   w.key("by_reason").begin_object();
   const auto counts = decisions_.counts();
-  for (int r = 0; r < kNumPullReasons; ++r)
-    w.kv(to_string(static_cast<PullReason>(r)),
-         counts[static_cast<std::size_t>(r)]);
+  for (std::size_t r = 0; r < counts.size(); ++r)
+    w.kv(kPullReasonNames.names[r], counts[r]);
   w.end_object();
   w.kv("dropped_records", decisions_.dropped());
   w.key("records").begin_array();

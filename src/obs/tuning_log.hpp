@@ -1,10 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "obs/capped_log.hpp"
+#include "util/enum_names.hpp"
 
 namespace speedbal::obs {
 
@@ -21,12 +21,11 @@ enum class TuningOutcome {
   Dwell,          ///< A switch was indicated but the dwell gate held it.
 };
 
-inline constexpr int kNumTuningOutcomes =
-    static_cast<int>(TuningOutcome::Dwell) + 1;
+inline constexpr auto kTuningOutcomeNames = enum_names<TuningOutcome>(
+    "tuning outcome", "bootstrap", "kept", "switched", "anticipated", "dwell");
+static_assert(kTuningOutcomeNames.ends_at(TuningOutcome::Dwell));
 
-const char* to_string(TuningOutcome o);
-/// Inverse of to_string; returns Kept for unrecognized strings.
-TuningOutcome parse_tuning_outcome(std::string_view s);
+inline const char* to_string(TuningOutcome o) { return kTuningOutcomeNames[o]; }
 
 /// One controller-epoch record. `arm` is the portfolio index in force after
 /// the decision (`prev_arm` before it); the interval/threshold/block/cache
@@ -54,6 +53,7 @@ struct TuningRecord {
 /// Append-only, capped tuning-epoch log — one record per controller epoch,
 /// so its growth is bounded by run length / balance interval, not traffic.
 using TuningLog =
-    CappedLog<TuningRecord, 100000, &TuningRecord::outcome, kNumTuningOutcomes>;
+    CappedLog<TuningRecord, 100000, &TuningRecord::outcome,
+              kTuningOutcomeNames.size()>;
 
 }  // namespace speedbal::obs

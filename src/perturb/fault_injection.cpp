@@ -2,14 +2,6 @@
 
 namespace speedbal::perturb {
 
-const char* to_string(FaultOp op) {
-  switch (op) {
-    case FaultOp::SetAffinity: return "set-affinity";
-    case FaultOp::ProcfsRead: return "procfs-read";
-  }
-  return "?";
-}
-
 void FaultInjector::fail_next(FaultOp op, int count, int err) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& s = ops_[static_cast<std::size_t>(op)];

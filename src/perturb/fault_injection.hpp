@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <mutex>
 
+#include "util/enum_names.hpp"
+
 namespace speedbal::perturb {
 
 /// Operations the native layer exposes to fault injection.
@@ -12,9 +14,11 @@ enum class FaultOp {
   ProcfsRead,   ///< One /proc/<pid>/task/<tid>/stat read.
 };
 
-inline constexpr int kNumFaultOps = 2;
+inline constexpr auto kFaultOpNames =
+    enum_names<FaultOp>("fault op", "set-affinity", "procfs-read");
+static_assert(kFaultOpNames.ends_at(FaultOp::ProcfsRead));
 
-const char* to_string(FaultOp op);
+inline const char* to_string(FaultOp op) { return kFaultOpNames[op]; }
 
 /// Deterministic failure-injection shim for the native balancer: arms a
 /// number of consecutive failures per operation, each simulating a given
@@ -47,7 +51,7 @@ class FaultInjector {
   };
 
   mutable std::mutex mu_;
-  std::array<State, kNumFaultOps> ops_{};
+  std::array<State, kFaultOpNames.size()> ops_{};
 };
 
 }  // namespace speedbal::perturb

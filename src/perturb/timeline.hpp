@@ -5,6 +5,7 @@
 #include <string_view>
 #include <vector>
 
+#include "util/enum_names.hpp"
 #include "util/time.hpp"
 
 namespace speedbal::perturb {
@@ -27,9 +28,12 @@ enum class PerturbKind {
                  ///< (thermal throttling / frequency-ladder curves).
 };
 
-inline constexpr int kNumPerturbKinds = 9;
+inline constexpr auto kPerturbKindNames = enum_names<PerturbKind>(
+    "perturbation", "dvfs", "offline", "online", "hog-start", "hog-stop",
+    "spike", "fail-affinity", "fail-procfs", "dvfs-ramp");
+static_assert(kPerturbKindNames.ends_at(PerturbKind::DvfsRamp));
 
-const char* to_string(PerturbKind k);
+inline const char* to_string(PerturbKind k) { return kPerturbKindNames[k]; }
 
 /// One scheduled perturbation. Which fields matter depends on `kind`:
 /// `core` targets Dvfs / DvfsRamp / CoreOffline / CoreOnline / HogStart

@@ -12,6 +12,22 @@
 
 namespace speedbal::serve {
 
+bool print_listing(const Cli& cli, std::span<const char* const> dispatch) {
+  std::span<const char* const> names;
+  if (cli.has("list-policies"))
+    names = kPolicyNames.names;
+  else if (cli.has("list-dispatch"))
+    names = dispatch;
+  else if (cli.has("list-arrivals"))
+    names = workload::kArrivalKindNames.names;
+  else if (cli.has("list-services"))
+    names = workload::kServiceKindNames.names;
+  else
+    return false;
+  for (const char* n : names) std::cout << n << "\n";
+  return true;
+}
+
 ServeConfig parse_serve_config(const Cli& cli) {
   ServeConfig config;
   config.topo = presets::by_name(cli.get("topo", "tigerton"));

@@ -5,34 +5,6 @@
 
 namespace speedbal::serve {
 
-const char* to_string(DispatchPolicy p) {
-  switch (p) {
-    case DispatchPolicy::RoundRobin: return "rr";
-    case DispatchPolicy::LeastLoaded: return "least-loaded";
-    case DispatchPolicy::JoinShortestQueue: return "jsq";
-    case DispatchPolicy::Weighted: return "weighted";
-  }
-  return "?";
-}
-
-std::vector<std::string> dispatch_policy_names() {
-  return {"rr", "least-loaded", "jsq", "weighted"};
-}
-
-DispatchPolicy parse_dispatch_policy(std::string_view name) {
-  for (DispatchPolicy p :
-       {DispatchPolicy::RoundRobin, DispatchPolicy::LeastLoaded,
-        DispatchPolicy::JoinShortestQueue, DispatchPolicy::Weighted})
-    if (name == to_string(p)) return p;
-  std::string available;
-  for (const auto& n : dispatch_policy_names()) {
-    if (!available.empty()) available += ", ";
-    available += n;
-  }
-  throw std::invalid_argument("unknown dispatch policy: " + std::string(name) +
-                              " (available: " + available + ")");
-}
-
 DispatchIndex::DispatchIndex(int shards)
     : node_(2 * static_cast<std::size_t>(shards)) {
   const std::size_t n = node_.size() / 2;

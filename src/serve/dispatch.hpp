@@ -2,10 +2,11 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include "util/enum_names.hpp"
 
 namespace speedbal::serve {
 
@@ -23,11 +24,16 @@ enum class DispatchPolicy {
   Weighted,
 };
 
-const char* to_string(DispatchPolicy p);
-/// Parse "rr" / "least-loaded" / "jsq" / "weighted"; throws
-/// std::invalid_argument naming the valid values otherwise.
-DispatchPolicy parse_dispatch_policy(std::string_view name);
-std::vector<std::string> dispatch_policy_names();
+inline constexpr auto kDispatchPolicyNames = enum_names<DispatchPolicy>(
+    "dispatch policy", "rr", "least-loaded", "jsq", "weighted");
+static_assert(kDispatchPolicyNames.ends_at(DispatchPolicy::Weighted));
+
+inline const char* to_string(DispatchPolicy p) {
+  return kDispatchPolicyNames[p];
+}
+inline DispatchPolicy parse_dispatch_policy(std::string_view name) {
+  return kDispatchPolicyNames.parse(name);
+}
 
 /// Incremental first-minimum over per-shard load keys: a winner (tournament)
 /// tree of (key, shard) pairs, with leaves at [W, 2W) and node i holding the

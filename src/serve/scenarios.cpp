@@ -27,28 +27,6 @@ double rate_for_utilization(const Topology& topo, int cores,
   return utilization * capacity(topo, cores) * 1e6 / mean_service_us;
 }
 
-std::vector<std::string> serve_setup_names() {
-  std::vector<std::string> out;
-  for (Policy p : {Policy::Speed, Policy::Load, Policy::Pinned, Policy::Dwrr,
-                   Policy::Ule, Policy::None, Policy::Share})
-    out.push_back(std::string("SERVE-") + to_string(p));
-  return out;
-}
-
-Policy parse_serve_policy(std::string_view name) {
-  for (Policy p : {Policy::Speed, Policy::Load, Policy::Pinned, Policy::Dwrr,
-                   Policy::Ule, Policy::None, Policy::Share})
-    if (name == to_string(p)) return p;
-  std::string available;
-  for (Policy p : {Policy::Speed, Policy::Load, Policy::Pinned, Policy::Dwrr,
-                   Policy::Ule, Policy::None, Policy::Share}) {
-    if (!available.empty()) available += ", ";
-    available += to_string(p);
-  }
-  throw std::invalid_argument("unknown serve policy: " + std::string(name) +
-                              " (available: " + available + ")");
-}
-
 ServeResult run_serve(const ServeConfig& config) {
   if (config.warmup >= config.duration)
     throw std::invalid_argument("run_serve: warmup must be < duration");

@@ -144,13 +144,10 @@ double capacity(const Topology& topo, int cores);
 double rate_for_utilization(const Topology& topo, int cores,
                             double utilization, double mean_service_us);
 
-/// The named serve scenarios advertised by `simrun --list-setups`
-/// ("SERVE-SPEED", "SERVE-LOAD", ...): one per balancing policy.
-std::vector<std::string> serve_setup_names();
-
-/// Parse a serve policy name ("SPEED", "LOAD", "PINNED", "DWRR", "ULE",
-/// "NONE", "SHARE"); throws std::invalid_argument naming the valid values
-/// otherwise.
-Policy parse_serve_policy(std::string_view name);
+/// Parse a serve policy name ("LOAD", "SPEED", ...); throws
+/// std::invalid_argument naming the valid values otherwise.
+inline Policy parse_serve_policy(std::string_view name) {
+  return kPolicyNames.parse(name);
+}
 
 }  // namespace speedbal::serve

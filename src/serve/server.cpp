@@ -13,21 +13,6 @@ namespace {
 constexpr double kBootWorkUs = 1.0;
 }  // namespace
 
-const char* to_string(IdleMode m) {
-  switch (m) {
-    case IdleMode::Sleep: return "sleep";
-    case IdleMode::Yield: return "yield";
-  }
-  return "?";
-}
-
-IdleMode parse_idle_mode(std::string_view name) {
-  if (name == "sleep") return IdleMode::Sleep;
-  if (name == "yield") return IdleMode::Yield;
-  throw std::invalid_argument("unknown idle mode: " + std::string(name) +
-                              " (available: sleep, yield)");
-}
-
 ServeRuntime::ServeRuntime(Simulator& sim, ServeParams params)
     : sim_(sim), params_(params), sampler_(params.span_sampling_log2) {
   if (params_.workers < 1)

@@ -12,6 +12,7 @@
 #include "serve/dispatch.hpp"
 #include "serve/request.hpp"
 #include "sim/simulator.hpp"
+#include "util/enum_names.hpp"
 #include "util/stats.hpp"
 
 namespace speedbal::serve {
@@ -27,10 +28,14 @@ enum class IdleMode {
   Yield,  ///< Busy-poll with sched_yield (DPDK/seastar-style runtimes).
 };
 
-const char* to_string(IdleMode m);
-/// Parse "sleep" / "yield"; throws std::invalid_argument naming the valid
-/// values otherwise.
-IdleMode parse_idle_mode(std::string_view name);
+inline constexpr auto kIdleModeNames =
+    enum_names<IdleMode>("idle mode", "sleep", "yield");
+static_assert(kIdleModeNames.ends_at(IdleMode::Yield));
+
+inline const char* to_string(IdleMode m) { return kIdleModeNames[m]; }
+inline IdleMode parse_idle_mode(std::string_view name) {
+  return kIdleModeNames.parse(name);
+}
 
 /// Tunables of the serving runtime.
 struct ServeParams {

@@ -33,42 +33,19 @@
 // parallel with output byte-identical for any N.
 
 #include <cstdio>
-#include <iostream>
 
 #include "cluster/cli.hpp"
+#include "serve/cli.hpp"
 #include "util/log.hpp"
 
 int main(int argc, char** argv) {
   using namespace speedbal;
   try {
     const Cli cli(argc, argv);
-    if (cli.has("list-policies")) {
-      for (const Policy p : {Policy::Speed, Policy::Load, Policy::Pinned,
-                             Policy::Dwrr, Policy::Ule, Policy::None})
-        std::cout << to_string(p) << "\n";
+    if (serve::print_listing(cli, cluster::kClusterDispatchNames.names))
       return 0;
-    }
-    if (cli.has("list-dispatch")) {
-      for (const auto& n : cluster::cluster_dispatch_names())
-        std::cout << n << "\n";
-      return 0;
-    }
-    if (cli.has("list-arrivals")) {
-      for (const auto& n : workload::arrival_kind_names()) std::cout << n << "\n";
-      return 0;
-    }
-    if (cli.has("list-services")) {
-      for (const auto& n : workload::service_kind_names()) std::cout << n << "\n";
-      return 0;
-    }
-    if (cli.has("log-level")) {
-      const auto level = parse_log_level(cli.get("log-level"));
-      if (!level)
-        throw std::invalid_argument(
-            "unknown log level: " + cli.get("log-level") +
-            " (available: trace, debug, info, warn, error)");
-      set_log_level(*level);
-    }
+    if (cli.has("log-level"))
+      set_log_level(kLogLevelNames.parse(cli.get("log-level")));
     return cluster::cluster_main(cli, "clustersim");
   } catch (const std::exception& e) {
     std::fprintf(stderr, "clustersim: %s\n", e.what());

@@ -27,7 +27,6 @@
 // Pareto service: --pareto-shape.
 
 #include <cstdio>
-#include <iostream>
 
 #include "serve/cli.hpp"
 #include "util/log.hpp"
@@ -36,32 +35,9 @@ int main(int argc, char** argv) {
   using namespace speedbal;
   try {
     const Cli cli(argc, argv);
-    if (cli.has("list-policies")) {
-      for (const Policy p : {Policy::Speed, Policy::Load, Policy::Pinned,
-                             Policy::Dwrr, Policy::Ule, Policy::None})
-        std::cout << to_string(p) << "\n";
-      return 0;
-    }
-    if (cli.has("list-dispatch")) {
-      for (const auto& n : serve::dispatch_policy_names()) std::cout << n << "\n";
-      return 0;
-    }
-    if (cli.has("list-arrivals")) {
-      for (const auto& n : workload::arrival_kind_names()) std::cout << n << "\n";
-      return 0;
-    }
-    if (cli.has("list-services")) {
-      for (const auto& n : workload::service_kind_names()) std::cout << n << "\n";
-      return 0;
-    }
-    if (cli.has("log-level")) {
-      const auto level = parse_log_level(cli.get("log-level"));
-      if (!level)
-        throw std::invalid_argument(
-            "unknown log level: " + cli.get("log-level") +
-            " (available: trace, debug, info, warn, error)");
-      set_log_level(*level);
-    }
+    if (serve::print_listing(cli, serve::kDispatchPolicyNames.names)) return 0;
+    if (cli.has("log-level"))
+      set_log_level(kLogLevelNames.parse(cli.get("log-level")));
     return serve::serve_main(cli, "servesim");
   } catch (const std::exception& e) {
     std::fprintf(stderr, "servesim: %s\n", e.what());

@@ -49,54 +49,23 @@
 #include "util/parallel.hpp"
 #include "util/table.hpp"
 
-namespace {
-
-constexpr speedbal::scenarios::Setup kAllSetups[] = {
-    speedbal::scenarios::Setup::OnePerCore,
-    speedbal::scenarios::Setup::Pinned,
-    speedbal::scenarios::Setup::LoadYield,
-    speedbal::scenarios::Setup::LoadSleep,
-    speedbal::scenarios::Setup::SpeedYield,
-    speedbal::scenarios::Setup::SpeedSleep,
-    speedbal::scenarios::Setup::Dwrr,
-    speedbal::scenarios::Setup::FreeBsd};
-
-speedbal::scenarios::Setup parse_setup(const std::string& name) {
-  using speedbal::scenarios::Setup;
-  constexpr const auto& kAll = kAllSetups;
-  std::string available;
-  for (Setup s : kAll) {
-    if (name == to_string(s)) return s;
-    if (!available.empty()) available += ", ";
-    available += to_string(s);
-  }
-  throw std::invalid_argument("unknown setup: " + name +
-                              " (available: " + available + ")");
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace speedbal;
   try {
     const Cli cli(argc, argv);
     if (cli.has("list-setups")) {
-      for (const auto s : kAllSetups) std::cout << to_string(s) << "\n";
-      for (const auto& s : serve::serve_setup_names()) std::cout << s << "\n";
+      for (const char* s : scenarios::kSetupNames.names) std::cout << s << "\n";
+      // One serve scenario per balancing policy: SERVE-LOAD, SERVE-SPEED...
+      for (const char* p : kPolicyNames.names)
+        std::cout << "SERVE-" << p << "\n";
       // The asymmetric-machine presets carry their topology in the setup,
       // so each line says what machine it builds.
       for (const auto& s : hetero::hetero_setups())
         std::cout << s.name << "\t" << s.description << "\n";
       return 0;
     }
-    if (cli.has("log-level")) {
-      const auto level = parse_log_level(cli.get("log-level"));
-      if (!level)
-        throw std::invalid_argument(
-            "unknown log level: " + cli.get("log-level") +
-            " (available: trace, debug, info, warn, error)");
-      set_log_level(*level);
-    }
+    if (cli.has("log-level"))
+      set_log_level(kLogLevelNames.parse(cli.get("log-level")));
     if (cli.has("serve") || cli.get("setup").rfind("SERVE-", 0) == 0)
       return serve::serve_main(cli, "simrun");
     // A HETERO-* setup bundles the asymmetric machine with the policy; the
@@ -111,7 +80,7 @@ int main(int argc, char** argv) {
     const int cores = static_cast<int>(cli.get_int("cores", topo.num_cores()));
     auto setup = scenarios::Setup::SpeedYield;
     if (hs == nullptr) {
-      setup = parse_setup(cli.get("setup", "SPEED-YIELD"));
+      setup = scenarios::kSetupNames.parse(cli.get("setup", "SPEED-YIELD"));
     } else {
       switch (hs->policy) {
         case hetero::HeteroPolicy::Speed:

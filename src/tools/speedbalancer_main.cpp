@@ -58,14 +58,12 @@ int main(int argc, char** argv) {
   }
   const Cli cli(split, argv);
 
-  if (cli.has("log-level")) {
-    const auto level = parse_log_level(cli.get("log-level"));
-    if (!level) {
-      std::fprintf(stderr, "speedbalancer: unknown log level: %s\n",
-                   cli.get("log-level").c_str());
-      return 2;
-    }
-    set_log_level(*level);
+  try {
+    if (cli.has("log-level"))
+      set_log_level(kLogLevelNames.parse(cli.get("log-level")));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "speedbalancer: %s\n", e.what());
+    return 2;
   }
 
   NativeBalancerConfig config;

@@ -5,16 +5,6 @@
 
 namespace speedbal {
 
-const char* to_string(DomainLevel level) {
-  switch (level) {
-    case DomainLevel::Smt: return "SMT";
-    case DomainLevel::Cache: return "CACHE";
-    case DomainLevel::Socket: return "SOCKET";
-    case DomainLevel::Numa: return "NUMA";
-  }
-  return "?";
-}
-
 namespace {
 
 // Default balancing parameters per level, following the paper's Section 2

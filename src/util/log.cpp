@@ -57,15 +57,6 @@ void set_log_level(LogLevel level) {
   g_level.store(level, std::memory_order_relaxed);
 }
 
-std::optional<LogLevel> parse_log_level(std::string_view name) {
-  if (name == "trace") return LogLevel::Trace;
-  if (name == "debug") return LogLevel::Debug;
-  if (name == "info") return LogLevel::Info;
-  if (name == "warn") return LogLevel::Warn;
-  if (name == "error") return LogLevel::Error;
-  return std::nullopt;
-}
-
 int set_log_fd(int fd) { return g_fd.exchange(fd); }
 
 std::string format_log_line(LogLevel level, std::string_view msg) {

@@ -5,6 +5,8 @@
 #include <string>
 #include <string_view>
 
+#include "util/enum_names.hpp"
+
 namespace speedbal {
 
 /// Log severity; Trace is used for per-event simulator traces and is off by
@@ -17,8 +19,15 @@ enum class LogLevel { Trace = 0, Debug = 1, Info = 2, Warn = 3, Error = 4 };
 LogLevel log_level();
 void set_log_level(LogLevel level);
 
+/// The level names `--log-level` and SPEEDBAL_LOG accept.
+inline constexpr auto kLogLevelNames = enum_names<LogLevel>(
+    "log level", "trace", "debug", "info", "warn", "error");
+static_assert(kLogLevelNames.ends_at(LogLevel::Error));
+
 /// Parse a level name ("trace".."error"); nullopt for anything else.
-std::optional<LogLevel> parse_log_level(std::string_view name);
+inline std::optional<LogLevel> parse_log_level(std::string_view name) {
+  return kLogLevelNames.find(name);
+}
 
 /// Core logging entry point. The full line — wall-clock timestamp, thread
 /// id, severity, message — is assembled in one buffer and emitted as a

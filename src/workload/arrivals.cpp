@@ -9,15 +9,6 @@ namespace speedbal::workload {
 
 namespace {
 
-std::string joined(const std::vector<std::string>& names) {
-  std::string out;
-  for (const auto& n : names) {
-    if (!out.empty()) out += ", ";
-    out += n;
-  }
-  return out;
-}
-
 /// Exponential variate with the given mean; uniform() is in [0, 1) so the
 /// log argument is in (0, 1].
 double exp_variate(Rng& rng, double mean) {
@@ -25,52 +16,6 @@ double exp_variate(Rng& rng, double mean) {
 }
 
 }  // namespace
-
-const char* to_string(ArrivalKind k) {
-  switch (k) {
-    case ArrivalKind::Poisson: return "poisson";
-    case ArrivalKind::Bursty: return "bursty";
-    case ArrivalKind::Diurnal: return "diurnal";
-  }
-  return "?";
-}
-
-std::vector<std::string> arrival_kind_names() {
-  return {"poisson", "bursty", "diurnal"};
-}
-
-ArrivalKind parse_arrival_kind(std::string_view name) {
-  for (ArrivalKind k :
-       {ArrivalKind::Poisson, ArrivalKind::Bursty, ArrivalKind::Diurnal})
-    if (name == to_string(k)) return k;
-  throw std::invalid_argument("unknown arrival process: " + std::string(name) +
-                              " (available: " + joined(arrival_kind_names()) +
-                              ")");
-}
-
-const char* to_string(ServiceKind k) {
-  switch (k) {
-    case ServiceKind::Fixed: return "fixed";
-    case ServiceKind::Exp: return "exp";
-    case ServiceKind::LogNormal: return "lognormal";
-    case ServiceKind::Pareto: return "pareto";
-  }
-  return "?";
-}
-
-std::vector<std::string> service_kind_names() {
-  return {"fixed", "exp", "lognormal", "pareto"};
-}
-
-ServiceKind parse_service_kind(std::string_view name) {
-  for (ServiceKind k : {ServiceKind::Fixed, ServiceKind::Exp,
-                        ServiceKind::LogNormal, ServiceKind::Pareto})
-    if (name == to_string(k)) return k;
-  throw std::invalid_argument("unknown service distribution: " +
-                              std::string(name) +
-                              " (available: " + joined(service_kind_names()) +
-                              ")");
-}
 
 ArrivalProcess::ArrivalProcess(ArrivalSpec spec, std::uint64_t seed)
     : spec_(spec), rng_(seed) {

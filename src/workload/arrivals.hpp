@@ -1,10 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <string_view>
-#include <vector>
 
+#include "util/enum_names.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
 
@@ -20,11 +19,14 @@ enum class ArrivalKind {
   Diurnal,  ///< Sinusoidal rate ramp (diurnal load curve), via thinning.
 };
 
-const char* to_string(ArrivalKind k);
-/// Parse "poisson" / "bursty" / "diurnal"; throws std::invalid_argument
-/// naming the valid values otherwise.
-ArrivalKind parse_arrival_kind(std::string_view name);
-std::vector<std::string> arrival_kind_names();
+inline constexpr auto kArrivalKindNames = enum_names<ArrivalKind>(
+    "arrival process", "poisson", "bursty", "diurnal");
+static_assert(kArrivalKindNames.ends_at(ArrivalKind::Diurnal));
+
+inline const char* to_string(ArrivalKind k) { return kArrivalKindNames[k]; }
+inline ArrivalKind parse_arrival_kind(std::string_view name) {
+  return kArrivalKindNames.parse(name);
+}
 
 struct ArrivalSpec {
   ArrivalKind kind = ArrivalKind::Poisson;
@@ -70,11 +72,14 @@ enum class ServiceKind {
   Pareto,     ///< Bounded Pareto (heavy tail) with the given mean and shape.
 };
 
-const char* to_string(ServiceKind k);
-/// Parse "fixed" / "exp" / "lognormal" / "pareto"; throws
-/// std::invalid_argument naming the valid values otherwise.
-ServiceKind parse_service_kind(std::string_view name);
-std::vector<std::string> service_kind_names();
+inline constexpr auto kServiceKindNames = enum_names<ServiceKind>(
+    "service distribution", "fixed", "exp", "lognormal", "pareto");
+static_assert(kServiceKindNames.ends_at(ServiceKind::Pareto));
+
+inline const char* to_string(ServiceKind k) { return kServiceKindNames[k]; }
+inline ServiceKind parse_service_kind(std::string_view name) {
+  return kServiceKindNames.parse(name);
+}
 
 struct ServiceSpec {
   ServiceKind kind = ServiceKind::Exp;

@@ -80,14 +80,5 @@ TEST(TuningLog, CapDropsRecordsButKeepsCounting) {
   EXPECT_EQ(snap[1].epoch, 2);
 }
 
-TEST(TuningOutcomeNames, RoundTripAndUnknownFallsBackToKept) {
-  for (int i = 0; i < kNumTuningOutcomes; ++i) {
-    const auto o = static_cast<TuningOutcome>(i);
-    EXPECT_EQ(parse_tuning_outcome(to_string(o)), o) << to_string(o);
-  }
-  EXPECT_STREQ(to_string(TuningOutcome::Anticipated), "anticipated");
-  EXPECT_EQ(parse_tuning_outcome("no-such-outcome"), TuningOutcome::Kept);
-}
-
 }  // namespace
 }  // namespace speedbal::obs

@@ -162,15 +162,6 @@ TEST(ServeNames, ServePolicyErrorListsAllPolicies) {
   }
 }
 
-TEST(ServeNames, SetupNamesCoverEveryPolicy) {
-  const auto names = serve_setup_names();
-  EXPECT_EQ(names.size(), 7u);
-  for (const char* n : {"SERVE-SPEED", "SERVE-LOAD", "SERVE-PINNED",
-                        "SERVE-DWRR", "SERVE-ULE", "SERVE-NONE", "SERVE-SHARE"})
-    EXPECT_NE(std::find(names.begin(), names.end(), n), names.end())
-        << "missing " << n;
-}
-
 // --- End-to-end serve runs ---------------------------------------------------
 
 /// A short pinned-worker run used to isolate one variable at a time.

@@ -219,7 +219,8 @@ TEST(SimrunCli, ListSetupsPrintsOnePerLineAndExitsZero) {
         << "missing " << name << " in: " << out;
   // The serve scenarios are advertised alongside the batch setups.
   for (const char* name : {"SERVE-SPEED", "SERVE-LOAD", "SERVE-PINNED",
-                           "SERVE-DWRR", "SERVE-ULE", "SERVE-NONE"})
+                           "SERVE-DWRR", "SERVE-ULE", "SERVE-NONE",
+                           "SERVE-SHARE"})
     EXPECT_NE(out.find(std::string(name) + "\n"), std::string::npos)
         << "missing " << name << " in: " << out;
   // Nothing but the names: no table header, no scenario output.
@@ -290,17 +291,21 @@ TEST(SimrunCli, ServeWritesReportWithLatencyHistograms) {
 #ifndef SERVESIM_BIN
 #define SERVESIM_BIN "servesim"
 #endif
+#ifndef CLUSTERSIM_BIN
+#define CLUSTERSIM_BIN "clustersim"
+#endif
 
-/// Run servesim with stdout captured; returns exit status.
-int run_servesim(std::vector<std::string> args, std::string* stdout_out) {
-  const std::string out_path = testing::TempDir() + "servesim_stdout_" +
+/// Run servesim or clustersim (`bin`) with stdout captured; returns exit
+/// status.
+int run_stdout(std::string bin, std::vector<std::string> args,
+               std::string* stdout_out) {
+  const std::string out_path = testing::TempDir() + "tool_stdout_" +
                                std::to_string(getpid()) + ".txt";
   const pid_t child = fork();
   if (child < 0) return -1;
   if (child == 0) {
     if (freopen(out_path.c_str(), "w", stdout) == nullptr) _exit(125);
     std::vector<char*> argv;
-    std::string bin = SERVESIM_BIN;
     argv.push_back(bin.data());
     for (auto& a : args) argv.push_back(a.data());
     argv.push_back(nullptr);
@@ -317,16 +322,38 @@ int run_servesim(std::vector<std::string> args, std::string* stdout_out) {
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
+int run_servesim(std::vector<std::string> args, std::string* stdout_out) {
+  return run_stdout(SERVESIM_BIN, std::move(args), stdout_out);
+}
+
+/// Every policy --policy accepts, SHARE included, one per line.
+void expect_every_policy_listed(const std::string& out) {
+  for (const char* name :
+       {"LOAD", "SPEED", "PINNED", "DWRR", "ULE", "NONE", "SHARE"})
+    EXPECT_NE(("\n" + out).find("\n" + std::string(name) + "\n"),
+              std::string::npos)
+        << "missing " << name << " in: " << out;
+}
+
 TEST(ServesimCli, ListPoliciesAndDispatchExitZero) {
   std::string out;
   EXPECT_EQ(run_servesim({"--list-policies"}, &out), 0);
-  for (const char* name : {"SPEED", "LOAD", "PINNED"})
-    EXPECT_NE(out.find(name), std::string::npos) << "missing " << name;
+  expect_every_policy_listed(out);
   EXPECT_EQ(run_servesim({"--list-dispatch"}, &out), 0);
-  for (const char* name : {"rr", "least-loaded", "jsq"})
+  for (const char* name : {"rr", "least-loaded", "jsq", "weighted"})
     EXPECT_NE(out.find(name), std::string::npos) << "missing " << name;
   EXPECT_EQ(run_servesim({"--list-arrivals"}, &out), 0);
   EXPECT_NE(out.find("poisson"), std::string::npos);
+}
+
+TEST(ClustersimCli, ListPoliciesAndDispatchExitZero) {
+  std::string out;
+  EXPECT_EQ(run_stdout(CLUSTERSIM_BIN, {"--list-policies"}, &out), 0);
+  expect_every_policy_listed(out);
+  EXPECT_EQ(run_stdout(CLUSTERSIM_BIN, {"--list-dispatch"}, &out), 0);
+  EXPECT_EQ(out, "rr\nleast-loaded\njsq\n");
+  EXPECT_EQ(run_stdout(CLUSTERSIM_BIN, {"--list-services"}, &out), 0);
+  EXPECT_EQ(out, "fixed\nexp\nlognormal\npareto\n");
 }
 
 TEST(ServesimCli, RunsShortServe) {

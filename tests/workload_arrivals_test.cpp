@@ -136,7 +136,7 @@ TEST(ArrivalsParse, ErrorsListValidNames) {
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
-    for (const auto& n : arrival_kind_names())
+    for (const char* n : kArrivalKindNames.names)
       EXPECT_NE(msg.find(n), std::string::npos) << "missing " << n;
   }
   try {
@@ -144,7 +144,7 @@ TEST(ArrivalsParse, ErrorsListValidNames) {
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
-    for (const auto& n : service_kind_names())
+    for (const char* n : kServiceKindNames.names)
       EXPECT_NE(msg.find(n), std::string::npos) << "missing " << n;
   }
 }
