@@ -147,6 +147,21 @@ for j in 1 2; do
 done
 cmp "$repo/build/serve_speed_ll_jobs1.json" "$repo/build/serve_speed_ll_jobs2.json"
 
+echo "== list-smoke: every listed name is accepted =="
+# servesim and clustersim feed each name their --list-* flags print back
+# into the matching flag, one short generic2 episode per name: a listed
+# name that the parser rejects fails here.
+for tool in servesim clustersim; do
+  for pair in policies:policy dispatch:dispatch arrivals:arrival \
+              services:service; do
+    names="$("$repo/build/src/$tool" "--list-${pair%%:*}")"
+    for name in $names; do
+      "$repo/build/src/$tool" --topo=generic2 --duration-s=0.3 --warmup-s=0.05 \
+        --seed=42 "--${pair##*:}=$name" >/dev/null
+    done
+  done
+done
+
 echo "== adaptive-smoke: ablation bench, tuning-log query, stability fuzz =="
 # The quick adaptive-vs-fixed ablation, one adaptive serve episode whose
 # tuning trajectory obsquery must replay, then 25 fixed-seed fuzz episodes
