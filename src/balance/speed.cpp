@@ -73,12 +73,6 @@ bool SpeedBalancer::is_blocked(CoreId core) const {
 
 void SpeedBalancer::balancer_wake(CoreId local) {
   balance_once(local);
-  // Drain pending telemetry into the trace once per balance interval —
-  // the pipeline's flush granularity (metered as observability overhead).
-  if (recorder_ != nullptr) {
-    obs::OverheadMeter::Scoped meter(&recorder_->overhead());
-    recorder_->telemetry().flush();
-  }
   // Sleep the balance interval plus a random increase of up to one interval
   // (Section 5.1: distributes migration checks and breaks pull cycles).
   const SimTime jitter =

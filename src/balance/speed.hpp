@@ -112,13 +112,13 @@ class SpeedBalancer : public Balancer {
   void balance_once(CoreId local);
 
   /// Attach an observability recorder: every balance pass then appends a
-  /// SpeedTimeline sample (per-core speeds, global average, queue lengths,
+  /// speed-timeline sample (per-core speeds, global average, queue lengths,
   /// threshold state) and logs why each candidate pull was taken or
   /// rejected. Null (the default) disables recording entirely.
   void set_recorder(obs::RunRecorder* rec) {
     recorder_ = rec;
     if (rec != nullptr)
-      rec->timeline().set_cores(std::vector<int>(cores_.begin(), cores_.end()));
+      rec->set_cores(std::vector<int>(cores_.begin(), cores_.end()));
   }
 
   /// Observer invoked with every balance pass's speed sample, before the

@@ -198,10 +198,6 @@ void ShareBalancer::epoch_once() {
 
 void ShareBalancer::epoch_wake() {
   epoch_once();
-  if (recorder_ != nullptr) {
-    obs::OverheadMeter::Scoped meter(&recorder_->overhead());
-    recorder_->telemetry().flush();
-  }
   sim_->schedule_after(params_.interval, [this] { epoch_wake(); });
 }
 

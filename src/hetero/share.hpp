@@ -88,8 +88,7 @@ class ShareBalancer : public Balancer, public PhasePartitioner {
   /// Exposed for tests: run one repartition epoch.
   void epoch_once();
 
-  /// Every epoch then appends a ShareRecord (obsquery --shares) and the
-  /// telemetry buffer is flushed at epoch granularity.
+  /// Every epoch then appends a ShareRecord (obsquery --shares).
   void set_recorder(obs::RunRecorder* rec) { recorder_ = rec; }
 
   /// Called with the per-core shares (managed-core order) each time a new

@@ -35,7 +35,7 @@ NativeSpeedBalancer::NativeSpeedBalancer(pid_t target,
 void NativeSpeedBalancer::set_recorder(obs::RunRecorder* rec) {
   recorder_ = rec;
   trace_origin_ = Clock::now();
-  if (rec != nullptr) rec->timeline().set_cores(cores_);
+  if (rec != nullptr) rec->set_cores(cores_);
 }
 
 std::vector<int> NativeSpeedBalancer::quarantined_cores() const {
@@ -258,11 +258,8 @@ int NativeSpeedBalancer::step() {
       if (t.id == victim) t = {victim, local, tids_[victim].migrations};
     log_outcome(obs::PullReason::Pulled);
     if (recorder_ != nullptr) {
-      recorder_->trace().instant(ts_us, local, "migration", "migrate",
-                                 {{"tid", static_cast<double>(victim)},
-                                  {"from", static_cast<double>(pull.source)},
-                                  {"to", static_cast<double>(local)}},
-                                 {{"cause", "speed"}});
+      recorder_->migrations().add({ts_us, victim, pull.source, local,
+                                   obs::MigrationCause::SpeedBalancer});
       recorder_->incr("migrations.speed");
     }
     SB_LOG(Debug) << "native speedbalancer: tid " << victim << " core "

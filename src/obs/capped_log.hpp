@@ -24,9 +24,10 @@ struct FieldType<Field> {
 };
 }  // namespace detail
 
-/// The append-only record log behind every RunRecorder table: balancer
-/// decisions, request spans, run segments, and the rebalance, share and
-/// tuning epochs. Internally synchronized like every other recorder member.
+/// The append-only record log behind every RunRecorder store: free-form
+/// trace events, speed samples, balancer decisions, migrations, request
+/// spans, run segments, and the rebalance, share and tuning epochs.
+/// Internally synchronized like every other recorder member.
 /// Storage is capped (`DefaultCap` records until set_cap) so a pathological
 /// run cannot grow the log, or its export, unboundedly: records past the
 /// cap are dropped and counted, and the oldest records survive.
@@ -41,14 +42,17 @@ class CappedLog {
  public:
   using Kind = typename detail::FieldType<KindField>::type;
 
-  void add(const Record& rec) {
+  /// Returns the record's index in snapshot() order, or -1 when the cap
+  /// dropped it.
+  std::int64_t add(Record rec) {
     std::lock_guard<std::mutex> lock(mu_);
     count_kind(rec);
     if (records_.size() >= cap_) {
       ++dropped_;
-      return;
+      return -1;
     }
-    records_.push_back(rec);
+    records_.push_back(std::move(rec));
+    return static_cast<std::int64_t>(records_.size()) - 1;
   }
 
   /// Append a batch under one lock. An empty log adopts a batch that fits

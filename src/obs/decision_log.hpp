@@ -54,8 +54,8 @@ struct DecisionRecord {
   double source_speed = 0.0;
   double global = 0.0;
   PullReason reason = PullReason::NoCandidate;
-  /// Causal link to the SpeedTimeline entry this pass acted on (the index
-  /// returned by SpeedTimeline::add); -1 when no sample was recorded.
+  /// Causal link to the speed-timeline sample this pass acted on (the index
+  /// SpeedTimeline::add returned); -1 when no sample was recorded.
   std::int64_t sample_seq = -1;
   /// Pulled only: warmup cost (µs of slow-speed execution) charged to the
   /// victim by the migration, for end-to-end blame accounting.

@@ -22,9 +22,9 @@ struct RunSegmentRecord {
 /// switch rates that is tens of thousands of string allocations charged to
 /// the run, dwarfing the actual tracing hot path. Instead the exporter bulk
 /// appends segments with add_batch under a single lock and the
-/// Chrome-trace writer derives the "run" spans lazily, the same batched
-/// pattern the TelemetryBuffer uses for migrations. Capped like the trace
-/// collector's spans: long runs must not produce unboundedly large exports.
+/// Chrome-trace writer derives the "run" spans lazily, as it derives every
+/// other log's events. Capped: long runs must not produce unboundedly large
+/// exports.
 struct RunSegmentTable : CappedLog<RunSegmentRecord, 200000> {
   using Segment = RunSegmentRecord;
 };

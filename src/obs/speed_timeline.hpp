@@ -1,15 +1,17 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <mutex>
 #include <vector>
+
+#include "obs/capped_log.hpp"
 
 namespace speedbal::obs {
 
 /// One balance-interval observation of the speed state the balancer acted
 /// on: per-core speeds, the global average, run-queue lengths, and which
 /// cores sat below the pull threshold T_s at that instant. Vectors are
-/// indexed by position in the timeline's `cores()` list (the managed cores),
+/// indexed by position in the recorder's `cores()` list (the managed cores),
 /// not by raw core id.
 struct SpeedSample {
   std::int64_t ts_us = 0;
@@ -26,36 +28,40 @@ struct SpeedSample {
 /// Append-only per-interval speed time-series, the signal the paper's whole
 /// argument rests on. Populated by the simulated and native speed balancers
 /// at every balance pass; exported as counter tracks in the Chrome trace and
-/// as a sample array plus summary statistics in the JSON run report.
-class SpeedTimeline {
- public:
-  /// Set once before sampling: the managed cores, defining the meaning of
-  /// each per-core vector slot.
-  void set_cores(std::vector<int> cores);
-  std::vector<int> cores() const;
+/// as a sample array plus summary statistics in the JSON run report. add()
+/// returns the index DecisionRecord::sample_seq links to.
+using SpeedTimeline = CappedLog<SpeedSample, (1 << 18)>;
 
-  /// Returns the sample's sequence index (position in snapshot() order),
-  /// which DecisionRecord::sample_seq uses as its causal link.
-  std::int64_t add(SpeedSample sample);
-
-  std::size_t size() const;
-  std::vector<SpeedSample> snapshot() const;
-
-  /// Moments of the recorded global-speed series (variance is the
-  /// population variance; all zero when no samples were taken).
-  struct GlobalStats {
-    std::int64_t samples = 0;
-    double mean = 0.0;
-    double variance = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-  };
-  GlobalStats global_stats() const;
-
- private:
-  mutable std::mutex mu_;
-  std::vector<int> cores_;
-  std::vector<SpeedSample> samples_;
+/// Moments of a global-speed series (variance is the population variance;
+/// all zero when there are no samples).
+struct GlobalStats {
+  std::int64_t samples = 0;
+  double mean = 0.0;
+  double variance = 0.0;
+  double min = 0.0;
+  double max = 0.0;
 };
+
+inline GlobalStats global_stats(const std::vector<SpeedSample>& samples) {
+  GlobalStats out;
+  if (samples.empty()) return out;
+  out.samples = static_cast<std::int64_t>(samples.size());
+  out.min = samples.front().global;
+  out.max = samples.front().global;
+  double sum = 0.0;
+  for (const auto& s : samples) {
+    sum += s.global;
+    out.min = std::min(out.min, s.global);
+    out.max = std::max(out.max, s.global);
+  }
+  out.mean = sum / static_cast<double>(samples.size());
+  double sq = 0.0;
+  for (const auto& s : samples) {
+    const double d = s.global - out.mean;
+    sq += d * d;
+  }
+  out.variance = sq / static_cast<double>(samples.size());
+  return out;
+}
 
 }  // namespace speedbal::obs

@@ -6,34 +6,20 @@
 
 namespace speedbal::obs {
 
-void TraceCollector::push(TraceEvent ev) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (ev.kind == EventKind::Span) {
-    if (span_count_ >= span_cap_) {
-      ++dropped_spans_;
-      return;
-    }
-    ++span_count_;
-  }
-  events_.push_back(std::move(ev));
-}
-
 void TraceCollector::counter(std::int64_t ts_us, std::string name,
                              std::vector<std::pair<std::string, double>> series) {
-  if (!enabled()) return;
   TraceEvent ev;
   ev.kind = EventKind::Counter;
   ev.ts_us = ts_us;
   ev.name = std::move(name);
   ev.num_args = std::move(series);
-  push(std::move(ev));
+  add(std::move(ev));
 }
 
 void TraceCollector::instant(std::int64_t ts_us, int track, std::string name,
                              std::string cat,
                              std::vector<std::pair<std::string, double>> num_args,
                              std::vector<std::pair<std::string, std::string>> str_args) {
-  if (!enabled()) return;
   TraceEvent ev;
   ev.kind = EventKind::Instant;
   ev.ts_us = ts_us;
@@ -42,68 +28,7 @@ void TraceCollector::instant(std::int64_t ts_us, int track, std::string name,
   ev.cat = std::move(cat);
   ev.num_args = std::move(num_args);
   ev.str_args = std::move(str_args);
-  push(std::move(ev));
-}
-
-void TraceCollector::span(std::int64_t ts_us, std::int64_t dur_us, int track,
-                          std::string name, std::string cat) {
-  if (!enabled()) return;
-  TraceEvent ev;
-  ev.kind = EventKind::Span;
-  ev.ts_us = ts_us;
-  ev.dur_us = dur_us;
-  ev.track = track;
-  ev.name = std::move(name);
-  ev.cat = std::move(cat);
-  push(std::move(ev));
-}
-
-void TraceCollector::flow(EventKind kind, std::int64_t ts_us, int track,
-                          std::string name, std::string cat,
-                          std::int64_t flow_id) {
-  if (!enabled()) return;
-  TraceEvent ev;
-  ev.kind = kind;
-  ev.ts_us = ts_us;
-  ev.track = track;
-  ev.name = std::move(name);
-  ev.cat = std::move(cat);
-  ev.flow_id = flow_id;
-  push(std::move(ev));
-}
-
-void TraceCollector::append_batch(std::vector<TraceEvent> events) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (TraceEvent& ev : events) {
-    if (ev.kind == EventKind::Span) {
-      if (span_count_ >= span_cap_) {
-        ++dropped_spans_;
-        continue;
-      }
-      ++span_count_;
-    }
-    events_.push_back(std::move(ev));
-  }
-}
-
-void TraceCollector::set_span_cap(std::size_t cap) {
-  std::lock_guard<std::mutex> lock(mu_);
-  span_cap_ = cap;
-}
-
-std::int64_t TraceCollector::dropped_spans() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_spans_;
-}
-
-std::size_t TraceCollector::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return events_.size();
-}
-
-std::vector<TraceEvent> TraceCollector::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return events_;
+  add(std::move(ev));
 }
 
 namespace {

@@ -201,8 +201,8 @@ int serve_main(const Cli& cli, std::string_view tool) {
     io_ok &= obs::write_report_file(recorder, report_json);
   if (!io_ok) return 2;
   // Self-overhead budget gate (check.sh uses this): fail when the
-  // observability layer's hot-path cost (span capture, telemetry flushes)
-  // exceeds the allowed share of wall time. End-of-run export is reported
+  // observability layer's hot-path cost (span capture) exceeds the
+  // allowed share of wall time. End-of-run export is reported
   // above but not gated: its bulk copy scales with simulated time, so it
   // dominates the ratio on fast episodes without taxing the serving path.
   if (record && cli.has("max-overhead-pct") &&

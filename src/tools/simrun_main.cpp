@@ -174,7 +174,7 @@ int main(int argc, char** argv) {
       table.add_row({"migrations by cause", by_cause.str()});
     }
     if (record) {
-      const auto stats = recorder.timeline().global_stats();
+      const auto stats = obs::global_stats(recorder.timeline().snapshot());
       table.add_row({"speed samples", std::to_string(stats.samples)});
       table.add_row({"global speed mean", Table::num(stats.mean, 3)});
       table.add_row({"global speed variance", Table::num(stats.variance, 5)});

@@ -399,6 +399,35 @@ TEST(NativeSpeedBalancer, HotPotatoGuardStopsThePullBack) {
   expect_section5_rules_hold(rec, fx.config);
 }
 
+TEST(NativeSpeedBalancer, PullsReachTheMigrationLogAndTheTrace) {
+  if (!improbable_pids_free() || two_allowed_cpus().empty()) GTEST_SKIP();
+  PullBack fx(/*post_migration_block=*/0);
+  obs::RunRecorder rec;
+  fx.pull_then_reverse(rec);
+  const std::int64_t pulled =
+      rec.decisions().count(obs::PullReason::Pulled);
+  EXPECT_EQ(pulled, 1);
+
+  std::ostringstream trace_os, report_os;
+  rec.write_chrome_trace(trace_os);
+  rec.write_report_json(report_os);
+  const auto report = JsonValue::parse(report_os.str());
+  const auto& migrations = report.at("migrations");
+  ASSERT_EQ(static_cast<std::int64_t>(migrations.size()), pulled);
+  for (const JsonValue& m : migrations.items()) {
+    EXPECT_EQ(m.at("cause").as_string(), "speed");
+    EXPECT_EQ(m.at("task").as_int(), fx.x.tid());
+  }
+  const auto trace = JsonValue::parse(trace_os.str());
+  const auto& events = trace.at("traceEvents");
+  std::int64_t instants = 0;
+  for (std::size_t i = 0; i < events.size(); ++i)
+    if (events[i].at("ph").as_string() == "i" &&
+        events[i].at("name").as_string() == "migration")
+      ++instants;
+  EXPECT_EQ(instants, pulled);
+}
+
 TEST(NativeSpeedBalancer, BalancesRealSelfWithoutCrashing) {
   // Smoke test on the live process: measurement over real /proc; with a
   // single online CPU no migration targets exist, which must be handled.

@@ -1,7 +1,6 @@
-// Request spans, latency attribution, and the telemetry pipeline: the
-// RequestSpan partition arithmetic, the deterministic 1/2^k sampler, the
-// capped span table, AttributionTable/top-k/blame/storm analytics, and the
-// TelemetryBuffer's batched flush into the trace collector.
+// Request spans and latency attribution: the RequestSpan partition
+// arithmetic, the deterministic 1/2^k sampler, the capped span table,
+// AttributionTable/top-k/blame/storm analytics, and the overhead meter.
 
 #include <gtest/gtest.h>
 
@@ -10,9 +9,8 @@
 #include <vector>
 
 #include "obs/attribution.hpp"
+#include "obs/overhead_meter.hpp"
 #include "obs/span.hpp"
-#include "obs/telemetry_buffer.hpp"
-#include "obs/trace.hpp"
 
 namespace speedbal {
 namespace {
@@ -20,8 +18,6 @@ namespace {
 using obs::RequestSpan;
 using obs::SpanSampler;
 using obs::SpanTable;
-using obs::TelemetryBuffer;
-using obs::TelemetryRecord;
 
 RequestSpan make_span(std::int64_t id, int cls, std::int64_t arrival,
                       std::int64_t started, std::int64_t completed,
@@ -151,52 +147,6 @@ TEST(Attribution, StormDetectionCoalescesOverlappingWindows) {
 
   EXPECT_TRUE(obs::detect_migration_storms(ts, 100, 6).empty());
   EXPECT_TRUE(obs::detect_migration_storms({}, 100, 1).empty());
-}
-
-TEST(TelemetryBuffer, FlushConvertsPendingRecordsIntoTraceInstantsOnce) {
-  obs::TraceCollector trace;
-  TelemetryBuffer buf(&trace);
-  buf.set_kind_names({"alpha", "beta"});
-
-  buf.append({100, 7, 0, 3}, 0);
-  buf.append({200, 8, 1, 2}, 1);
-  EXPECT_EQ(buf.size(), 2u);
-  EXPECT_EQ(trace.snapshot().size(), 0u) << "records convert only at flush";
-
-  buf.flush();
-  EXPECT_EQ(buf.flushes(), 1);
-  const auto events = trace.snapshot();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].ts_us, 100);
-  EXPECT_EQ(events[1].ts_us, 200);
-
-  // Idempotent: nothing pending, no new events, no counted flush.
-  buf.flush();
-  EXPECT_EQ(buf.flushes(), 1);
-  EXPECT_EQ(trace.snapshot().size(), 2u);
-
-  // New records after a flush convert exactly once.
-  buf.append({300, 9, 2, 0}, 0);
-  buf.flush();
-  EXPECT_EQ(trace.snapshot().size(), 3u);
-  EXPECT_EQ(buf.flushes(), 2);
-}
-
-TEST(TelemetryBuffer, KindNamesResolveAndUnknownCodesAreSafe) {
-  TelemetryBuffer buf;
-  buf.set_kind_names({"alpha"});
-  EXPECT_STREQ(buf.kind_name(0), "alpha");
-  EXPECT_STREQ(buf.kind_name(200), "?");
-}
-
-TEST(TelemetryBuffer, CapacityDropsAndReportsOverflow) {
-  TelemetryBuffer buf;
-  buf.set_capacity(2);
-  for (int i = 0; i < 5; ++i)
-    buf.append({i, i, 0, 1}, 0);
-  EXPECT_EQ(buf.size(), 2u);
-  EXPECT_EQ(buf.dropped(), 3);
-  EXPECT_EQ(buf.snapshot().size(), buf.kinds().size());
 }
 
 TEST(OverheadMeter, ScopedSectionsAccumulateAndNullMeterIsNoop) {
