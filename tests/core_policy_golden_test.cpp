@@ -91,7 +91,7 @@ TEST(PolicyGolden, Load) {
   EXPECT_EQ(run_spmd(spmd_config(scenarios::Setup::LoadYield), rec),
             "done 0x1.01d566cf41f21p+1 policy=1 [ linux-periodic=1 ]"
             " done 0x1.0193d5347a5b1p+1 policy=1 [ linux-periodic=1 ]"
-            " report=341ec5906e9912fc");
+            " report=7271f3afe53b5548");
 }
 
 TEST(PolicyGolden, Speed) {
@@ -99,7 +99,7 @@ TEST(PolicyGolden, Speed) {
   EXPECT_EQ(run_spmd(spmd_config(scenarios::Setup::SpeedYield), rec),
             "done 0x1.008b7e4de3b8ap+1 policy=22 [ speed=22 ]"
             " done 0x1.006d58c8eef1cp+1 policy=20 [ linux-newidle=1 speed=20 ]"
-            " report=b3526a40edfc82d7");
+            " report=2f79f7c5efa1899d");
   EXPECT_GT(rec.decisions().size(), 0u);
   EXPECT_GT(rec.timeline().snapshot().size(), 0u);
   EXPECT_GT(rec.run_segments().size(), 0u);
@@ -112,7 +112,7 @@ TEST(PolicyGolden, SpeedAdaptive) {
   EXPECT_EQ(run_spmd(cfg, rec),
             "done 0x1.00a87e38eb032p+1 policy=23 [ speed=23 ]"
             " done 0x1.0064a9cdc4439p+1 policy=19 [ linux-newidle=1 speed=19 ]"
-            " report=c08ccf052f336d12");
+            " report=76182098ec1b9635");
   EXPECT_GT(rec.tuning().size(), 0u);
 }
 
@@ -121,7 +121,7 @@ TEST(PolicyGolden, Pinned) {
   EXPECT_EQ(run_spmd(spmd_config(scenarios::Setup::Pinned), rec),
             "done 0x1.0032ebe596c83p+1 policy=0 [ ]"
             " done 0x1.002795703f2d4p+1 policy=0 [ ]"
-            " report=72fc86ba9a9b073f");
+            " report=b451c42671f4feff");
 }
 
 TEST(PolicyGolden, Dwrr) {
@@ -129,7 +129,7 @@ TEST(PolicyGolden, Dwrr) {
   EXPECT_EQ(run_spmd(spmd_config(scenarios::Setup::Dwrr), rec),
             "done 0x1.a12253111f0c3p+1 policy=108 [ dwrr=108 ]"
             " done 0x1.b5b9841aac53bp+1 policy=143 [ dwrr=143 ]"
-            " report=0be8a230d801c1a8");
+            " report=93affabbee132050");
 }
 
 TEST(PolicyGolden, Ule) {
@@ -137,7 +137,7 @@ TEST(PolicyGolden, Ule) {
   EXPECT_EQ(run_spmd(spmd_config(scenarios::Setup::FreeBsd), rec),
             "done 0x1.00344c37e6f72p+1 policy=0 [ ]"
             " done 0x1.002795703f2d4p+1 policy=0 [ ]"
-            " report=5cd7827511610d04");
+            " report=02bbd42c384e46c4");
 }
 
 TEST(PolicyGolden, None) {
@@ -147,7 +147,7 @@ TEST(PolicyGolden, None) {
   EXPECT_EQ(run_spmd(cfg, rec),
             "done 0x1.804b33daf8df8p+1 policy=0 [ ]"
             " done 0x1.80301a79fec9ap+1 policy=0 [ ]"
-            " report=60b316652c03b2d0");
+            " report=a14beca8c86bd690");
 }
 
 TEST(PolicyGolden, ShareOnBigLittle) {
@@ -162,7 +162,7 @@ TEST(PolicyGolden, ShareOnBigLittle) {
   EXPECT_EQ(run_spmd(cfg, rec),
             "done 0x1.ba355043e5322p-2 policy=0 [ ]"
             " done 0x1.bba51a005c465p-2 policy=0 [ ]"
-            " report=8a8353309a66d595");
+            " report=692da830d8f69405");
   EXPECT_GT(rec.shares().size(), 0u);
 }
 
@@ -196,7 +196,7 @@ TEST(PolicyGolden, SpeedReasonCoverage) {
   obs::RunRecorder numa;
   EXPECT_EQ(run_spmd(reason_coverage_config("barcelona", 5, 8), numa),
             "done 0x1.2d080303c07eep+1 policy=11"
-            " [ linux-newidle=1 speed=11 hotplug=1 ] report=3d8e22d16cca64ee");
+            " [ linux-newidle=1 speed=11 hotplug=1 ] report=96a5396340486815");
   for (const R r : {R::Pulled, R::BelowAverage, R::AboveThreshold,
                     R::MigrationBlocked, R::NumaBlocked, R::NoCandidate,
                     R::NoVictim, R::HotPotato, R::CoreOffline})
@@ -212,7 +212,7 @@ TEST(PolicyGolden, SpeedReasonCoverage) {
   cfg.speed.max_migration_level = DomainLevel::Cache;
   obs::RunRecorder domain;
   EXPECT_EQ(run_spmd(cfg, domain), "done 0x1.7a5b078d92fb2p+1 policy=18 [ speed=18 hotplug=1 ]"
-            " report=6223a297b164dfa7");
+            " report=fd86b1b4b13026df");
   for (const R r : {R::Pulled, R::DomainBlocked, R::MigrationBlocked,
                     R::NoVictim, R::HotPotato, R::CoreOffline})
     EXPECT_GT(reason_count(domain, r), 0) << obs::to_string(r);
@@ -256,7 +256,7 @@ TEST(PolicyGolden, ServeUle) {
   obs::RunRecorder rec;
   const serve::ServeResult r = serve::run_serve(serve_config(Policy::Ule, rec));
   EXPECT_EQ(serve_fingerprint(r), "7bd9a840da88de67");
-  EXPECT_EQ(report_digest(rec), "17a2f5be64abb670");
+  EXPECT_EQ(report_digest(rec), "a6878fef8c120ac0");
   EXPECT_GT(rec.spans().size(), 0u);
 }
 
@@ -265,7 +265,7 @@ TEST(PolicyGolden, ServeShare) {
   const serve::ServeResult r =
       serve::run_serve(serve_config(Policy::Share, rec));
   EXPECT_EQ(serve_fingerprint(r), "697e3f05de204078");
-  EXPECT_EQ(report_digest(rec), "89b7d98549e56a26");
+  EXPECT_EQ(report_digest(rec), "94de15ddba4c435e");
   EXPECT_GT(rec.spans().size(), 0u);
   EXPECT_GT(rec.shares().size(), 0u);
 }
@@ -278,7 +278,7 @@ TEST(PolicyGolden, ServeLeastLoaded) {
   cfg.serve.dispatch = serve::DispatchPolicy::LeastLoaded;
   const serve::ServeResult r = serve::run_serve(cfg);
   EXPECT_EQ(serve_fingerprint(r), "6df0c096ad880e18");
-  EXPECT_EQ(report_digest(rec), "16912adcee7c1ef5");
+  EXPECT_EQ(report_digest(rec), "913373e4d9187c5c");
   EXPECT_GT(rec.spans().size(), 0u);
 }
 
@@ -316,7 +316,7 @@ TEST(PolicyGolden, SpeedClusterWithRebalance) {
   const cluster::ClusterResult res = cluster::run_cluster(cfg);
   EXPECT_GE(res.pool_migrations, 1);
   EXPECT_GT(rec.rebalances().size(), 0u);
-  EXPECT_EQ(report_digest(rec), "f6c08192e11e29de");
+  EXPECT_EQ(report_digest(rec), "c08041fce189a03e");
 }
 
 }  // namespace
