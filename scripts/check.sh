@@ -113,10 +113,10 @@ echo "== obs-smoke: traced serve episode, span conservation, overhead gate =="
 obs_report="$repo/build/obs_smoke_report.json"
 # Budgets per sampling mode: 5% at the production 1/64 rate; 15% at
 # exhaustive 1/1 tracing. The gate covers hot-path tracing cost only (span
-# capture, telemetry flushes); the end-of-run bulk export is reported as
-# "export overhead %" but not gated — it scales with simulated time, so
-# every simulator speedup inflated its share of the (shrinking) wall time
-# until it dominated the ratio (see DESIGN.md §7).
+# capture); the end-of-run bulk export is reported as "export overhead %"
+# but not gated — it scales with simulated time, so every simulator speedup
+# inflated its share of the (shrinking) wall time until it dominated the
+# ratio (see DESIGN.md §7).
 for leg in "0 15" "6 5"; do
   set -- $leg
   "$repo/build/src/servesim" --topo=generic4 --workers=8 --policy=SPEED \
@@ -128,7 +128,18 @@ done
 "$repo/build/src/obsquery" --report="$obs_report" >/dev/null
 "$repo/build/src/obsquery" --report="$obs_report" --blame >/dev/null
 "$repo/build/src/obsquery" --report="$obs_report" --slowest=5 >/dev/null
-"$repo/build/src/obsquery" --report="$obs_report" --storms >/dev/null
+# The SPEED + DVFS episode migrates workers, and its report must carry
+# them: obsquery --storms must count a nonzero number of migrations.
+storms_out="$("$repo/build/src/obsquery" --report="$obs_report" --storms)"
+grep -Eq '^[1-9][0-9]* migrations,' <<<"$storms_out"
+# Export-order identity: writing the Chrome trace must not change the
+# report, so a run with --trace-out writes the same report as one without.
+"$repo/build/src/simrun" --setup=LOAD-YIELD --repeats=1 \
+  --report-json="$repo/build/load_report_alone.json" >/dev/null
+"$repo/build/src/simrun" --setup=LOAD-YIELD --repeats=1 \
+  --report-json="$repo/build/load_report_traced.json" \
+  --trace-out="$repo/build/load_traced_trace.json" >/dev/null
+cmp "$repo/build/load_report_alone.json" "$repo/build/load_report_traced.json"
 "$repo/build/src/fuzzsim" --episodes=25 --mode=serve --seed=606
 # Jobs-identity for serve, whose run-segment log is the densest of any mode:
 # two SERVE-SPEED replicas run serially and in parallel must write
