@@ -67,4 +67,18 @@ class SpanSampler {
 /// long run's memory unboundedly; the number dropped is reported.
 using SpanTable = CappedLog<RequestSpan, 200000>;
 
+/// One request turned away because the shard queue it was dispatched to
+/// was full. The trace's "drop" instants are derived from these at export.
+struct DropRecord {
+  std::int64_t ts_us = 0;
+  std::int64_t request = -1;
+  int worker = -1;  ///< Shard the dispatcher picked.
+  int core = -1;    ///< That worker's core: the instant's track.
+};
+
+/// Append-only drop log. An overloaded run drops a request per arrival, so
+/// drops get their own log (2^20 records, 24 MB worst case) instead of
+/// sharing the free-form trace cap with the serve load counters.
+using DropLog = CappedLog<DropRecord, (1 << 20)>;
+
 }  // namespace speedbal::obs

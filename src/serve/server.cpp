@@ -94,10 +94,8 @@ bool ServeRuntime::inject(Request r) {
     if (r.recorded) ++stats_.dropped;
     if (recorder_ != nullptr) {
       recorder_->incr("serve.dropped");
-      recorder_->trace().instant(sim_.now(), workers_[static_cast<std::size_t>(w)]->core(),
-                                 "drop", "serve",
-                                 {{"request", static_cast<double>(r.id)},
-                                  {"worker", static_cast<double>(w)}});
+      recorder_->drops().add(
+          {sim_.now(), r.id, w, workers_[static_cast<std::size_t>(w)]->core()});
     }
     return false;
   }
