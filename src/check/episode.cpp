@@ -242,7 +242,7 @@ void check_balancer_rules(const FuzzScenario& sc, const Config& cfg,
 std::int64_t count_pulls(const std::vector<MigrationRecord>& migrations) {
   std::int64_t n = 0;
   for (const MigrationRecord& m : migrations)
-    if (m.cause == MigrationCause::SpeedBalancer && m.time > 0) ++n;
+    if (m.cause == MigrationCause::SpeedBalancer && m.ts_us > 0) ++n;
   return n;
 }
 

@@ -93,7 +93,7 @@ void check_speed_rules(const SpeedRuleInputs& in, std::vector<Violation>& out) {
   // Pulls = SpeedBalancer-cause migrations after the attach-time placement.
   std::vector<MigrationRecord> pulls;
   for (const MigrationRecord& m : in.migrations)
-    if (m.cause == MigrationCause::SpeedBalancer && m.time > 0)
+    if (m.cause == MigrationCause::SpeedBalancer && m.ts_us > 0)
       pulls.push_back(m);
 
   // NUMA-domain blocking (Section 5.2): pulls never cross node boundaries.
@@ -102,7 +102,7 @@ void check_speed_rules(const SpeedRuleInputs& in, std::vector<Violation>& out) {
       if (!in.topo->same_numa(m.from, m.to))
         add(out, "numa-block",
             "pull of task " + std::to_string(m.task) + " at t=" +
-                std::to_string(m.time) + "us crosses NUMA: core " +
+                std::to_string(m.ts_us) + "us crosses NUMA: core " +
                 std::to_string(m.from) + " -> " + std::to_string(m.to));
 
   // Post-migration cooldown (Section 5.2): both endpoints of a pull sit out
@@ -115,7 +115,7 @@ void check_speed_rules(const SpeedRuleInputs& in, std::vector<Violation>& out) {
     SimTime interval = in.interval;
     int post_block = in.post_migration_block;
     double cache_scale = in.shared_cache_block_scale;
-    if (const obs::TuningRecord* r = tuning_at(in.tuning, pulls[i].time)) {
+    if (const obs::TuningRecord* r = tuning_at(in.tuning, pulls[i].ts_us)) {
       interval = r->interval_us;
       post_block = r->post_migration_block;
       cache_scale = r->cache_block_scale;
@@ -128,13 +128,13 @@ void check_speed_rules(const SpeedRuleInputs& in, std::vector<Violation>& out) {
           pulls[j].from == pulls[i].from || pulls[j].from == pulls[i].to ||
           pulls[j].to == pulls[i].from || pulls[j].to == pulls[i].to;
       if (!shares_endpoint) continue;
-      const SimTime gap = pulls[i].time - pulls[j].time;
+      const SimTime gap = pulls[i].ts_us - pulls[j].ts_us;
       if (gap < block)
         add(out, "cooldown",
-            "pulls at t=" + std::to_string(pulls[j].time) + "us (" +
+            "pulls at t=" + std::to_string(pulls[j].ts_us) + "us (" +
                 std::to_string(pulls[j].from) + "->" +
                 std::to_string(pulls[j].to) + ") and t=" +
-                std::to_string(pulls[i].time) + "us (" +
+                std::to_string(pulls[i].ts_us) + "us (" +
                 std::to_string(pulls[i].from) + "->" +
                 std::to_string(pulls[i].to) + ") share a core " +
                 std::to_string(gap) + "us apart, block is " +
@@ -185,23 +185,23 @@ void check_oscillation(const TuningRuleInputs& in, std::vector<Violation>& out) 
   // Last speed pull per task; a returning pull completes the ping-pong.
   std::map<std::int64_t, MigrationRecord> last;
   for (const MigrationRecord& m : in.migrations) {
-    if (m.cause != MigrationCause::SpeedBalancer || m.time <= 0) continue;
+    if (m.cause != MigrationCause::SpeedBalancer || m.ts_us <= 0) continue;
     const auto it = last.find(m.task);
     if (it != last.end()) {
       const MigrationRecord& p = it->second;
       SimTime interval = in.interval;
-      if (const obs::TuningRecord* r = tuning_at(in.tuning, m.time))
+      if (const obs::TuningRecord* r = tuning_at(in.tuning, m.ts_us))
         interval = r->interval_us;
       const SimTime window =
           static_cast<SimTime>(in.hot_potato_guard) * interval;
-      if (m.from == p.to && m.to == p.from && m.time - p.time < window)
+      if (m.from == p.to && m.to == p.from && m.ts_us - p.ts_us < window)
         add(out, "oscillation",
             "task " + std::to_string(m.task) + " pulled core " +
                 std::to_string(p.from) + "->" + std::to_string(p.to) +
-                " at t=" + std::to_string(p.time) + "us and back " +
+                " at t=" + std::to_string(p.ts_us) + "us and back " +
                 std::to_string(m.from) + "->" + std::to_string(m.to) +
-                " at t=" + std::to_string(m.time) + "us, " +
-                std::to_string(m.time - p.time) +
+                " at t=" + std::to_string(m.ts_us) + "us, " +
+                std::to_string(m.ts_us - p.ts_us) +
                 "us apart inside the guard window " + std::to_string(window) +
                 "us (" + std::to_string(in.hot_potato_guard) +
                 " x interval " + std::to_string(interval) + "us)");

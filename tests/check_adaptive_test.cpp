@@ -24,7 +24,7 @@ bool has(const std::vector<Violation>& vs, const std::string& slug) {
 MigrationRecord mig(SimTime t, TaskId task, CoreId from, CoreId to,
                     MigrationCause cause = MigrationCause::SpeedBalancer) {
   MigrationRecord m;
-  m.time = t;
+  m.ts_us = t;
   m.task = task;
   m.from = from;
   m.to = to;
