@@ -46,6 +46,19 @@ for j in 1 2; do
     --report-json="$repo/build/cluster256_jobs$j.json" >/dev/null
 done
 cmp "$repo/build/cluster256_jobs1.json" "$repo/build/cluster256_jobs2.json"
+# Zero-hop network: every delivery fires at the instant it was sent, and the
+# throttled node's epoch drains re-send at the epoch's own instant, so the
+# cluster's in-order delivery queue sees same-time sends interleaved with
+# arrivals and epochs. Serial and parallel replicas must still agree.
+cluster_hop0_spec=(--nodes=32 --dispatch=rr --hop-us=0 --repeats=2
+  --duration-s=2 --warmup-s=0.2 --seed=42 --rebalance-epoch-ms=100
+  --perturb-node=0
+  --perturb="at=500ms dvfs core=0 scale=0.25; at=500ms dvfs core=1 scale=0.25; at=500ms dvfs core=2 scale=0.25; at=500ms dvfs core=3 scale=0.25")
+for j in 1 2; do
+  "$repo/build/src/clustersim" "${cluster_hop0_spec[@]}" --jobs="$j" \
+    --report-json="$repo/build/cluster_hop0_jobs$j.json" >/dev/null
+done
+cmp "$repo/build/cluster_hop0_jobs1.json" "$repo/build/cluster_hop0_jobs2.json"
 
 echo "== hetero-smoke: big.LITTLE partition bench, SHARE fuzz, analytic grid =="
 # The quick big.LITTLE sweep (SHARE vs the count/queue-length baselines),

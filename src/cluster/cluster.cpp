@@ -221,16 +221,22 @@ void ClusterSim::arrive(SimTime t) {
   const int pool = pick_pool(config_.dispatch, config_.jsq_d, loads_,
                              rr_cursor_, dispatch_rng_);
   ++loads_[static_cast<std::size_t>(pool)].assigned;
-  ++in_transit_;
-  cq_.schedule(t + config_.hop, [this, pool, r] { deliver(pool, r); });
+  send(pool, r);
 
   const SimTime next = arrivals_.next(t);
   if (next >= config_.duration) return;
   cq_.schedule(next, [this, next] { arrive(next); });
 }
 
-void ClusterSim::deliver(int pool, Request r) {
-  --in_transit_;
+void ClusterSim::send(int pool, const Request& r) {
+  network_.push_back({pool, r});
+  cq_.schedule(cq_.now() + config_.hop, [this] { deliver_next(); });
+}
+
+void ClusterSim::deliver_next() {
+  const int pool = network_.front().pool;
+  const Request r = network_.front().r;
+  network_.pop_front();
   const Pool& p = pools_[static_cast<std::size_t>(pool)];
   touch(p.node);  // inject() stamps the request with the node's now().
   Node& node = nodes_[static_cast<std::size_t>(p.node)];
@@ -390,9 +396,7 @@ void ClusterSim::epoch() {
         // Back out the original admission; delivery at the destination
         // re-admits (or drops), so each request nets to one count.
         if (r.recorded) --stats_.admitted;
-        ++in_transit_;
-        cq_.schedule(t + config_.hop,
-                     [this, candidate, r] { deliver(candidate, r); });
+        send(candidate, r);
       }
       if (old_rt->in_flight() == 0) {
         Simulator& sim = old_rt->simulator();
@@ -430,7 +434,7 @@ ClusterResult ClusterSim::run() {
     for (auto& inc : p.incarnations)
       if (!inc.rt->retired()) inc.rt->close();
 
-  stats_.in_transit_end = in_transit_;
+  stats_.in_transit_end = static_cast<std::int64_t>(network_.size());
   stats_.in_flight_end = 0;
   for (const Pool& p : pools_)
     for (const auto& inc : p.incarnations)

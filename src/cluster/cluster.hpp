@@ -13,6 +13,7 @@
 #include "serve/policy_stack.hpp"
 #include "serve/scenarios.hpp"
 #include "sim/event_queue.hpp"
+#include "util/fifo.hpp"
 #include "workload/arrivals.hpp"
 
 namespace speedbal::cluster {
@@ -225,7 +226,10 @@ class ClusterSim {
   void touch(int n);
   void rekey_touched();
   void arrive(SimTime t);
-  void deliver(int pool, Request r);
+  /// Put `r` on the wire to `pool`; it arrives one hop from now.
+  void send(int pool, const Request& r);
+  /// The delivery event: hand the network's oldest request to its pool.
+  void deliver_next();
   void on_pool_complete(int pool, serve::ServeRuntime* incarnation, int node,
                         const Request& r);
   serve::ServeRuntime* open_pool_on(int pool, int node);
@@ -248,7 +252,16 @@ class ClusterSim {
   Rng dispatch_rng_;
   std::uint64_t rr_cursor_ = 0;
   std::int64_t next_id_ = 0;
-  std::int64_t in_transit_ = 0;
+  /// A request on the wire and the pool it is addressed to.
+  struct Delivery {
+    int pool = 0;
+    Request r;
+  };
+  /// Requests in the network, oldest first. Every delivery is scheduled at
+  /// now() + hop, and now() never decreases while seqs increase, so
+  /// deliveries fire in the order they were sent: the delivery event only
+  /// captures `this` (it fits EventFn's inline buffer) and pops the head.
+  Fifo<Delivery> network_;
   std::int64_t epoch_index_ = 0;
   std::int64_t last_migration_epoch_ = -1000000;
   std::int64_t pool_migrations_ = 0;

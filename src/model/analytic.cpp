@@ -1,5 +1,6 @@
 #include "model/analytic.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace speedbal::model {
@@ -33,18 +34,20 @@ double linux_program_speed(const SpmdShape& shape) {
   return 1.0 / static_cast<double>(t + (shape.balanced() ? 0 : 1));
 }
 
-double speed_balanced_speed(const SpmdShape& shape) {
+double paper_midpoint_speed(const SpmdShape& shape) {
   validate(shape);
   const int t = shape.threads_per_fast_core();
   if (shape.balanced()) return 1.0 / static_cast<double>(t);
   return 0.5 * (1.0 / t + 1.0 / (t + 1));
 }
 
+double speed_balanced_speed(const SpmdShape& shape) {
+  return std::min(paper_midpoint_speed(shape),
+                  static_cast<double>(shape.cores) / shape.threads);
+}
+
 double ideal_improvement(const SpmdShape& shape) {
-  validate(shape);
-  if (shape.balanced()) return 1.0;
-  const int t = shape.threads_per_fast_core();
-  return 1.0 + 1.0 / (2.0 * t);
+  return speed_balanced_speed(shape) / linux_program_speed(shape);
 }
 
 double phase_makespan_lower_bound(const SpmdShape& shape, double s) {

@@ -14,7 +14,9 @@ namespace speedbal::model {
 /// T+1 threads. Queue-length balancing leaves the distribution static, so
 /// the program runs at the speed of the slowest thread, 1/(T+1). Speed
 /// balancing rotates threads so each spends equal time on fast and slow
-/// cores, approaching the asymptotic average speed (1/T + 1/(T+1)) / 2.
+/// cores; the paper puts the asymptotic average speed at the midpoint
+/// (1/T + 1/(T+1)) / 2, but no schedule can beat the work-conserving
+/// ceiling M/N, so the model caps it there.
 struct SpmdShape {
   int threads = 0;  ///< N.
   int cores = 0;    ///< M.
@@ -39,12 +41,20 @@ double min_profitable_s(const SpmdShape& shape, double balance_interval);
 /// advances at the slowest thread's speed, 1 / (T+1).
 double linux_program_speed(const SpmdShape& shape);
 
+/// The paper's asymptotic average thread speed under speed balancing,
+/// (1/T + 1/(T+1)) / 2: the midpoint of the fast and slow core speeds. It
+/// exceeds the capacity bound M/N whenever SQ/M > T/(2T+1) (3 threads on 2
+/// cores: 3/4 against 2/3), so it is not always reachable.
+double paper_midpoint_speed(const SpmdShape& shape);
+
 /// Asymptotic average thread speed under ideal speed balancing:
-/// (1/T + 1/(T+1)) / 2 (each thread splits time between fast/slow cores).
+/// min(paper_midpoint_speed, M/N). Time-averaged, a thread spends FQ*T/N
+/// of its time on fast cores, which gives exactly M/N.
 double speed_balanced_speed(const SpmdShape& shape);
 
-/// The paper's headline ratio: ideal speedup of speed balancing over
-/// queue-length balancing, 1 + 1/(2T).
+/// Ideal speedup of speed balancing over queue-length balancing:
+/// speed_balanced_speed / linux_program_speed. The paper's headline
+/// 1 + 1/(2T) is the uncapped midpoint's ratio.
 double ideal_improvement(const SpmdShape& shape);
 
 /// Upper bound on the makespan of one phase: work S per thread, perfectly

@@ -151,8 +151,13 @@ void ServeRuntime::finish_current(int worker) {
   --in_flight_;
   if (r.recorded) {
     ++stats_.completed;
-    stats_.latency.record((sim_.now() - r.arrival) * 1000);
-    stats_.queue_wait.record((r.started - r.arrival) * 1000);
+    // A completion hook owns the finished request's latency record (the
+    // cluster records end to end, hops included); recording it here as well
+    // would pay for histograms nothing reads.
+    if (!on_complete_) {
+      stats_.latency.record((sim_.now() - r.arrival) * 1000);
+      stats_.queue_wait.record((r.started - r.arrival) * 1000);
+    }
   }
   if (shard.cur_sampled) {
     // on_work_complete runs after the simulator flushed the worker's

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <span>
 #include <string>
@@ -13,6 +12,7 @@
 #include "serve/request.hpp"
 #include "sim/simulator.hpp"
 #include "util/enum_names.hpp"
+#include "util/fifo.hpp"
 #include "util/stats.hpp"
 
 namespace speedbal::serve {
@@ -64,7 +64,10 @@ struct ServeParams {
 };
 
 /// Tail-latency accounting for one serve run. Counters cover requests that
-/// arrive after warmup; histograms are in nanoseconds.
+/// arrive after warmup; histograms are in nanoseconds. The counters are
+/// always kept. The two histograms are filled only while no completion hook
+/// is set: a hook owns each finished request's latency record (see
+/// ServeRuntime::set_completion_hook), so under a hook they stay empty.
 struct ServeStats {
   std::int64_t offered = 0;    ///< Post-warmup arrivals.
   std::int64_t admitted = 0;   ///< Accepted into a shard queue.
@@ -128,8 +131,11 @@ class ServeRuntime : public TaskClient {
   // the source, and retiring the source workers once the pool is empty.
 
   /// Observer invoked for *every* finished request, recorded or not, after
-  /// stats are updated. The cluster layer uses it for its own conservation
-  /// accounting and drain tracking; single-machine runs leave it unset.
+  /// the stats counters are updated. The hook owns the request's latency
+  /// record: while one is set, stats().latency and stats().queue_wait are
+  /// not filled, and the hook records whatever its owner needs. The cluster
+  /// layer uses it for its end-to-end latency, its conservation accounting
+  /// and drain tracking; single-machine runs leave it unset.
   void set_completion_hook(std::function<void(const Request&)> fn) {
     on_complete_ = std::move(fn);
   }
@@ -162,7 +168,7 @@ class ServeRuntime : public TaskClient {
 
  private:
   struct Shard {
-    std::deque<Request> queue;
+    Fifo<Request> queue;
     bool busy = false;         ///< Work (request or bootstrap) in service.
     bool has_current = false;  ///< `current` holds a real request.
     Request current;

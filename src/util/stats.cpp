@@ -111,6 +111,7 @@ void LatencyHistogram::record(std::int64_t ns) {
   }
   ++count_;
   sum_ += static_cast<double>(ns);
+  if (buckets_.empty()) buckets_.resize(static_cast<std::size_t>(kNumBuckets));
   ++buckets_[static_cast<std::size_t>(bucket_index(ns))];
 }
 
@@ -125,6 +126,10 @@ void LatencyHistogram::merge(const LatencyHistogram& other) {
   }
   count_ += other.count_;
   sum_ += other.sum_;
+  if (buckets_.empty()) {
+    buckets_ = other.buckets_;
+    return;
+  }
   for (int i = 0; i < kNumBuckets; ++i)
     buckets_[static_cast<std::size_t>(i)] +=
         other.buckets_[static_cast<std::size_t>(i)];

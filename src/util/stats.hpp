@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -61,9 +60,10 @@ double improvement_pct(double baseline_runtime, double candidate_runtime);
 /// nanoseconds; each power of two is split into 32 linear sub-buckets, so a
 /// recorded value lands in a bucket whose width is at most 1/32 (~3.1%) of
 /// its magnitude — percentile error is bounded by that ratio. Values below
-/// 32 ns are exact. The table is ~15 KB and merge is element-wise, so
-/// per-shard histograms can be kept independently and combined at report
-/// time.
+/// 32 ns are exact. The table is ~15 KB, allocated on the first record (or
+/// non-empty merge), so a histogram that never records costs a few dozen
+/// bytes. Merge is element-wise, so per-shard histograms can be kept
+/// independently and combined at report time.
 class LatencyHistogram {
  public:
   /// Record one latency. Negative values clamp to 0; values beyond ~2^62 ns
@@ -93,7 +93,8 @@ class LatencyHistogram {
   static std::int64_t bucket_lo(int i);
   static std::int64_t bucket_width(int i);
 
-  std::array<std::int64_t, static_cast<std::size_t>(kNumBuckets)> buckets_{};
+  /// Empty until the first record or non-empty merge, then kNumBuckets.
+  std::vector<std::int64_t> buckets_;
   std::int64_t count_ = 0;
   std::int64_t min_ = 0;
   std::int64_t max_ = 0;

@@ -205,6 +205,11 @@ TEST(PoolMigrationHooks, CompletionHookSeesEveryFinishedRequest) {
     ASSERT_TRUE(rt.inject(make_request(i, 0, 2000.0)));
   sim.run_until(msec(100));
   EXPECT_EQ(completed.size(), 5u);
+  // The hook owns the latency record: the pool keeps its counters but
+  // leaves its own histograms empty.
+  EXPECT_EQ(rt.stats().completed, 5);
+  EXPECT_EQ(rt.stats().latency.count(), 0);
+  EXPECT_EQ(rt.stats().queue_wait.count(), 0);
 }
 
 // --- End-to-end cluster runs -------------------------------------------------

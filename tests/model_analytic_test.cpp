@@ -46,21 +46,36 @@ TEST(Analytic, MinProfitableSFormula) {
 }
 
 TEST(Analytic, ProgramSpeeds) {
-  // 3 threads on 2 cores: Linux runs the app at 1/2; ideal speed balancing
-  // approaches (1/1 + 1/2)/2 = 3/4 average thread speed (Section 4).
+  // 3 threads on 2 cores: Linux runs the app at 1/2. The paper's midpoint
+  // (1/1 + 1/2)/2 = 3/4 (Section 4) is above the capacity ceiling M/N =
+  // 2/3, so ideal speed balancing reaches 2/3 and improves by 4/3.
   const SpmdShape s{3, 2};
   EXPECT_DOUBLE_EQ(linux_program_speed(s), 0.5);
-  EXPECT_DOUBLE_EQ(speed_balanced_speed(s), 0.75);
-  EXPECT_DOUBLE_EQ(ideal_improvement(s), 1.5);  // 1 + 1/(2*1).
+  EXPECT_DOUBLE_EQ(paper_midpoint_speed(s), 0.75);
+  EXPECT_DOUBLE_EQ(speed_balanced_speed(s), 2.0 / 3.0);
+  EXPECT_DOUBLE_EQ(ideal_improvement(s), 4.0 / 3.0);
+}
+
+TEST(Analytic, MidpointBelowCapacityIsKept) {
+  // 16 threads on 12 cores (cg.B on tigerton): SQ/M = 1/3 = T/(2T+1), so
+  // the midpoint 3/4 equals M/N and the cap does not bind. 13 on 12 sits
+  // well below it: midpoint 3/4 against M/N = 12/13.
+  EXPECT_DOUBLE_EQ(speed_balanced_speed({16, 12}), 0.75);
+  EXPECT_DOUBLE_EQ(speed_balanced_speed({13, 12}), 0.75);
+  EXPECT_DOUBLE_EQ(ideal_improvement({13, 12}), 1.5);
 }
 
 TEST(Analytic, ImprovementShrinksWithMoreThreadsPerCore) {
-  // 1 + 1/(2T): the paper's asymptotic gain decays as oversubscription grows.
+  // One extra thread on 2 cores always hits the capacity ceiling, so the
+  // gain is (2/(2T+1)) / (1/(T+1)) = (2T+2)/(2T+1) rather than the paper's
+  // 1 + 1/(2T); both decay as oversubscription grows.
   double prev = 10.0;
   for (int t = 1; t <= 8; ++t) {
     const SpmdShape s{2 * t + 1, 2};  // T = t, one extra thread.
     const double gain = ideal_improvement(s);
-    EXPECT_DOUBLE_EQ(gain, 1.0 + 1.0 / (2.0 * t));
+    EXPECT_DOUBLE_EQ(gain, (2.0 * t + 2.0) / (2.0 * t + 1.0));
+    EXPECT_DOUBLE_EQ(paper_midpoint_speed(s) / linux_program_speed(s),
+                     1.0 + 1.0 / (2.0 * t));
     EXPECT_LT(gain, prev);
     prev = gain;
   }

@@ -396,6 +396,39 @@ TEST(ServeRuntime, CompletionLookupIsIdKeyedAndRejectsForeignTasks) {
   EXPECT_THROW(runtime.on_work_complete(sim, late), std::logic_error);
 }
 
+TEST(ServeRuntime, WithoutAHookEveryCompletionIsRecorded) {
+  // No completion hook: the runtime owns the latency record, so both
+  // histograms hold one sample per completed request. Half the requests
+  // arrive before warmup ends and count nowhere.
+  Simulator sim(presets::generic(2));
+  ServeParams params;
+  params.workers = 2;
+  params.sample_interval = 0;
+  params.warmup = msec(5);
+  ServeRuntime runtime(sim, params);
+  const std::vector<CoreId> cores = {0, 1};
+  runtime.open(cores, /*round_robin=*/true);
+
+  for (const SimTime at : {msec(1), msec(10)}) {
+    sim.schedule_at(at, [&sim, &runtime, at, &params] {
+      for (int i = 0; i < 8; ++i) {
+        Request r;
+        r.id = at / 1000 * 100 + i;
+        r.arrival = sim.now();
+        r.service_us = 300.0;
+        r.recorded = at >= params.warmup;
+        EXPECT_TRUE(runtime.inject(r));
+      }
+    });
+  }
+  sim.run_until(sec(1));
+
+  const ServeStats& st = runtime.stats();
+  EXPECT_EQ(st.completed, 8);
+  EXPECT_EQ(st.latency.count(), st.completed);
+  EXPECT_EQ(st.queue_wait.count(), st.completed);
+}
+
 TEST(ServeRuntime, LeastLoadedIndexIsFreshInsideTheCompletionHook) {
   // A cluster's completion hook may inject into the pool whose request just
   // finished, before the worker picks its next one, so the finished request

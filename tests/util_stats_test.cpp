@@ -188,6 +188,58 @@ TEST(LatencyHistogram, MergeEqualsSequential) {
     EXPECT_DOUBLE_EQ(a.percentile(p), all.percentile(p));
 }
 
+TEST(LatencyHistogram, EmptyPercentileIsZeroEverywhere) {
+  const LatencyHistogram h;
+  for (double p : {0.0, 1.0, 50.0, 99.0, 99.9, 100.0})
+    EXPECT_EQ(h.percentile(p), 0.0) << "at p" << p;
+}
+
+TEST(LatencyHistogram, MergingEmptyIntoEmptyStaysEmpty) {
+  LatencyHistogram a;
+  const LatencyHistogram b;
+  a.merge(b);
+  EXPECT_EQ(a.count(), 0);
+  EXPECT_EQ(a.min(), 0);
+  EXPECT_EQ(a.max(), 0);
+  EXPECT_EQ(a.mean(), 0.0);
+  EXPECT_EQ(a.percentile(50.0), 0.0);
+  // Still usable afterwards.
+  a.record(40);
+  EXPECT_EQ(a.count(), 1);
+  EXPECT_DOUBLE_EQ(a.percentile(50.0), 40.0);
+}
+
+TEST(LatencyHistogram, MergeIntoEmptyReproducesTheSource) {
+  LatencyHistogram src;
+  for (int i = 0; i < 500; ++i) src.record(i * i * 13 + 3);
+  LatencyHistogram dst;
+  dst.merge(src);
+  EXPECT_EQ(dst.count(), src.count());
+  EXPECT_EQ(dst.min(), src.min());
+  EXPECT_EQ(dst.max(), src.max());
+  EXPECT_EQ(dst.mean(), src.mean());
+  for (double p : {0.0, 10.0, 50.0, 90.0, 99.0, 99.9, 100.0})
+    EXPECT_EQ(dst.percentile(p), src.percentile(p)) << "at p" << p;
+  // The merged copy owns its buckets: recording into it leaves src alone.
+  dst.record(1);
+  EXPECT_EQ(src.count(), 500);
+  EXPECT_EQ(src.min(), 3);
+}
+
+TEST(LatencyHistogram, CopyOfEmptyRecordsNormally) {
+  const LatencyHistogram empty;
+  LatencyHistogram copy = empty;
+  for (int v : {5, 100, 7000}) copy.record(v);
+  LatencyHistogram direct;
+  for (int v : {5, 100, 7000}) direct.record(v);
+  EXPECT_EQ(empty.count(), 0);
+  EXPECT_EQ(copy.count(), 3);
+  EXPECT_EQ(copy.min(), 5);
+  EXPECT_EQ(copy.max(), 7000);
+  for (double p : {0.0, 50.0, 100.0})
+    EXPECT_EQ(copy.percentile(p), direct.percentile(p)) << "at p" << p;
+}
+
 TEST(LatencyHistogram, NegativeClampsToZero) {
   LatencyHistogram h;
   h.record(-5);
