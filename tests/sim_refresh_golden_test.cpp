@@ -1,7 +1,9 @@
 // Golden fingerprints of short SPMD episodes that exercise the simulator's
 // speed-refresh path: a memory-bound run on a saturated bus (every dispatch
-// re-times every running core) and an SMT run with no bandwidth demand (only
-// the sibling of a starting/stopping thread is re-timed). Any change to the
+// re-times every running core), the same on a NUMA machine with a
+// zero-intensity hog among the memory-bound threads, and an SMT run with no
+// bandwidth demand (only the sibling of a starting/stopping thread is
+// re-timed). Any change to the
 // speed arithmetic, the event order, or the execution accounting moves the
 // pinned values. The segment digest is taken over the canonical (merged)
 // segment log, so where a stretch of execution is cut into records does not
@@ -96,7 +98,9 @@ std::uint64_t window_digest(const Metrics& m, int num_tasks, SimTime end) {
 
 Fingerprint run(ExperimentConfig cfg) {
   Fingerprint fp;
-  cfg.on_run_end = [&fp](Simulator& sim, SpmdApp&, int) {
+  cfg.on_run_end = [&fp, inner = cfg.on_run_end](Simulator& sim, SpmdApp& app,
+                                                 int rep) {
+    if (inner) inner(sim, app, rep);
     sim.sync_all_accounting();
     fp.events = sim.events_executed();
     for (TaskId id = 0; id < sim.num_tasks(); ++id)
@@ -247,6 +251,65 @@ TEST(SimRefreshGolden, MemoryBoundCgLoadSleepWithDvfsStep) {
   want.segment_digest = 9532575351394939913ULL;
   want.window_digest = 15480437567924327196ULL;
   expect_fingerprint(run(cfg), want);
+}
+
+TEST(SimRefreshGolden, NumaMemoryBoundWithHog) {
+  // cg.B on barcelona: per-node bandwidth demand, and speed pulls across
+  // nodes (NUMA blocking off) after first touch leave threads running away
+  // from their memory home. A pinned hog (mem_intensity 0) joins at 50 ms,
+  // so one refresh re-times cores whose memory factors differ by intensity,
+  // by home node and by the node they run on.
+  NpbProfile prof = npb::by_name("cg.B");
+  prof.phases = 150;
+  ExperimentConfig cfg = scenarios::npb_config(
+      presets::barcelona(), prof, 20, 16, scenarios::Setup::SpeedYield, 1, 7);
+  cfg.speed.block_numa = false;
+  perturb::PerturbEvent hog;
+  hog.at = msec(50);
+  hog.kind = perturb::PerturbKind::HogStart;
+  hog.core = 5;
+  cfg.perturb.add(hog);
+  int remote_homed = 0;
+  cfg.on_run_end = [&remote_homed](Simulator& sim, SpmdApp& app, int) {
+    for (const Task* t : app.threads())
+      if (t->home_numa() >= 0 &&
+          t->home_numa() != sim.topo().core(t->core()).numa_node)
+        ++remote_homed;
+  };
+  const Fingerprint got = run(cfg);
+  EXPECT_GT(remote_homed, 0) << "no thread ends away from its memory home";
+  Fingerprint want;
+  want.events = 23356;
+  want.makespan_s = 2.018964;
+  want.migrations = {{MigrationCause::LinuxNewIdle, 7},
+                     {MigrationCause::SpeedBalancer, 64}};
+  want.exec_by_core = {
+      {49933, 0, 0, 0, 0, 130460, 0, 0, 0, 0, 0, 802273, 525199, 0, 0, 0},
+      {0, 55187, 0, 0, 0, 99178, 0, 0, 0, 0, 0, 0, 291369, 0, 0, 1089942},
+      {0, 0, 50555, 0, 0, 0, 0, 1546169, 194880, 0, 0, 0, 0, 0, 0, 0},
+      {0, 0, 0, 55263, 1121032, 0, 0, 0, 0, 538573, 0, 0, 0, 0, 0, 0},
+      {0, 0, 0, 0, 253965, 0, 0, 0, 103443, 0, 0, 0, 0, 0, 1065514, 0},
+      {0, 0, 0, 975483, 0, 77961, 446354, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+      {0, 0, 0, 0, 0, 0, 264566, 0, 624872, 602041, 0, 0, 0, 0, 0, 0},
+      {95443, 0, 0, 0, 0, 0, 378540, 445927, 0, 0, 497344, 0, 0, 0, 0, 0},
+      {0, 0, 0, 0, 0, 0, 0, 0, 1095769, 0, 0, 0, 0, 0, 513242, 0},
+      {151624, 0, 0, 0, 0, 0, 929504, 0, 0, 490135, 0, 0, 0, 0, 0, 0},
+      {0, 545720, 0, 0, 0, 0, 0, 0, 0, 0, 1000430, 0, 0, 0, 0, 0},
+      {0, 301309, 0, 0, 0, 0, 0, 0, 0, 388215, 0, 661376, 0, 0, 0, 91199},
+      {0, 507002, 0, 96473, 0, 0, 0, 0, 0, 0, 521190, 0, 172786, 0, 0, 0},
+      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1943521, 0, 0},
+      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 456441, 0, 0, 440208, 651072},
+      {0, 0, 0, 0, 0, 130390, 0, 0, 0, 0, 0, 0, 899304, 0, 0, 186751},
+      {1017259, 0, 419652, 104991, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+      {0, 609746, 720036, 0, 0, 0, 0, 0, 0, 0, 0, 98874, 0, 75443, 0, 0},
+      {0, 0, 828721, 0, 643967, 0, 0, 0, 0, 0, 0, 0, 130306, 0, 0, 0},
+      {704705, 0, 0, 786754, 0, 0, 0, 26868, 0, 0, 0, 0, 0, 0, 0, 0},
+      {0, 0, 0, 0, 0, 1580975, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+  };
+  want.canonical_segments = 3555;
+  want.segment_digest = 6845341622304615465ULL;
+  want.window_digest = 5385709970232580537ULL;
+  expect_fingerprint(got, want);
 }
 
 TEST(SimRefreshGolden, SmtSiblingRefreshWithoutBandwidthDemand) {
