@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace speedbal {
 namespace {
@@ -208,6 +212,64 @@ TEST(CfsQueue, TasksSnapshotInVruntimeOrder) {
   ASSERT_EQ(tasks.size(), 2u);
   EXPECT_EQ(tasks[0], b.get());
   EXPECT_EQ(tasks[1], a.get());
+}
+
+TEST(CfsQueue, ChargeKeepsVruntimeIdOrderUnderRandomCharges) {
+  // Charges at the front, middle and back of a queue, with durations on a
+  // coarse grid so vruntimes collide (ties broken by id), a huge weight
+  // whose charge rounds to 0, and a charge of a task that is not queued.
+  // After every charge the queue must equal a reference sort by
+  // (vruntime, id), and min_vruntime must follow the leftmost task.
+  const auto key_less = [](const Task* a, const Task* b) {
+    return a->vruntime() != b->vruntime() ? a->vruntime() < b->vruntime()
+                                          : a->id() < b->id();
+  };
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    Rng rng(seed);
+    CfsQueue q;
+    std::vector<std::unique_ptr<Task>> owned;
+    for (TaskId id = 1; id <= 9; ++id) {
+      const double w = id == 4 ? 1e12 : (id % 3 == 0 ? 2.0 : 1.0);
+      owned.push_back(make_task(id, w));
+      q.enqueue(*owned.back(), false);
+    }
+    auto outsider = make_task(20);
+    SimTime want_min = q.min_vruntime();
+    int rounded_to_zero = 0;
+    for (int step = 0; step < 400; ++step) {
+      const SimTime dur = usec(500) * rng.uniform_int(0, 4);
+      const std::vector<Task*> before = q.tasks();
+      const int where = static_cast<int>(rng.uniform_int(0, 4));
+      if (where == 4) {
+        const SimTime v = outsider->vruntime();
+        q.charge(*outsider, dur);
+        EXPECT_EQ(outsider->vruntime(), v + dur);
+        EXPECT_EQ(q.tasks(), before);
+        EXPECT_EQ(q.min_vruntime(), want_min);
+        continue;
+      }
+      const std::size_t n = before.size();
+      const std::size_t i = where == 0   ? 0
+                            : where == 1 ? n - 1
+                                         : 1 + rng.uniform_u64(n - 2);
+      Task* t = before[i];
+      const SimTime v = t->vruntime();
+      q.charge(*t, dur);
+      EXPECT_EQ(t->vruntime(),
+                v + static_cast<SimTime>(std::llround(
+                        static_cast<double>(dur) / t->spec().weight)));
+      if (dur > 0 && t->vruntime() == v) ++rounded_to_zero;
+      std::vector<Task*> want = before;
+      std::sort(want.begin(), want.end(), key_less);
+      ASSERT_EQ(q.tasks(), want) << "seed " << seed << " step " << step;
+      want_min = std::max(want_min, want.front()->vruntime());
+      EXPECT_EQ(q.min_vruntime(), want_min);
+      // Now and then a yield moves a task to the right edge without
+      // advancing min_vruntime; the next charge must catch up.
+      if (step % 7 == 3) q.requeue_behind(*q.pick_next());
+    }
+    EXPECT_GT(rounded_to_zero, 0) << "seed " << seed;
+  }
 }
 
 }  // namespace
