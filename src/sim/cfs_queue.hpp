@@ -56,7 +56,9 @@ class CfsQueue {
   /// every other runnable task will run before it does).
   void requeue_behind(Task& t);
 
-  /// Charge `dur` of execution to the task's virtual clock (weighted).
+  /// Charge `dur` >= 0 of execution to the task's virtual clock (weighted).
+  /// A queued task slides right to its new (vruntime, id) position; a task
+  /// that is not queued only has its vruntime advanced.
   void charge(Task& t, SimTime dur);
 
   /// Timeslice for the current load: max(latency / nr_running, min_gran).

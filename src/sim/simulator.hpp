@@ -247,14 +247,38 @@ class Simulator {
   /// (Re-)arm the core's stop timer for timeslice expiry or work
   /// completion at the current speed, whichever comes first.
   void arm_stop(CoreId core);
-  double compute_speed(const Task& t, CoreId core) const;
+  /// The speed formula, the one place it is written: clock scale, then x
+  /// SMT contention, then x the memory factor (this order keeps the
+  /// floating-point result the same however the factor was obtained).
+  double compute_speed(const Task& t, CoreId core) const {
+    return speed_on(core, memory_factor(t, core));
+  }
+  double speed_on(CoreId core, double mem_factor) const;
+  /// MemoryModel::speed_factor of `t` on `core` at the current node and
+  /// system demand. Depends on `t` and `core` only through (mem_intensity,
+  /// home node, the core's node).
+  double memory_factor(const Task& t, CoreId core) const;
   void add_running_demand(const Task& t, int sign);
+  /// Give the running task on `core` a new speed: charge the elapsed part
+  /// at the old speed and re-arm the stop timer. No-op if it is unchanged.
+  void retime(CoreId core, double speed);
+  /// Re-time the running cores a start/stop of `changed` affects: all of
+  /// them when it carries bandwidth demand, else only its SMT sibling.
+  /// Memoizes the memory factor on (mem_intensity, home node, core node),
+  /// the whole of what it depends on while the demand is fixed.
   void refresh_speeds(const Task& changed);
   CoreId select_core_fork(const Task& t);
   CoreId select_core_wake(const Task& t);
   CoreId least_loaded_online(std::uint64_t mask) const;
   void enqueue_on(Task& t, CoreId core, bool sleeper_bonus);
   void maybe_refresh_load_snapshot();
+
+  /// Unchecked access for the dispatch engine, whose core ids are in range
+  /// by construction; the public core(id) keeps its bounds check.
+  CoreState& core_at(CoreId c) { return cores_[static_cast<std::size_t>(c)]; }
+  const CoreInfo& core_info(CoreId c) const {
+    return topo_.cores()[static_cast<std::size_t>(c)];
+  }
 
   Topology topo_;  // Non-const: DVFS perturbations mutate clock scales.
   const DomainTree domains_;
