@@ -192,5 +192,38 @@ TEST(SimEdge, AffinityNarrowedWhileSleepingAppliesAtWake) {
   EXPECT_EQ(t.core(), 3);
 }
 
+TEST(SimEdge, UnparkFromOfflineCoreCountsTheHotplugMove) {
+  // A task parked on a core that then goes offline is moved at unpark. Like
+  // the runnable task the offlining drains, the move is both logged and
+  // counted: only WakePlacement is recorded but not counted.
+  Simulator sim(presets::generic(3));
+  Task& a = sim.create_task({.name = "a"});
+  Task& b = sim.create_task({.name = "b"});
+  Task& c = sim.create_task({.name = "c"});
+  for (Task* t : {&a, &b, &c}) sim.assign_work(*t, 50'000.0);
+  sim.start_task_on(a, 0);
+  sim.start_task_on(b, 1);
+  sim.start_task_on(c, 1);
+  sim.run_until(msec(1));
+  sim.park_task(b);
+  sim.set_core_online(1, false);
+  EXPECT_EQ(c.migrations(), 1);
+  EXPECT_EQ(b.state(), TaskState::Parked);
+  EXPECT_EQ(b.migrations(), 0);
+  sim.unpark_task(b);
+  EXPECT_NE(b.core(), 1);
+  EXPECT_TRUE(sim.core_online(b.core()));
+  int b_hotplug = 0;
+  for (const MigrationRecord& m : sim.metrics().migrations())
+    if (m.task == b.id()) {
+      EXPECT_EQ(m.cause, MigrationCause::Hotplug);
+      ++b_hotplug;
+    }
+  EXPECT_EQ(b_hotplug, 1);
+  EXPECT_EQ(b.migrations(), 1);
+  sim.run_while_pending([&] { return b.state() == TaskState::Finished; }, sec(1));
+  EXPECT_EQ(b.state(), TaskState::Finished);
+}
+
 }  // namespace
 }  // namespace speedbal
