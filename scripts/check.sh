@@ -96,6 +96,15 @@ for j in 1 2; do
     >/dev/null
 done
 cmp "$repo/build/spmd_cgB_jobs1.json" "$repo/build/spmd_cgB_jobs2.json"
+# The same on a NUMA machine: barcelona splits bandwidth demand by node, so
+# the speed refresh's memoized memory factor (keyed on intensity, home node
+# and core node) runs under the oracle with more than one key.
+for j in 1 2; do
+  "$repo/build/src/simrun" --topo=barcelona --bench=cg.B --threads=20 \
+    --cores=16 --repeats=2 --seed=7 --jobs="$j" \
+    --report-json="$repo/build/spmd_cgB_numa_jobs$j.json" >/dev/null
+done
+cmp "$repo/build/spmd_cgB_numa_jobs1.json" "$repo/build/spmd_cgB_numa_jobs2.json"
 
 echo "== stack-smoke: one policy stack per spmd policy, share-log reader =="
 # Every spmd policy attaches its balancers through serve::PolicyStack; two
