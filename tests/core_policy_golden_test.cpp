@@ -1,13 +1,15 @@
 // Golden fingerprints of every balancer stack a run can attach: the batch
 // (spmd) experiment under each policy, the serving runtime under ULE, SHARE
-// and SPEED with least-loaded dispatch, and a recorded SPEED cluster episode
-// with a pool migration. Each case pins the run's results exactly (runtimes
-// as hexfloats) together with an FNV-1a digest of its full JSON run report,
-// so any change to which balancer attaches when, in what order, or with which
-// recorder moves a pinned value. Between them the recorded runs fill every record log:
-// decisions, speed timeline, spans, run segments, shares, tuning epochs and
-// rebalance epochs, and the reason-coverage case drives the SPEED pull rule
-// through every rejection the simulator can log.
+// and SPEED with least-loaded dispatch, a DWRR serve episode on NUMA
+// barcelona with hotplug and an overflowing run-segment cap, and a recorded
+// SPEED cluster episode with a pool migration. Each case pins the run's
+// results exactly (runtimes as hexfloats) together with an FNV-1a digest of
+// its full JSON run report, so any change to which balancer attaches when,
+// in what order, or with which recorder moves a pinned value. Between them
+// the recorded runs fill every record log: decisions, speed timeline, spans,
+// run segments, shares, tuning epochs and rebalance epochs, and the
+// reason-coverage case drives the SPEED pull rule through every rejection
+// the simulator can log.
 
 #include <gtest/gtest.h>
 
@@ -280,6 +282,35 @@ TEST(PolicyGolden, ServeLeastLoaded) {
   EXPECT_EQ(serve_fingerprint(r), "6df0c096ad880e18");
   EXPECT_EQ(report_digest(rec), "913373e4d9187c5c");
   EXPECT_GT(rec.spans().size(), 0u);
+}
+
+TEST(PolicyGolden, ServeNumaHotplugOddWorkers) {
+  // Twelve sleeping DWRR workers on barcelona's sixteen cores: idle cores
+  // near and far from each wakee, so wake placement picks among its
+  // nearest-first ranks (hundreds of wake moves); twelve least-loaded
+  // shards pad the dispatch tree; core 5 goes away and comes back; and a
+  // run-segment cap below the episode's segment count makes the export
+  // overflow.
+  obs::RunRecorder rec;
+  serve::ServeConfig cfg = serve_config(Policy::Dwrr, rec);
+  cfg.topo = presets::barcelona();
+  cfg.cores = 16;
+  cfg.serve.workers = 12;
+  cfg.serve.span_sampling_log2 = 2;
+  cfg.serve.dispatch = serve::DispatchPolicy::LeastLoaded;
+  cfg.arrival.rate_rps =
+      serve::rate_for_utilization(cfg.topo, 16, 0.5, 2000.0);
+  cfg.duration = msec(2500);
+  cfg.perturb = perturb::PerturbTimeline::parse_specs(
+      "at=1s offline core=5; at=2s online core=5");
+  rec.run_segments().set_cap(10000);
+  const serve::ServeResult r = serve::run_serve(cfg);
+  EXPECT_EQ(serve_fingerprint(r), "551215931b4a5bd9");
+  EXPECT_EQ(report_digest(rec), "848d28f343573015");
+  EXPECT_EQ(rec.run_segments().size(), 10000u);
+  EXPECT_GT(rec.run_segments().dropped(), 0);
+  EXPECT_GT(r.migrations_by_cause.at(MigrationCause::WakePlacement), 100);
+  EXPECT_GE(r.migrations_by_cause.at(MigrationCause::Hotplug), 1);
 }
 
 TEST(PolicyGolden, SpeedClusterWithRebalance) {
