@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace speedbal {
 
@@ -64,7 +63,7 @@ void CfsQueue::requeue_behind(Task& t) {
 void CfsQueue::charge(Task& t, SimTime dur) {
   assert(dur >= 0);
   const double w = std::max(t.spec().weight, 1e-9);
-  t.vruntime_ref() += static_cast<SimTime>(std::llround(static_cast<double>(dur) / w));
+  t.vruntime_ref() += round_to_int64(static_cast<double>(dur) / w);
   const std::size_t i = index_of(t);
   if (i == order_.size()) return;  // Not queued: nothing to reorder.
   // The key (vruntime, id) only grew, so the task slides right: everything

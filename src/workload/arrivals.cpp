@@ -39,7 +39,7 @@ ArrivalProcess::ArrivalProcess(ArrivalSpec spec, std::uint64_t seed)
 
 SimTime ArrivalProcess::exp_gap(double rate_rps) {
   const double gap_us = exp_variate(rng_, 1e6 / rate_rps);
-  return std::max<SimTime>(1, static_cast<SimTime>(std::llround(gap_us)));
+  return std::max<SimTime>(1, round_to_int64(gap_us));
 }
 
 SimTime ArrivalProcess::next(SimTime now) {
@@ -57,8 +57,7 @@ SimTime ArrivalProcess::next(SimTime now) {
             in_burst_ ? spec_.burst_dwell_mean : spec_.calm_dwell_mean;
         const double dwell_us =
             exp_variate(rng_, static_cast<double>(dwell_mean));
-        state_end_ += std::max<SimTime>(
-            1, static_cast<SimTime>(std::llround(dwell_us)));
+        state_end_ += std::max<SimTime>(1, round_to_int64(dwell_us));
       }
       return now + exp_gap(in_burst_ ? burst_rate_ : calm_rate_);
     }
