@@ -12,8 +12,9 @@ namespace speedbal {
 
 /// Struct-of-arrays backing store for the per-core dispatch state touched on
 /// every event, indexed by CoreId. The Simulator owns one store for all its
-/// cores; scans like "who is running everywhere" or "which cores are online"
-/// walk one dense array each instead of striding across CoreState objects.
+/// cores; scans like "who is running everywhere" walk one dense array each
+/// instead of striding across CoreState objects, and the online set is one
+/// bitmask.
 class CoreStore {
  public:
   void init(std::size_t n) {
@@ -24,7 +25,7 @@ class CoreStore {
     current_speed.assign(n, 1.0);
     busy_time.assign(n, SimTime{0});
     idle_since.assign(n, SimTime{0});
-    online.assign(n, std::uint8_t{1});
+    online = n >= 64 ? ~0ULL : (1ULL << n) - 1;
     in_dispatch.assign(n, std::uint8_t{0});
   }
 
@@ -39,7 +40,9 @@ class CoreStore {
   std::vector<double> current_speed;
   std::vector<SimTime> busy_time;
   std::vector<SimTime> idle_since;
-  std::vector<std::uint8_t> online;
+  /// Bit c set iff core c is online (Linux cpu_online_mask); written only
+  /// by Simulator::set_core_online.
+  std::uint64_t online = 0;
   /// Dispatch re-entrancy latch (idle hooks may call back into dispatch).
   std::vector<std::uint8_t> in_dispatch;
 };
@@ -62,7 +65,7 @@ class CoreState {
 
   /// Hotplug state: offline cores execute nothing and reject placements
   /// (Simulator::set_core_online drains them). Mirrors Linux cpu_online_mask.
-  bool online() const { return store_->online[cid()] != 0; }
+  bool online() const { return ((store_->online >> cid()) & 1ULL) != 0; }
 
   /// Effective execution speed of the running task (clock scale x memory
   /// effects); meaningless when nothing is running.
@@ -85,7 +88,6 @@ class CoreState {
   double& current_speed_ref() { return store_->current_speed[cid()]; }
   SimTime& busy_time_ref() { return store_->busy_time[cid()]; }
   SimTime& idle_since_ref() { return store_->idle_since[cid()]; }
-  std::uint8_t& online_ref() { return store_->online[cid()]; }
   std::uint8_t& in_dispatch_ref() { return store_->in_dispatch[cid()]; }
 
   CoreId id_;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -145,8 +146,8 @@ class Simulator {
   void set_core_online(CoreId core, bool online);
 
   bool core_online(CoreId c) const { return core(c).online(); }
-  std::uint64_t online_mask() const;
-  int num_online_cores() const;
+  std::uint64_t online_mask() const { return core_store_.online; }
+  int num_online_cores() const { return std::popcount(core_store_.online); }
 
   // --- Time control -------------------------------------------------------
 
@@ -297,6 +298,15 @@ class Simulator {
   /// (Task& handles live for the simulation's lifetime).
   std::deque<Task> tasks_;
   std::vector<CoreState> cores_;
+
+  /// Per core, the cores sharing its cache, its socket and its NUMA node
+  /// (itself included): wake placement's nearest-first ranks as masks.
+  struct NearMasks {
+    std::uint64_t cache = 0;
+    std::uint64_t socket = 0;
+    std::uint64_t numa = 0;
+  };
+  std::vector<NearMasks> near_;
 
   std::vector<double> node_demand_;
   double system_demand_ = 0.0;
