@@ -1,9 +1,9 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "util/enum_names.hpp"
@@ -36,22 +36,29 @@ inline DispatchPolicy parse_dispatch_policy(std::string_view name) {
 }
 
 /// Incremental first-minimum over per-shard load keys: a winner (tournament)
-/// tree of (key, shard) pairs, with leaves at [W, 2W) and node i holding the
-/// lesser of 2i and 2i+1. update() is O(log W), pick() reads the root in
-/// O(1), and ties go to the lower index, so a pick always equals a
-/// first-minimum scan of the keys. (key, shard) is a total order, so any W
-/// works, power of two or not. All keys start at 0.
+/// tree padded to a power of two P >= W, leaves at [P, P + W) in shard
+/// order and +inf keys on the padding leaves, node i holding the winner of
+/// 2i and 2i+1 as a key and its shard in two flat arrays. Leaves are in
+/// order, so every left subtree holds lower shard ids than its sibling, and
+/// "the right child wins only if its key is strictly smaller" makes each
+/// node the first minimum of its range with one double compare per level.
+/// update() is O(log W), pick() reads the root in O(1), and a pick always
+/// equals a first-minimum scan of the keys (a real shard beats a padding
+/// leaf even at +inf: it lies to its left). All keys start at 0.
 class DispatchIndex {
  public:
   explicit DispatchIndex(int shards = 0);
 
-  int size() const { return static_cast<int>(node_.size() / 2); }
+  int size() const { return shards_; }
   void update(int shard, double key);
   /// The lowest-index shard with the smallest key. Requires size() >= 1.
-  int pick() const { return node_[1].second; }
+  int pick() const { return winner_[1]; }
 
  private:
-  std::vector<std::pair<double, int>> node_;  ///< Node 0 unused.
+  int shards_ = 0;
+  std::size_t leaves_ = 1;     ///< P: the padded leaf count.
+  std::vector<double> key_;    ///< Node 0 unused.
+  std::vector<int> winner_;    ///< The shard whose key node i holds.
 };
 
 /// Smooth weighted round-robin (the nginx algorithm): each pick adds every

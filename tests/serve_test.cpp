@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <vector>
@@ -81,6 +82,24 @@ TEST(Dispatch, JsqBreaksTiesToLowestIndex) {
   EXPECT_EQ(idx.pick(), 3);
   idx.update(2, 1.0);
   EXPECT_EQ(idx.pick(), 2);
+}
+
+TEST(Dispatch, IndexPaddingNeverBeatsARealShard) {
+  // Twelve shards pad to sixteen leaves whose keys are +inf: a real shard
+  // ties them at +inf and still wins, being to their left.
+  const double inf = std::numeric_limits<double>::infinity();
+  DispatchIndex idx(12);
+  for (int i = 0; i < 12; ++i) idx.update(i, inf);
+  EXPECT_EQ(idx.pick(), 0);
+  idx.update(0, 1.0);
+  idx.update(0, inf);
+  EXPECT_EQ(idx.pick(), 0);
+  idx.update(11, 5.0);
+  EXPECT_EQ(idx.pick(), 11);
+  idx.update(11, inf);
+  idx.update(7, inf);
+  EXPECT_EQ(idx.pick(), 0);
+  EXPECT_EQ(idx.size(), 12);
 }
 
 TEST(Dispatch, LeastLoadedComparesPendingDemandNotCounts) {
