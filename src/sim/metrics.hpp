@@ -107,8 +107,9 @@ class Metrics {
 };
 
 /// Flush a finished run's metrics into the recorder: one bulk append of
-/// compact run-segment records (the trace writer derives "run" spans from
-/// them lazily) and "migrations.<cause>" aggregate counters. `node` tags the
+/// compact run-segment records, built only for the room left under the
+/// table's cap (the trace writer derives "run" spans from them lazily), and
+/// "migrations.<cause>" aggregate counters. `node` tags the
 /// segments with a cluster node id (-1 = single-machine run); node-tagged
 /// segments render on per-node Chrome-trace tracks.
 void export_run_to_recorder(const Metrics& metrics, obs::RunRecorder& rec,
