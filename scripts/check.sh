@@ -179,6 +179,19 @@ for j in 1 2; do
     --report-json="$repo/build/serve_speed_ll_jobs$j.json" >/dev/null
 done
 cmp "$repo/build/serve_speed_ll_jobs1.json" "$repo/build/serve_speed_ll_jobs2.json"
+# And on NUMA barcelona with twelve workers on sixteen cores: idle cores at
+# every distance from a waking worker (the bitmask wake placement), twelve
+# least-loaded shards in a tree padded to sixteen leaves, and core 5
+# hotplugged out and back in.
+serve_numa_spec=(--topo=barcelona --workers=12 --dispatch=least-loaded
+  --policy=SPEED --duration-s=3 --warmup-s=0.5 --repeats=2
+  --perturb="at=1s offline core=5; at=2s online core=5")
+for j in 1 2; do
+  "$repo/build/src/servesim" "${serve_numa_spec[@]}" --jobs="$j" \
+    --report-json="$repo/build/serve_numa_hotplug_jobs$j.json" >/dev/null
+done
+cmp "$repo/build/serve_numa_hotplug_jobs1.json" \
+  "$repo/build/serve_numa_hotplug_jobs2.json"
 
 echo "== list-smoke: every listed name is accepted =="
 # servesim and clustersim feed each name their --list-* flags print back
