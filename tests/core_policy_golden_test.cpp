@@ -220,6 +220,56 @@ TEST(PolicyGolden, SpeedReasonCoverage) {
     EXPECT_GT(reason_count(domain, r), 0) << obs::to_string(r);
 }
 
+/// cg.S under SPEED-YIELD on all of `topo`'s cores, one repeat at seed 11,
+/// recorded.
+ExperimentConfig speed_all_cores_config(const char* topo, int threads) {
+  const Topology t = presets::by_name(topo);
+  ExperimentConfig cfg =
+      scenarios::npb_config(t, npb::by_name("cg.S"), threads, t.num_cores(),
+                            scenarios::Setup::SpeedYield, /*repeats=*/1,
+                            /*seed=*/11);
+  cfg.time_cap = sec(60);
+  return cfg;
+}
+
+/// Whether some timeline sample reports `core` at exactly `speed`.
+bool sampled_at(const obs::RunRecorder& rec, int core, double speed) {
+  for (const obs::SpeedSample& s : rec.timeline().snapshot())
+    if (s.core_speed[static_cast<std::size_t>(core)] == speed) return true;
+  return false;
+}
+
+TEST(PolicyGolden, SpeedEmptyCoresAndSmt) {
+  // big.LITTLE with fewer threads than cores: an empty core reports its
+  // nominal speed, the clock scale (3.0 on big core 3, 1.0 on a LITTLE
+  // core), so every sample pins the empty-core rule. Three threads leave
+  // the big core empty and make no pull; six threads pull.
+  obs::RunRecorder three;
+  EXPECT_EQ(run_spmd(speed_all_cores_config("biglittle4+4x3", 3), three),
+            "done 0x1.55ed06fef7c24p-1 policy=3 [ speed=3 ]"
+            " report=39e9adbbc47214e7");
+  EXPECT_TRUE(sampled_at(three, 3, 3.0));
+  EXPECT_TRUE(sampled_at(three, 7, 1.0));
+  EXPECT_EQ(reason_count(three, obs::PullReason::Pulled), 0);
+
+  obs::RunRecorder six;
+  EXPECT_EQ(run_spmd(speed_all_cores_config("biglittle4+4x3", 6), six),
+            "done 0x1.848e4755ffe6dp-1 policy=8 [ speed=8 ]"
+            " report=bd1c7c5375f7be0c");
+  EXPECT_TRUE(sampled_at(six, 7, 1.0));
+  EXPECT_GE(reason_count(six, obs::PullReason::Pulled), 1);
+
+  // Nehalem with the SMT adaptation on: a thread whose sibling context is
+  // busy counts at the discounted speed in the samples.
+  ExperimentConfig cfg = speed_all_cores_config("nehalem", 12);
+  cfg.speed.smt_aware = true;
+  obs::RunRecorder smt;
+  EXPECT_EQ(run_spmd(cfg, smt),
+            "done 0x1.01c26dce39b45p+0 policy=14 [ linux-newidle=2 speed=14 ]"
+            " report=93f26755dc658a2d");
+  EXPECT_GT(smt.timeline().size(), 0u);
+}
+
 /// Four generic4 cores serving exponential 2 ms requests at utilization 0.7
 /// for 1.5 s, every request traced.
 serve::ServeConfig serve_config(Policy policy, obs::RunRecorder& rec) {

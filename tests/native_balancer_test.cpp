@@ -182,6 +182,11 @@ TEST(NativeSpeedBalancer, RecorderCapturesTimelineAndDecisions) {
   EXPECT_EQ(sample.observer, -1);
   ASSERT_EQ(sample.core_speed.size(), 2u);
   EXPECT_NEAR(sample.core_speed[0], 1.0, 1e-9);
+  // Each CPU's queue length is its measured thread count; the idle CPU1 is
+  // the one below T_s x global, global being the mean of 1.0 and 0.0.
+  EXPECT_EQ(sample.queue_len, (std::vector<int>{1, 1}));
+  EXPECT_EQ(sample.below_threshold, (std::vector<bool>{false, true}));
+  EXPECT_NEAR(sample.global, 0.5, 1e-9);
 
   // Both exports must be valid JSON with native data in them.
   std::ostringstream trace_os, report_os;
