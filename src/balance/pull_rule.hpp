@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "obs/decision_log.hpp"
+#include "obs/speed_timeline.hpp"
 #include "util/time.hpp"
 
 namespace speedbal {
@@ -31,10 +32,110 @@ struct PullLimits {
   SimTime guard;             ///< Hot-potato window; 0 disables.
 };
 
+/// The paper's Section-5 measurement, shared by the simulated and the native
+/// speed balancer: a core's speed is the mean speed of the threads measured
+/// on it, an empty core counts at its nominal speed, and the global speed is
+/// the mean over the present cores. Buffers are indexed by core id and
+/// reused across passes; callers own how each thread's speed is measured and
+/// which cores are present.
+class SpeedAggregate {
+ public:
+  /// Begin a pass over core ids [0, slots).
+  void reset(std::size_t slots) {
+    speed_.assign(slots, 0.0);
+    count_.assign(slots, 0);
+    present_.assign(slots, 0);
+    threads_.clear();
+  }
+
+  /// A pull candidate that carries no speed this pass.
+  void add(const PullThread& t) { threads_.push_back(t); }
+
+  /// A pull candidate and its measured speed, summed into its core.
+  void add(const PullThread& t, double speed) {
+    threads_.push_back(t);
+    if (t.core < 0) return;
+    const auto i = static_cast<std::size_t>(t.core);
+    speed_[i] += speed;
+    ++count_[i];
+  }
+
+  /// Close the pass over the managed `cores`: each one `present(c)` takes the
+  /// mean of its speeds, or `nominal(c)` when it has none, and the global
+  /// speed becomes the mean over present cores, summed in ascending core id.
+  /// Returns the number of present cores; with none the global speed keeps
+  /// its last value.
+  template <class Present, class Nominal>
+  int close(const std::vector<int>& cores, Present&& present,
+            Nominal&& nominal) {
+    int n = 0;
+    for (const int c : cores) {
+      if (!present(c)) continue;
+      const auto i = static_cast<std::size_t>(c);
+      speed_[i] = count_[i] == 0
+                      ? nominal(c)
+                      : speed_[i] / static_cast<double>(count_[i]);
+      present_[i] = 1;
+      ++n;
+    }
+    if (n == 0) return 0;
+    double sum = 0.0;
+    for (std::size_t i = 0; i < present_.size(); ++i)
+      if (present_[i] != 0) sum += speed_[i];
+    global_ = sum / static_cast<double>(n);
+    return n;
+  }
+
+  /// The pass's timeline sample: per managed core (in `cores` order) its
+  /// speed (0 when absent), `queue_len(c)`, and whether it is below
+  /// `threshold` x global.
+  template <class QueueLen>
+  obs::SpeedSample sample(std::int64_t ts_us, int observer,
+                          const std::vector<int>& cores, double threshold,
+                          QueueLen&& queue_len) const {
+    obs::SpeedSample s;
+    s.ts_us = ts_us;
+    s.observer = observer;
+    s.global = global_;
+    s.core_speed.reserve(cores.size());
+    for (const int c : cores) {
+      const auto i = static_cast<std::size_t>(c);
+      const double sp = present_[i] != 0 ? speed_[i] : 0.0;
+      s.core_speed.push_back(sp);
+      s.queue_len.push_back(queue_len(c));
+      s.below_threshold.push_back(global_ > 0.0 && sp / global_ < threshold);
+    }
+    return s;
+  }
+
+  /// Rebook a pulled thread onto core `to`; speeds stay as measured.
+  void move_thread(std::int64_t id, int to, std::int64_t migrations) {
+    for (PullThread& t : threads_)
+      if (t.id == id) t = {id, to, migrations};
+  }
+
+  /// Per-core speeds by core id; valid where present() is set.
+  const std::vector<double>& speed() const { return speed_; }
+  const std::vector<std::uint8_t>& present() const { return present_; }
+  const std::vector<PullThread>& threads() const { return threads_; }
+  /// Speeds summed into `core` this pass.
+  int count(int core) const { return count_[static_cast<std::size_t>(core)]; }
+  /// Global speed of the last pass with a present core (0 before any).
+  double global() const { return global_; }
+
+ private:
+  std::vector<double> speed_;
+  std::vector<int> count_;
+  std::vector<std::uint8_t> present_;
+  std::vector<PullThread> threads_;
+  double global_ = 0.0;
+};
+
 /// The paper's Section-5 pull rule, shared by the simulated and the native
 /// speed balancer. It owns the state that carries across passes (each
 /// core's last migration, each thread's last pull); callers own
-/// measurement, caller-specific vetoes and the pull itself.
+/// measurement (through SpeedAggregate), caller-specific vetoes and the
+/// pull itself.
 class PullRule {
  public:
   /// One pass for `base.local`: if it is faster than the global average,

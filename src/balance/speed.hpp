@@ -145,8 +145,8 @@ class SpeedBalancer : public Balancer {
   /// The constants currently in force (tests + the adaptive controller).
   const SpeedBalanceParams& params() const { return params_; }
 
-  /// Exposed for tests: current per-core speeds as of the last pass.
-  double last_global_speed() const { return last_global_; }
+  /// Exposed for tests: the global speed as of the last pass.
+  double last_global_speed() const { return speeds_.global(); }
 
   /// Exposed for tests: whether `core` is inside its post-migration block.
   bool is_blocked(CoreId core) const;
@@ -158,13 +158,10 @@ class SpeedBalancer : public Balancer {
   };
 
   void balancer_wake(CoreId local);
-  /// Build the pass's speed/queue observation (per-core speeds, global
-  /// average, queue lengths, threshold state) from the measurement buffers.
-  obs::SpeedSample build_sample(CoreId local, double global) const;
   /// Measure all managed thread speeds since the last snapshot for `local`'s
-  /// balancer into core_speed_/core_present_ (cores with no managed threads
-  /// report full nominal speed: a thread moved there could run unimpeded)
-  /// and threads_. Returns the number of cores measured.
+  /// balancer into speeds_ (cores with no managed threads report full
+  /// nominal speed: a thread moved there could run unimpeded). Returns the
+  /// number of cores measured.
   int measure_core_speeds(CoreId local);
 
   SpeedBalanceParams params_;
@@ -181,13 +178,8 @@ class SpeedBalancer : public Balancer {
   // Section-5 decision state shared by every per-core balancer: each core's
   // last migration (cooldown) and each task's last pull (hot-potato guard).
   PullRule rule_;
-  // Per-pass measurement buffers indexed by CoreId, reused across passes.
-  std::vector<double> core_speed_;
-  std::vector<std::uint8_t> core_present_;
-  std::vector<PullThread> threads_;
-  std::vector<int> speed_cnt_;
-  std::vector<int> managed_on_;  // SMT occupancy scratch.
-  double last_global_ = 0.0;
+  // Per-pass measurement, reused across passes.
+  SpeedAggregate speeds_;
   obs::RunRecorder* recorder_ = nullptr;
   std::function<void(const obs::SpeedSample&)> sample_observer_;
 };

@@ -76,25 +76,16 @@ bool NativeSpeedBalancer::measure() {
   const double hz = static_cast<double>(Procfs::ticks_per_second());
   const double wall = have_sample_ ? seconds_between(last_sample_, now) : 0.0;
   const bool ready = have_sample_;
-  if (ready) {
-    const auto slots = static_cast<std::size_t>(cores_.back()) + 1;
-    core_speeds_.assign(slots, 0.0);
-    present_.assign(slots, 0);
-    on_core_.assign(slots, 0);
-    for (const int c : cores_) present_[static_cast<std::size_t>(c)] = 1;
-    threads_.clear();
-  }
+  if (ready) speeds_.reset(static_cast<std::size_t>(cores_.back()) + 1);
   for (const auto& s : samples) {
     auto& st = tids_[s.tid];
-    // Threads on CPUs outside the managed set are neither measured nor
-    // pullable.
-    const auto cpu = static_cast<std::size_t>(s.cpu);
-    if (ready && wall > 0.0 && s.cpu >= 0 && cpu < present_.size() &&
-        present_[cpu] != 0) {
+    // Threads on CPUs outside the managed set (cores_, ascending) are
+    // neither measured nor pullable.
+    if (ready && wall > 0.0 &&
+        std::binary_search(cores_.begin(), cores_.end(), s.cpu)) {
       const double cpu_s = static_cast<double>(s.total_ticks() - st.last_ticks) / hz;
-      core_speeds_[cpu] += std::clamp(cpu_s / wall, 0.0, 1.0);
-      ++on_core_[cpu];
-      threads_.push_back({s.tid, s.cpu, st.migrations});
+      speeds_.add({s.tid, s.cpu, st.migrations},
+                  std::clamp(cpu_s / wall, 0.0, 1.0));
     }
     st.last_ticks = s.total_ticks();
   }
@@ -102,11 +93,9 @@ bool NativeSpeedBalancer::measure() {
   have_sample_ = true;
   if (!ready) return false;
 
-  for (const int c : cores_) {
-    const auto i = static_cast<std::size_t>(c);
-    // An empty core offers full speed to anything migrated there.
-    core_speeds_[i] = on_core_[i] == 0 ? 1.0 : core_speeds_[i] / on_core_[i];
-  }
+  // Every managed core is present; an empty one offers full speed to
+  // anything migrated there.
+  speeds_.close(cores_, [](int) { return true; }, [](int) { return 1.0; });
   return true;
 }
 
@@ -157,25 +146,14 @@ int NativeSpeedBalancer::step() {
     return 0;
   }
 
-  double global = 0.0;
-  for (const int c : cores_) global += core_speeds_[static_cast<std::size_t>(c)];
-  global /= static_cast<double>(cores_.size());
-  global_speed_ = global;
-
+  const double global = speeds_.global();
   std::int64_t sample_seq = -1;
   if (recorder_ != nullptr) {
-    obs::SpeedSample sample;
-    sample.ts_us = ts_us;
-    sample.observer = -1;  // Sequential sweep, not a per-core balancer.
-    sample.global = global;
-    for (const int c : cores_) {
-      const double s = core_speeds_[static_cast<std::size_t>(c)];
-      sample.core_speed.push_back(s);
-      sample.queue_len.push_back(on_core_[static_cast<std::size_t>(c)]);
-      sample.below_threshold.push_back(global > 0.0 &&
-                                       s / global < config_.threshold);
-    }
-    sample_seq = recorder_->timeline().add(std::move(sample));
+    // Observer -1: a sequential sweep, not a per-core balancer. A core's
+    // queue length is its measured thread count.
+    sample_seq = recorder_->timeline().add(
+        speeds_.sample(ts_us, /*observer=*/-1, cores_, config_.threshold,
+                       [&](int c) { return speeds_.count(c); }));
   }
   if (global <= 0.0) return 0;
 
@@ -207,7 +185,7 @@ int NativeSpeedBalancer::step() {
     obs::DecisionRecord pull;
     pull.ts_us = ts_us;
     pull.local = local;
-    pull.local_speed = core_speeds_[static_cast<std::size_t>(local)];
+    pull.local_speed = speeds_.speed()[static_cast<std::size_t>(local)];
     pull.global = global;
     pull.sample_seq = sample_seq;
     const auto log_outcome = [&](obs::PullReason reason) {
@@ -225,8 +203,9 @@ int NativeSpeedBalancer::step() {
         return obs::PullReason::NumaBlocked;
       return std::nullopt;
     };
-    pull = rule_.decide(pull, core_speeds_, present_, threads_, now, limits,
-                        veto, [](int, int) { return false; }, log);
+    pull = rule_.decide(pull, speeds_.speed(), speeds_.present(),
+                        speeds_.threads(), now, limits, veto,
+                        [](int, int) { return false; }, log);
     if (pull.victim < 0) continue;
 
     const auto victim = static_cast<pid_t>(pull.victim);
@@ -254,8 +233,7 @@ int NativeSpeedBalancer::step() {
     ++migrations_;
     ++moved;
     rule_.record_pull(pull.source, local, victim, now);
-    for (PullThread& t : threads_)
-      if (t.id == victim) t = {victim, local, tids_[victim].migrations};
+    speeds_.move_thread(victim, local, tids_[victim].migrations);
     log_outcome(obs::PullReason::Pulled);
     if (recorder_ != nullptr) {
       recorder_->migrations().add({ts_us, victim, pull.source, local,

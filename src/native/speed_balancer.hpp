@@ -79,8 +79,8 @@ class NativeSpeedBalancer {
   std::int64_t migrations() const { return migrations_; }
   /// Speeds from the most recent pass, indexed by CPU up to the highest
   /// managed one (for tests/telemetry).
-  const std::vector<double>& core_speeds() const { return core_speeds_; }
-  double global_speed() const { return global_speed_; }
+  const std::vector<double>& core_speeds() const { return speeds_.speed(); }
+  double global_speed() const { return speeds_.global(); }
   /// Cores currently quarantined after EINVAL pull failures (hotplugged
   /// out); probed again after dead_core_backoff_passes passes.
   std::vector<int> quarantined_cores() const;
@@ -102,7 +102,7 @@ class NativeSpeedBalancer {
     int migrations = 0;
   };
 
-  /// Fill core_speeds_/present_/on_core_/threads_; false until two samples.
+  /// Fill speeds_ from the tick deltas; false until two samples.
   bool measure();
 
   pid_t target_;
@@ -117,12 +117,8 @@ class NativeSpeedBalancer {
   bool have_sample_ = false;
 
   PullRule rule_;
-  // Per-pass measurement, indexed by CPU (present_ marks managed CPUs).
-  std::vector<double> core_speeds_;
-  std::vector<std::uint8_t> present_;
-  std::vector<int> on_core_;  // Measured threads per CPU.
-  std::vector<PullThread> threads_;
-  double global_speed_ = 0.0;
+  // Per-pass measurement over CPUs [0, highest managed].
+  SpeedAggregate speeds_;
   std::int64_t migrations_ = 0;
   /// Quarantine bookkeeping: core -> pass index at which to probe again.
   std::map<int, std::int64_t> dead_until_;

@@ -1,5 +1,7 @@
 // The shared Section-5 pull rule on its own: one table of forged passes,
-// each checked for the logged rejections (in order) and the returned pull.
+// each checked for the logged rejections (in order) and the returned pull;
+// then the shared measurement (SpeedAggregate) fed the simulated and the
+// native balancer's inputs.
 // It lives in native_test next to the native balancer, whose library
 // (speedbal_native) uses the header without linking the simulator; both
 // sanitizer legs of scripts/check.sh run this binary.
@@ -228,6 +230,129 @@ TEST(PullRule, RecordPullBooksBothEndsAndTheThread) {
   EXPECT_FALSE(rule.involved_within(2, msec(300), msec(200)));
   EXPECT_FALSE(rule.involved_within(3, msec(150), msec(200)));
   EXPECT_FALSE(rule.involved_within(64, msec(150), msec(200)));
+}
+
+/// A measured thread: id, core, and its speed this pass.
+struct Measured {
+  std::int64_t id;
+  int core;
+  double speed;
+};
+
+const std::vector<Measured> kMeasured = {
+    {10, 0, 0.9}, {11, 0, 0.5}, {12, 1, 0.25}, {13, 3, 1.0}, {14, 0, 0.1}};
+
+TEST(SpeedAggregate, SimAndNativeInputsAgree) {
+  // The simulated balancer sizes the pass to every core of the machine,
+  // checks each managed core online and reads queue lengths off the run
+  // queues; the native one sizes it to its highest managed CPU, counts
+  // every managed core present at nominal 1.0 and reports measured thread
+  // counts. On a homogeneous machine with every core online the two
+  // aggregates must agree on every managed core.
+  const std::vector<int> cores = {0, 1, 2, 3};
+  SpeedAggregate sim;
+  sim.reset(6);
+  SpeedAggregate native;
+  native.reset(static_cast<std::size_t>(cores.back()) + 1);
+  std::vector<int> run_queue(6, 0);
+  for (const Measured& m : kMeasured) {
+    sim.add({m.id, m.core, 0}, m.speed);
+    native.add({m.id, m.core, 0}, m.speed);
+    ++run_queue[static_cast<std::size_t>(m.core)];
+  }
+  const std::vector<double> clock(6, 1.0);
+  EXPECT_EQ(sim.close(cores, [](int) { return true; },
+                      [&](int c) { return clock[static_cast<std::size_t>(c)]; }),
+            4);
+  EXPECT_EQ(native.close(cores, [](int) { return true; },
+                         [](int) { return 1.0; }),
+            4);
+
+  for (const int c : cores) {
+    const auto i = static_cast<std::size_t>(c);
+    EXPECT_EQ(sim.speed()[i], native.speed()[i]) << "core " << c;
+    EXPECT_EQ(sim.present()[i], 1);
+    EXPECT_EQ(native.present()[i], 1);
+  }
+  EXPECT_EQ(sim.speed()[0], (0.9 + 0.5 + 0.1) / 3.0);
+  EXPECT_EQ(sim.speed()[2], 1.0);  // Empty.
+  EXPECT_EQ(sim.global(), native.global());
+  EXPECT_EQ(sim.global(), (sim.speed()[0] + 0.25 + 1.0 + 1.0) / 4.0);
+  EXPECT_EQ(sim.threads().size(), native.threads().size());
+
+  const obs::SpeedSample a =
+      sim.sample(7, 2, cores, 0.9,
+                 [&](int c) { return run_queue[static_cast<std::size_t>(c)]; });
+  const obs::SpeedSample b = native.sample(
+      7, 2, cores, 0.9, [&](int c) { return native.count(c); });
+  EXPECT_EQ(a.core_speed, b.core_speed);
+  EXPECT_EQ(a.global, b.global);
+  EXPECT_EQ(a.queue_len, b.queue_len);
+  EXPECT_EQ(a.queue_len, (std::vector<int>{3, 1, 0, 1}));
+  EXPECT_EQ(a.below_threshold, b.below_threshold);
+  EXPECT_EQ(a.below_threshold, (std::vector<bool>{true, true, false, false}));
+}
+
+TEST(SpeedAggregate, EmptyCoreTakesItsNominalSpeed) {
+  SpeedAggregate agg;
+  agg.reset(3);
+  agg.add({1, 0, 0}, 0.5);
+  const auto clock = [](int c) { return c == 2 ? 3.0 : 1.0; };
+  ASSERT_EQ(agg.close({0, 1, 2}, [](int) { return true; }, clock), 3);
+  EXPECT_EQ(agg.speed(), (std::vector<double>{0.5, 1.0, 3.0}));
+  EXPECT_EQ(agg.global(), 4.5 / 3.0);
+}
+
+TEST(SpeedAggregate, AbsentCoreReadsZeroAndLeavesTheGlobal) {
+  // Core 1 is managed but absent (offline); its thread still sums there,
+  // yet the pass neither averages it nor counts it in the global speed.
+  SpeedAggregate agg;
+  agg.reset(3);
+  agg.add({1, 0, 0}, 0.5);
+  agg.add({2, 1, 0}, 0.8);
+  agg.add({3, 2, 0}, 0.2);
+  const std::vector<int> cores = {2, 1, 0};
+  ASSERT_EQ(agg.close(cores, [](int c) { return c != 1; },
+                      [](int) { return 1.0; }),
+            2);
+  EXPECT_EQ(agg.present(), (std::vector<std::uint8_t>{1, 0, 1}));
+  EXPECT_EQ(agg.global(), (0.5 + 0.2) / 2.0);
+  const obs::SpeedSample s =
+      agg.sample(9, -1, cores, 0.9, [](int) { return -1; });
+  EXPECT_EQ(s.ts_us, 9);
+  EXPECT_EQ(s.observer, -1);
+  EXPECT_EQ(s.core_speed, (std::vector<double>{0.2, 0.0, 0.5}));
+  EXPECT_EQ(s.below_threshold, (std::vector<bool>{true, true, false}));
+
+  // A pass with no present core keeps the last global speed.
+  agg.reset(3);
+  EXPECT_EQ(agg.close(cores, [](int) { return false; },
+                      [](int) { return 1.0; }),
+            0);
+  EXPECT_EQ(agg.global(), (0.5 + 0.2) / 2.0);
+}
+
+TEST(SpeedAggregate, SpeedlessCandidateIsPullableButUnmeasured) {
+  // A mostly-asleep thread stays a pull candidate but adds no speed: its
+  // core counts as empty.
+  SpeedAggregate agg;
+  agg.reset(2);
+  agg.add({1, 0, 2}, 0.4);
+  agg.add({2, 1, 5});
+  ASSERT_EQ(agg.close({0, 1}, [](int) { return true; },
+                      [](int) { return 1.0; }),
+            2);
+  EXPECT_EQ(agg.count(1), 0);
+  EXPECT_EQ(agg.speed()[1], 1.0);
+  ASSERT_EQ(agg.threads().size(), 2u);
+  EXPECT_EQ(agg.threads()[1].id, 2);
+  EXPECT_EQ(agg.threads()[1].migrations, 5);
+
+  // A pull rebooks the thread on its new core; speeds stay as measured.
+  agg.move_thread(2, 0, 6);
+  EXPECT_EQ(agg.threads()[1].core, 0);
+  EXPECT_EQ(agg.threads()[1].migrations, 6);
+  EXPECT_EQ(agg.speed()[1], 1.0);
 }
 
 }  // namespace
