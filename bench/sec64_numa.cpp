@@ -10,7 +10,6 @@
 #include <iostream>
 #include <memory>
 
-#include "balance/pinned.hpp"
 #include "bench_util.hpp"
 #include "workload/generator.hpp"
 
@@ -87,15 +86,13 @@ int main(int argc, char** argv) {
                                               : SpmdApp::Placement::LinuxFork,
                  workload::first_cores(cores));
       std::unique_ptr<SpeedBalancer> sb;
-      std::unique_ptr<PinnedBalancer> pinned;
       if (cfg.policy == Policy::Speed) {
         sb = std::make_unique<SpeedBalancer>(cfg.speed, app.threads(),
                                              workload::first_cores(cores));
         sb->attach(sim);
       } else if (cfg.policy == Policy::Pinned) {
-        pinned = std::make_unique<PinnedBalancer>(app.threads(),
-                                                  workload::first_cores(cores));
-        pinned->attach(sim);
+        pin_round_robin(sim, app.threads(), workload::first_cores(cores), 0,
+                        MigrationCause::Affinity);
       }
       sim.run_while_pending([&] { return app.finished(); }, cfg.time_cap);
       crossings.add(static_cast<double>(cross_node_migrations(topo, sim.metrics())));

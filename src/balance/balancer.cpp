@@ -1,6 +1,17 @@
 #include "balance/balancer.hpp"
 
-namespace speedbal::balance_detail {
+namespace speedbal {
+
+void pin_round_robin(Simulator& sim, std::span<Task* const> tasks,
+                     const std::vector<CoreId>& cores, std::size_t first,
+                     MigrationCause cause) {
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const CoreId target = cores[(first + i) % cores.size()];
+    sim.set_affinity(*tasks[i], 1ULL << target, /*hard_pin=*/true, cause);
+  }
+}
+
+namespace balance_detail {
 
 std::vector<Task*> kernel_movable(const Simulator& sim, CoreId source,
                                   CoreId dest) {
@@ -25,4 +36,5 @@ bool cache_hot(const Simulator& sim, const Task& t, SimTime hot_time) {
   return t.last_ran() != kNever && sim.now() - t.last_ran() < hot_time;
 }
 
-}  // namespace speedbal::balance_detail
+}  // namespace balance_detail
+}  // namespace speedbal

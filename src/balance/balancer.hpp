@@ -1,5 +1,6 @@
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,15 @@ class Balancer {
 
   virtual std::string name() const = 0;
 };
+
+/// Hard-pin `tasks[i]` to `cores[(first + i) % cores.size()]`, booking each
+/// move under `cause`: the round-robin placement user-level balancers start
+/// from, and the paper's PINNED configuration when nothing moves the tasks
+/// afterwards (optimal only when the thread count divides the core count,
+/// Section 6.2).
+void pin_round_robin(Simulator& sim, std::span<Task* const> tasks,
+                     const std::vector<CoreId>& cores, std::size_t first,
+                     MigrationCause cause);
 
 namespace balance_detail {
 

@@ -12,13 +12,8 @@ CountBalancer::CountBalancer(CountBalanceParams params,
 void CountBalancer::attach(Simulator& sim) {
   sim_ = &sim;
   rng_ = sim.rng().fork();
-  if (params_.initial_round_robin) {
-    for (std::size_t i = 0; i < managed_.size(); ++i) {
-      const CoreId target = cores_[i % cores_.size()];
-      sim.set_affinity(*managed_[i], 1ULL << target, /*hard_pin=*/true,
-                       MigrationCause::Affinity);
-    }
-  }
+  if (params_.initial_round_robin)
+    pin_round_robin(sim, managed_, cores_, 0, MigrationCause::Affinity);
   if (!params_.automatic) return;
   for (CoreId c : cores_) {
     const SimTime jitter =

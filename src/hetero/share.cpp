@@ -28,11 +28,7 @@ void ShareBalancer::attach(Simulator& sim) {
   // the partition only makes sense when thread i actually runs on
   // cores_[i % ncores]. SHARE never migrates afterwards — work moves,
   // threads do not.
-  for (std::size_t i = 0; i < managed_.size(); ++i) {
-    const CoreId target = cores_[i % cores_.size()];
-    sim.set_affinity(*managed_[i], 1ULL << target, /*hard_pin=*/true,
-                     MigrationCause::Affinity);
-  }
+  pin_round_robin(sim, managed_, cores_, 0, MigrationCause::Affinity);
   snapshot_time_ = sim.now() + params_.startup_delay;
   if (params_.automatic)
     sim.schedule_after(params_.startup_delay + params_.interval,

@@ -45,8 +45,7 @@ void PolicyStack::attach_user(Simulator& sim, std::vector<Task*> workers,
     speed_->attach(sim);
     if (rec != nullptr) speed_->set_recorder(rec);
   } else if (params_.policy == Policy::Pinned) {
-    pinned_ = std::make_unique<PinnedBalancer>(std::move(workers), cores_);
-    pinned_->attach(sim);
+    pin_round_robin(sim, workers, cores_, 0, MigrationCause::Affinity);
   } else if (params_.policy == Policy::Share) {
     if (share_ == nullptr)
       share_ = std::make_unique<hetero::ShareBalancer>(params_.share, cores_);
@@ -57,16 +56,13 @@ void PolicyStack::attach_user(Simulator& sim, std::vector<Task*> workers,
 }
 
 void PolicyStack::manage(Simulator& sim, std::span<Task* const> workers) {
-  for (Task* t : workers) {
-    if (speed_ != nullptr) {
-      speed_->add_managed(*t);
-    } else if (adaptive_ != nullptr) {
-      adaptive_->add_managed(*t);
-    } else if (pinned_ != nullptr || share_ != nullptr) {
-      const CoreId target = cores_[pin_cursor_++ % cores_.size()];
-      sim.set_affinity(*t, 1ULL << target, /*hard_pin=*/true,
-                       MigrationCause::Affinity);
-    }
+  if (speed_ != nullptr) {
+    for (Task* t : workers) speed_->add_managed(*t);
+  } else if (adaptive_ != nullptr) {
+    for (Task* t : workers) adaptive_->add_managed(*t);
+  } else if (round_robin_launch()) {
+    pin_round_robin(sim, workers, cores_, pin_cursor_, MigrationCause::Affinity);
+    pin_cursor_ += workers.size();
   }
 }
 

@@ -7,7 +7,6 @@
 #include "balance/adaptive.hpp"
 #include "balance/dwrr.hpp"
 #include "balance/linux_load.hpp"
-#include "balance/pinned.hpp"
 #include "balance/speed.hpp"
 #include "balance/ule.hpp"
 #include "core/experiment.hpp"
@@ -75,8 +74,8 @@ class PolicyStack {
 
   /// Register workers created after attach_user (a pool migrating in):
   /// SPEED hard-pins each to the currently least-loaded managed core,
-  /// PINNED continues its round-robin pinning, the rest leave placement to
-  /// the kernel-level policy.
+  /// PINNED and SHARE continue their round-robin pinning, the rest leave
+  /// placement to the kernel-level policy.
   void manage(Simulator& sim, std::span<Task* const> workers);
 
   SpeedBalancer* speed() { return speed_.get(); }
@@ -97,7 +96,6 @@ class PolicyStack {
   std::unique_ptr<UleBalancer> ule_;
   std::unique_ptr<SpeedBalancer> speed_;
   std::unique_ptr<AdaptiveSpeedBalancer> adaptive_;
-  std::unique_ptr<PinnedBalancer> pinned_;
   std::unique_ptr<hetero::ShareBalancer> share_;
 };
 
