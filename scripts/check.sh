@@ -118,6 +118,16 @@ for setup in LOAD-YIELD SPEED-YIELD PINNED DWRR FreeBSD HETERO-SHARE; do
   done
   cmp "$repo/build/stack_${setup}_jobs1.json" "$repo/build/stack_${setup}_jobs2.json"
 done
+# Six threads on big.LITTLE's eight cores: the two empty managed cores
+# report their nominal clock in every speed sample, and a few pulls fill
+# them. Serial and parallel replicas must write byte-identical reports.
+for j in 1 2; do
+  "$repo/build/src/simrun" --setup=HETERO-SPEED --threads=6 --repeats=2 \
+    --jobs="$j" --report-json="$repo/build/stack_hetero_speed6_jobs$j.json" \
+    >/dev/null
+done
+cmp "$repo/build/stack_hetero_speed6_jobs1.json" \
+  "$repo/build/stack_hetero_speed6_jobs2.json"
 share_cluster_report="$repo/build/share_cluster_report.json"
 "$repo/build/src/clustersim" --nodes=4 --policy=SHARE --topo=biglittle2+2x3 \
   --duration-s=2 --seed=42 --report-json="$share_cluster_report" >/dev/null
@@ -249,12 +259,14 @@ ctest --test-dir "$repo/build-tsan" --output-on-failure -R 'util_parallel_test'
 cmake --build "$repo/build-tsan" -j "$jobs" --target fuzzsim
 "$repo/build-tsan/src/fuzzsim" --episodes=1 --seed="$fuzz_seed" >/dev/null
 
-echo "== asan: perturbation + native + balance + serve + cluster + hetero + adaptive + util/queue tests =="
+echo "== asan: perturbation + native + balance + core + serve + cluster + hetero + adaptive + util/queue tests =="
 # balance_test carries the simulated SpeedBalancer cases that drive the
-# shared pull rule's dense vectors and its per-thread hash map.
+# shared pull rule's dense vectors and its per-thread hash map; core_test's
+# policy goldens drive SpeedBalancer through every pull reason, hotplug and
+# empty cores, so through every branch of the shared speed aggregate.
 cmake -B "$repo/build-asan" -S "$repo" -DSPEEDBAL_SANITIZE=address >/dev/null
-cmake --build "$repo/build-asan" -j "$jobs" --target perturb_test native_test balance_test serve_test cluster_test hetero_test util_test sim_test adaptive_test fuzzsim
-ctest --test-dir "$repo/build-asan" --output-on-failure -R 'perturb_test|native_test|balance_test|serve_test|cluster_test|hetero_test|util_test|sim_test|adaptive_test'
+cmake --build "$repo/build-asan" -j "$jobs" --target perturb_test native_test balance_test core_test serve_test cluster_test hetero_test util_test sim_test adaptive_test fuzzsim
+ctest --test-dir "$repo/build-asan" --output-on-failure -R 'perturb_test|native_test|balance_test|core_test|serve_test|cluster_test|hetero_test|util_test|sim_test|adaptive_test'
 "$repo/build-asan/src/fuzzsim" --episodes=1 --seed="$fuzz_seed" >/dev/null
 "$repo/build-asan/src/fuzzsim" --episodes=3 --mode=cluster --seed="$fuzz_seed" >/dev/null
 "$repo/build-asan/src/fuzzsim" --hetero --episodes=3 --seed="$fuzz_seed" >/dev/null
