@@ -363,9 +363,9 @@ TEST(PolicyGolden, ServeNumaHotplugOddWorkers) {
   EXPECT_GE(r.migrations_by_cause.at(MigrationCause::Hotplug), 1);
 }
 
-TEST(PolicyGolden, SpeedClusterWithRebalance) {
-  // Four SPEED nodes behind JSQ(2); node 0 drops to 1/10 clock at 200 ms
-  // and the 100 ms rebalancer moves a pool off it.
+/// Four SPEED nodes behind JSQ(2); node 0 drops to 1/10 clock at 200 ms
+/// and the 100 ms rebalancer moves a pool off it.
+cluster::ClusterConfig speed_cluster_config(obs::RunRecorder& rec) {
   cluster::ClusterConfig cfg;
   cfg.nodes = 4;
   cfg.pools_per_node = 1;
@@ -392,12 +392,65 @@ TEST(PolicyGolden, SpeedClusterWithRebalance) {
     ev.scale = 0.1;
     cfg.node_perturb[0].add(ev);
   }
-  obs::RunRecorder rec;
   cfg.recorder = &rec;
-  const cluster::ClusterResult res = cluster::run_cluster(cfg);
+  return cfg;
+}
+
+TEST(PolicyGolden, SpeedClusterWithRebalance) {
+  obs::RunRecorder rec;
+  const cluster::ClusterResult res =
+      cluster::run_cluster(speed_cluster_config(rec));
   EXPECT_GE(res.pool_migrations, 1);
   EXPECT_GT(rec.rebalances().size(), 0u);
   EXPECT_EQ(report_digest(rec), "c08041fce189a03e");
+}
+
+// --- The run-segment cap: the first segments are kept, the rest counted ---
+
+/// FNV-1a over every kept segment's fields in table order, then the
+/// dropped count.
+std::string segment_digest(const obs::RunSegmentTable& table) {
+  std::ostringstream os;
+  for (const obs::RunSegmentRecord& s : table.snapshot())
+    os << s.start_us << ' ' << s.dur_us << ' ' << s.core << ' ' << s.task
+       << ' ' << s.node << '\n';
+  os << "dropped=" << table.dropped();
+  return hex64(fnv1a(os.str()));
+}
+
+/// Kept segments per cluster node id, in node order.
+std::vector<std::size_t> kept_per_node(const obs::RunSegmentTable& table,
+                                       int nodes) {
+  std::vector<std::size_t> out(static_cast<std::size_t>(nodes), 0);
+  for (const obs::RunSegmentRecord& s : table.snapshot())
+    ++out.at(static_cast<std::size_t>(s.node));
+  return out;
+}
+
+TEST(SegmentCap, RecordedServeKeepsTheFirstSegments) {
+  obs::RunRecorder rec;
+  rec.run_segments().set_cap(1000);
+  const serve::ServeResult r =
+      serve::run_serve(serve_config(Policy::Speed, rec));
+  EXPECT_EQ(serve_fingerprint(r), "7dbf8c71ea6df0bb");
+  EXPECT_EQ(rec.run_segments().size(), 1000u);
+  EXPECT_EQ(rec.run_segments().dropped(), 1462);
+  EXPECT_EQ(segment_digest(rec.run_segments()), "1829e071ff7ffcde");
+}
+
+TEST(SegmentCap, RecordedClusterOverflowsPartWayThroughNode2) {
+  // The nodes export in node order into one table: nodes 0 and 1 fit
+  // whole, node 2 overflows part-way and node 3 finds no room.
+  obs::RunRecorder rec;
+  rec.run_segments().set_cap(2000);
+  const cluster::ClusterResult res =
+      cluster::run_cluster(speed_cluster_config(rec));
+  EXPECT_GE(res.pool_migrations, 1);
+  EXPECT_EQ(rec.run_segments().size(), 2000u);
+  EXPECT_EQ(rec.run_segments().dropped(), 2163);
+  EXPECT_EQ(kept_per_node(rec.run_segments(), 4),
+            (std::vector<std::size_t>{134, 1197, 669, 0}));
+  EXPECT_EQ(segment_digest(rec.run_segments()), "4081a73b1c9e7b6b");
 }
 
 }  // namespace
