@@ -1,7 +1,7 @@
 // Observability walkthrough: run the paper's 3-threads-on-2-cores case
-// under speed balancing and *watch the rotation* through the Metrics trace
-// API — an ASCII timeline of which core each thread occupied in every
-// 100 ms window, plus per-thread core-residency fractions.
+// under speed balancing and *watch the rotation* through the run segments
+// its recorder exports — an ASCII timeline of which core each thread
+// occupied in every 100 ms window, plus per-thread core-residency fractions.
 //
 // This is the Section 4 mechanism made visible: each thread alternates
 // between being the solo occupant of a core (full speed, shown as a core
@@ -18,7 +18,9 @@
 using namespace speedbal;
 
 int main() {
+  obs::RunRecorder rec;  // Keeps the run segments the windows are read from.
   Simulator sim(presets::generic(2), {}, 42);
+  sim.set_recorder(&rec);
   LinuxLoadBalancer lb;
   lb.attach(sim);
 
@@ -30,6 +32,9 @@ int main() {
 
   sim.run_while_pending([&] { return app.finished(); }, sec(60));
   const SimTime wall = app.elapsed();
+  export_run_to_recorder(sim.metrics(), rec);
+  const std::vector<obs::RunSegmentRecord> segments =
+      rec.run_segments().snapshot();
   std::cout << "3 threads x 2 s of work on 2 cores under speed balancing: "
             << "finished in " << to_sec(wall) << " s (static would take 4 s, "
             << "ideal rotation 3 s).\n\n";
@@ -40,7 +45,7 @@ int main() {
   for (const Task* t : app.threads()) {
     std::cout << "  " << t->name() << " ";
     for (SimTime w = 0; w + msec(100) <= wall; w += msec(100)) {
-      const SimTime exec = sim.metrics().exec_in_window(t->id(), w, w + msec(100));
+      const SimTime exec = exec_in_window(segments, t->id(), w, w + msec(100));
       // Which core dominated this window? Approximate by current residency:
       // use segments via exec share and the task's per-core totals.
       char symbol = '.';

@@ -234,6 +234,9 @@ class ClusterSim {
                         const Request& r);
   serve::ServeRuntime* open_pool_on(int pool, int node);
   void epoch();
+  /// Recorded runs: cut each node's kept run segments down to what its node
+  /// order export can still place in the recorder's table.
+  void trim_segments();
   /// Sum of the node's online managed cores' *current* clock scales — the
   /// machine's effective capacity as of now, DVFS and hotplug included.
   double node_effective_capacity(int node) const;

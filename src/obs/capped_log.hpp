@@ -4,6 +4,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -54,23 +55,22 @@ class CappedLog {
     return static_cast<std::int64_t>(records_.size()) - 1;
   }
 
-  /// Append gen(0), ..., gen(n - 1) under one lock, leaving the log as n
-  /// add() calls would, but build only the records the cap keeps: the
-  /// overflow is counted into dropped() unbuilt. A counted log still builds
-  /// the overflow records, to count their kinds.
-  template <class Gen>
-  void add_generated(std::size_t n, Gen&& gen) {
+  /// Append `recs` under one lock, as recs.size() add() calls would, then
+  /// count `unbuilt` more records as dropped: records their producer never
+  /// built because its own cap left them out. Takes over the vector's
+  /// storage when the log is empty.
+  void append(std::vector<Record>&& recs, std::int64_t unbuilt)
+    requires(NumKinds == 0)
+  {
     std::lock_guard<std::mutex> lock(mu_);
-    const std::size_t room = cap_ > records_.size() ? cap_ - records_.size() : 0;
-    const std::size_t take = std::min(room, n);
-    if (records_.empty()) records_.reserve(take);
-    for (std::size_t i = 0; i < take; ++i) {
-      records_.push_back(gen(i));
-      count_kind(records_.back());
-    }
-    if constexpr (NumKinds > 0)
-      for (std::size_t i = take; i < n; ++i) count_kind(gen(i));
-    dropped_ += static_cast<std::int64_t>(n - take);
+    const std::size_t take = std::min(room_locked(), recs.size());
+    dropped_ += static_cast<std::int64_t>(recs.size() - take) + unbuilt;
+    recs.erase(recs.begin() + static_cast<std::ptrdiff_t>(take), recs.end());
+    if (records_.empty())
+      records_ = std::move(recs);
+    else
+      records_.insert(records_.end(), std::make_move_iterator(recs.begin()),
+                      std::make_move_iterator(recs.end()));
   }
 
   std::vector<Record> snapshot() const {
@@ -86,6 +86,12 @@ class CappedLog {
   std::int64_t dropped() const {
     std::lock_guard<std::mutex> lock(mu_);
     return dropped_;
+  }
+
+  /// Records the cap still lets in.
+  std::size_t room() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return room_locked();
   }
 
   void set_cap(std::size_t cap) {
@@ -104,6 +110,10 @@ class CappedLog {
   }
 
  private:
+  std::size_t room_locked() const {
+    return cap_ > records_.size() ? cap_ - records_.size() : 0;
+  }
+
   void count_kind(const Record& rec) {
     if constexpr (NumKinds > 0)
       ++counts_[static_cast<std::size_t>(rec.*KindField)];

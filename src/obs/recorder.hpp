@@ -65,8 +65,9 @@ class RunRecorder {
   /// section and the trace's "migration" instants are derived from it.
   MigrationLog& migrations() { return migrations_; }
   const MigrationLog& migrations() const { return migrations_; }
-  /// Per-task run segments, bulk-copied at export time; "run" trace spans
-  /// are derived from them lazily when the Chrome trace is written.
+  /// Per-task run segments, handed over by the simulated run that kept them
+  /// at export time; "run" trace spans are derived from them lazily when
+  /// the Chrome trace is written.
   RunSegmentTable& run_segments() { return run_segments_; }
   const RunSegmentTable& run_segments() const { return run_segments_; }
   /// Global (cluster-level) rebalancer epoch log; empty for one-node runs.

@@ -6,7 +6,11 @@
 
 namespace speedbal::obs {
 
-/// One per-task run segment, a 32-byte POD.
+/// One contiguous stretch of execution of a task on a core, a 32-byte POD.
+/// The simulator records one per dispatch, from the dispatch to the moment
+/// the task stops running; a Simulator::sync_accounting in the middle of a
+/// stretch splits it into adjacent pieces (same task, same core, end ==
+/// next start). Speed changes do not split a segment.
 struct RunSegmentRecord {
   std::int64_t start_us = 0;
   std::int64_t dur_us = 0;
@@ -16,17 +20,12 @@ struct RunSegmentRecord {
   std::int32_t pad = 0;
 };
 
-/// Compact store for the simulator's per-task run segments. The segment
-/// export used to push one TraceEvent (heap-allocated name, one mutex
-/// round-trip) per segment into the trace collector — at Yield-mode context
-/// switch rates that is tens of thousands of string allocations charged to
-/// the run, dwarfing the actual tracing hot path. Instead the exporter bulk
-/// appends segments with add_generated under a single lock, building only
-/// those the cap keeps, and the Chrome-trace writer derives the "run" spans
-/// lazily, as it derives every other log's events. Capped: long runs must
-/// not produce unboundedly large exports.
-struct RunSegmentTable : CappedLog<RunSegmentRecord, 200000> {
-  using Segment = RunSegmentRecord;
-};
+/// The recorder's store of simulated run segments. A recorded run keeps its
+/// segments in a buffer of its own, with no lock per segment and no more
+/// than this table has room for, and hands the buffer over in one append at
+/// export; the rest are only counted into dropped(). The Chrome-trace
+/// writer derives the "run" spans lazily, as it derives every other log's
+/// events. Capped: long runs must not produce unboundedly large exports.
+using RunSegmentTable = CappedLog<RunSegmentRecord, 200000>;
 
 }  // namespace speedbal::obs

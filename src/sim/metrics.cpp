@@ -19,12 +19,42 @@ void Metrics::record_exec(TaskId task, CoreId core, SimTime start,
   auto& per_core = exec_[t];
   if (per_core.empty()) per_core.assign(static_cast<std::size_t>(num_cores_), 0);
   per_core[static_cast<std::size_t>(core)] += dur;
-  segments_.push_back({task, core, start, dur});
+  if (segments_.size() < segment_cap_)
+    segments_.push_back({start, dur, core, task, segment_node_, 0});
+  else
+    ++segments_dropped_;
+}
+
+void Metrics::set_recorder(obs::RunRecorder* rec) {
+  recorder_ = rec;
+  keep_segments_for(rec != nullptr ? &rec->run_segments() : nullptr);
+}
+
+void Metrics::keep_segments_for(const obs::RunSegmentTable* table, int node) {
+  segment_cap_ = table != nullptr ? table->room() : 0;
+  segment_node_ = node;
+  limit_segments(segment_cap_);
+}
+
+void Metrics::limit_segments(std::size_t cap) {
+  segment_cap_ = std::min(segment_cap_, cap);
+  if (segments_.size() <= segment_cap_) return;
+  segments_dropped_ +=
+      static_cast<std::int64_t>(segments_.size() - segment_cap_);
+  segments_.resize(segment_cap_);
+  if (segment_cap_ <= segments_.capacity() / 2) segments_.shrink_to_fit();
+}
+
+void Metrics::hand_over_segments(obs::RunSegmentTable& table) {
+  table.append(std::move(segments_), segments_dropped_);
+  segments_ = {};
+  segments_dropped_ = 0;
 }
 
 void Metrics::reset() {
   exec_.clear();
   segments_.clear();
+  segments_dropped_ = 0;
   migrations_.clear();
   cause_counts_.fill(0);
 }
@@ -38,16 +68,6 @@ const std::vector<SimTime>& Metrics::exec_by_core(TaskId task) const {
 SimTime Metrics::total_exec(TaskId task) const {
   const auto& per_core = exec_by_core(task);
   return std::accumulate(per_core.begin(), per_core.end(), SimTime{0});
-}
-
-SimTime Metrics::exec_in_window(TaskId task, SimTime from, SimTime to) const {
-  SimTime total = 0;
-  for (const RunSegment& seg : segments_) {
-    if (seg.task != task) continue;
-    total += std::max<SimTime>(
-        0, std::min(seg.start + seg.dur, to) - std::max(seg.start, from));
-  }
-  return total;
 }
 
 double Metrics::residency_fraction(
@@ -70,25 +90,22 @@ std::map<MigrationCause, std::int64_t> Metrics::migration_counts_by_cause() cons
   return out;
 }
 
-void export_run_to_recorder(const Metrics& metrics, obs::RunRecorder& rec,
-                            int node) {
+SimTime exec_in_window(const std::vector<obs::RunSegmentRecord>& segments,
+                       TaskId task, SimTime from, SimTime to) {
+  SimTime total = 0;
+  for (const obs::RunSegmentRecord& seg : segments) {
+    if (seg.task != task) continue;
+    total += std::max<SimTime>(0, std::min(seg.start_us + seg.dur_us, to) -
+                                      std::max(seg.start_us, from));
+  }
+  return total;
+}
+
+void export_run_to_recorder(Metrics& metrics, obs::RunRecorder& rec) {
   for (const auto& [cause, count] : metrics.migration_counts_by_cause())
     rec.incr(std::string("migrations.") + to_string(cause), count);
-  // One metered bulk copy of compact PODs; the recorder derives the "run"
-  // trace spans lazily at write time. Doing this per segment through the
-  // trace collector (string name + mutex each) used to cost several
-  // milliseconds per run and showed up as a fake 40% serve-throughput gap.
-  // Only the segments the table's cap keeps are built; the rest are counted
-  // as dropped.
   obs::OverheadMeter::Scoped meter(&rec.export_overhead());
-  const std::vector<RunSegment>& segs = metrics.segments();
-  rec.run_segments().add_generated(segs.size(), [&](std::size_t i) {
-    const RunSegment& seg = segs[i];
-    return obs::RunSegmentTable::Segment{seg.start, seg.dur,
-                                         static_cast<std::int32_t>(seg.core),
-                                         static_cast<std::int32_t>(seg.task),
-                                         node, 0};
-  });
+  metrics.hand_over_segments(rec.run_segments());
 }
 
 }  // namespace speedbal

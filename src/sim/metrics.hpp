@@ -18,22 +18,11 @@ using obs::kMigrationCauseNames;
 using obs::MigrationCause;
 using MigrationRecord = obs::MigrationRecord;
 
-/// One contiguous stretch of execution of a task on a core. The Simulator
-/// records one segment per dispatch, from the dispatch to the moment the task
-/// stops running; a Simulator::sync_accounting in the middle of a stretch
-/// splits it into adjacent pieces (same task, same core, end == next start).
-/// Speed changes do not split a segment.
-struct RunSegment {
-  TaskId task = -1;
-  CoreId core = -1;
-  SimTime start = 0;
-  SimTime dur = 0;
-};
-
-/// Run-wide observability: execution per task per core, the run-segment log,
-/// the migration log and its per-cause tally. Collected unconditionally; the
-/// invariant probes read the exec table, the recorder export reads the
-/// segment log, and the property tests and figure harnesses read both.
+/// Run-wide observability: execution per task per core, the migration log
+/// and its per-cause tally, and, only while a recorder will export them, the
+/// run segments. The invariant probes, the property tests and the figure
+/// harnesses read the exec table; the recorder export reads the migrations
+/// and the segments.
 ///
 /// The Simulator writes one record_exec per stretch of execution (and at each
 /// sync_accounting); every query is a plain read of what was recorded.
@@ -46,24 +35,34 @@ class Metrics {
   }
 
   /// One contiguous execution stretch: adds `dur` to the task's exec on
-  /// `core` and appends the segment to the log.
+  /// `core`, and keeps the segment when keep_segments_for left room.
   void record_exec(TaskId task, CoreId core, SimTime start, SimTime dur);
 
   void record_migration(const MigrationRecord& rec);
 
   /// Attach an observability recorder: every subsequent migration is also
-  /// appended to the recorder's migration log. Null (the default) disables
-  /// it at the cost of one pointer test per migration.
-  void set_recorder(obs::RunRecorder* rec) { recorder_ = rec; }
+  /// appended to the recorder's migration log, and the run's segments are
+  /// kept for its segment table (keep_segments_for). Null (the default)
+  /// disables both at the cost of one pointer test per migration.
+  void set_recorder(obs::RunRecorder* rec);
   obs::RunRecorder* recorder() const { return recorder_; }
 
-  /// Every recorded segment, in recording order.
-  const std::vector<RunSegment>& segments() const { return segments_; }
-
-  /// Execution time of `task` within the window [from, to), clipped at the
-  /// window edges. Scans the segment log: O(segments), for tests and
-  /// offline inspection, not for a balancer's per-interval read.
-  SimTime exec_in_window(TaskId task, SimTime from, SimTime to) const;
+  /// Keep the first segments recorded from now on, as many as `table` has
+  /// room for at this call, for export_run_to_recorder to hand over; the
+  /// rest are only counted. `node` tags them with a cluster node id (-1 = a
+  /// single-machine run). Null keeps none, the default: a run nobody
+  /// exports keeps no segment log.
+  void keep_segments_for(const obs::RunSegmentTable* table, int node = -1);
+  /// Lower the number of segments kept to `cap`: kept ones past it are
+  /// dropped and counted, as if never kept.
+  void limit_segments(std::size_t cap);
+  /// Segments recorded since the last handover, kept or not.
+  std::int64_t segments_recorded() const {
+    return static_cast<std::int64_t>(segments_.size()) + segments_dropped_;
+  }
+  /// Move the kept segments into `table` and count the rest as dropped
+  /// there; this run's segment log starts empty again.
+  void hand_over_segments(obs::RunSegmentTable& table);
 
   /// Fraction of the task's execution spent on cores where `pred(core)`
   /// holds (e.g. "the fast queues" of the Section 4 analysis). Zero when
@@ -97,7 +96,11 @@ class Metrics {
   /// Per-task per-core execution, indexed [task][core]; rows are allocated
   /// on a task's first run.
   std::vector<std::vector<SimTime>> exec_;
-  std::vector<RunSegment> segments_;
+  /// The kept segments (at most segment_cap_) and a count of the rest.
+  std::vector<obs::RunSegmentRecord> segments_;
+  std::size_t segment_cap_ = 0;
+  std::int64_t segments_dropped_ = 0;
+  std::int32_t segment_node_ = -1;
   std::vector<MigrationRecord> migrations_;
   std::array<std::int64_t, kMigrationCauseNames.size()> cause_counts_;
   /// Correctly-sized all-zero row returned for tasks that never ran, so
@@ -106,13 +109,16 @@ class Metrics {
   obs::RunRecorder* recorder_ = nullptr;
 };
 
-/// Flush a finished run's metrics into the recorder: one bulk append of
-/// compact run-segment records, built only for the room left under the
-/// table's cap (the trace writer derives "run" spans from them lazily), and
-/// "migrations.<cause>" aggregate counters. `node` tags the
-/// segments with a cluster node id (-1 = single-machine run); node-tagged
-/// segments render on per-node Chrome-trace tracks.
-void export_run_to_recorder(const Metrics& metrics, obs::RunRecorder& rec,
-                            int node = -1);
+/// Execution time of `task` within the window [from, to), clipped at the
+/// window edges, over a snapshot of recorded segments (e.g. a recorder's
+/// run_segments().snapshot()). O(segments): for tests and offline
+/// inspection, not for a balancer's per-interval read.
+SimTime exec_in_window(const std::vector<obs::RunSegmentRecord>& segments,
+                       TaskId task, SimTime from, SimTime to);
+
+/// Flush a finished run's metrics into the recorder: "migrations.<cause>"
+/// aggregate counters, and the run's kept segments, handed over in one
+/// append (the trace writer derives "run" spans from them lazily).
+void export_run_to_recorder(Metrics& metrics, obs::RunRecorder& rec);
 
 }  // namespace speedbal

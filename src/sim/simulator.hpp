@@ -63,9 +63,10 @@ class Simulator {
   Metrics& metrics() { return metrics_; }
   const Metrics& metrics() const { return metrics_; }
 
-  /// Attach an observability recorder: migrations become instant trace
-  /// events as they happen (see obs::RunRecorder). Null (default) is free
-  /// apart from one pointer test per migration.
+  /// Attach an observability recorder: migrations go into its log as they
+  /// happen, and the run keeps its segments for export_run_to_recorder (see
+  /// Metrics::set_recorder). Null (default) is free apart from one pointer
+  /// test per migration.
   void set_recorder(obs::RunRecorder* rec) { metrics_.set_recorder(rec); }
   obs::RunRecorder* recorder() const { return metrics_.recorder(); }
   Rng& rng() { return rng_; }

@@ -157,19 +157,23 @@ TEST(Properties, GeneratedSpmdScenariosKeepPerTaskAccountingExact) {
 
 /// Simulator + app + attached speed balancer, kept alive together so tests
 /// can interrogate metrics after the run (shared by the Lemma 1 and
-/// rotation suites).
+/// rotation suites), and the run segments its recorder exported.
 struct SpeedRig {
+  std::unique_ptr<obs::RunRecorder> rec;
   std::unique_ptr<Simulator> sim;
   std::unique_ptr<SpmdApp> app;
   std::unique_ptr<SpeedBalancer> sb;
   bool finished = false;
+  std::vector<obs::RunSegmentRecord> segments;
 };
 
 SpeedRig run_speed_app(int cores, int threads, double work_us,
                        std::uint64_t seed) {
   SpeedRig rig;
+  rig.rec = std::make_unique<obs::RunRecorder>();
   rig.sim = std::make_unique<Simulator>(presets::generic(cores),
                                         SimParams{}, seed);
+  rig.sim->set_recorder(rig.rec.get());
   SpmdAppSpec spec = workload::uniform_app(threads, 1, work_us);
   rig.app = std::make_unique<SpmdApp>(*rig.sim, spec);
   rig.app->launch(SpmdApp::Placement::LinuxFork, workload::first_cores(cores));
@@ -179,6 +183,8 @@ SpeedRig run_speed_app(int cores, int threads, double work_us,
   rig.sb->attach(*rig.sim);
   rig.finished = rig.sim->run_while_pending(
       [&rig] { return rig.app->finished(); }, sec(600));
+  export_run_to_recorder(rig.sim->metrics(), *rig.rec);
+  rig.segments = rig.rec->run_segments().snapshot();
   return rig;
 }
 
@@ -240,6 +246,7 @@ TEST(Properties, EveryThreadRunsOnAFastQueueUnderSpeed) {
   // nearly wall-rate execution.
   const SpeedRig rig = run_speed_app(2, 3, 3e6, 31);
   ASSERT_TRUE(rig.finished);
+  ASSERT_EQ(rig.rec->run_segments().dropped(), 0);
 
   const SimTime wall = rig.app->elapsed();
   for (Task* t : rig.app->threads()) {
@@ -248,7 +255,7 @@ TEST(Properties, EveryThreadRunsOnAFastQueueUnderSpeed) {
     int windows = 0;
     for (SimTime w = 0; w + msec(100) <= wall; w += msec(100)) {
       const SimTime exec =
-          rig.sim->metrics().exec_in_window(t->id(), w, w + msec(100));
+          exec_in_window(rig.segments, t->id(), w, w + msec(100));
       ++windows;
       if (exec > msec(90)) ++fast_windows;
     }

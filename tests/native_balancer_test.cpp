@@ -398,9 +398,11 @@ TEST(NativeSpeedBalancer, HotPotatoGuardStopsThePullBack) {
   const auto counts = rec.decisions().counts();
   EXPECT_EQ(counts[static_cast<std::size_t>(obs::PullReason::HotPotato)], 1);
   EXPECT_EQ(counts[static_cast<std::size_t>(obs::PullReason::NoVictim)], 1);
-  for (const obs::DecisionRecord& d : rec.decisions().snapshot())
-    if (d.reason == obs::PullReason::HotPotato)
+  for (const obs::DecisionRecord& d : rec.decisions().snapshot()) {
+    if (d.reason == obs::PullReason::HotPotato) {
       EXPECT_EQ(d.victim, fx.x.tid());
+    }
+  }
   expect_section5_rules_hold(rec, fx.config);
 }
 

@@ -158,7 +158,7 @@ using PlainLog = obs::CappedLog<HueRecord, 4>;
 using HueLog = obs::CappedLog<HueRecord, 4, &HueRecord::hue, 2>;
 
 /// Records seq first, first + 1, ... of `hue`, one add() each: the
-/// reference for add_generated.
+/// reference for append.
 template <class Log>
 void add_each(Log& log, int first, int n, Hue hue = Hue::Red) {
   for (int i = 0; i < n; ++i) log.add(HueRecord(first + i, hue));
@@ -207,71 +207,74 @@ TEST(CappedLog, CountersKeepCountingPastTheCap) {
   EXPECT_EQ(log.counts(), (std::array<std::int64_t, 2>{2, 3}));
 }
 
-/// Records seq first, first + 1, ... of `hue`, built on demand by
-/// add_generated; counts how many it built.
-struct HueGen {
-  int first = 0;
-  Hue hue = Hue::Red;
-  int* built = nullptr;
-  HueRecord operator()(std::size_t i) const {
-    ++*built;
-    return HueRecord(first + static_cast<int>(i), hue);
-  }
-};
+/// Records seq first, first + 1, ... of `hue`, as one vector for append.
+std::vector<HueRecord> hues(int first, int n, Hue hue = Hue::Red) {
+  std::vector<HueRecord> out;
+  for (int i = 0; i < n; ++i) out.emplace_back(first + i, hue);
+  return out;
+}
 
-TEST(CappedLog, AddGeneratedBuildsOnlyWhatTheCapKeeps) {
-  // The same appends, one add() at a time and through add_generated: same
+TEST(CappedLog, AppendKeepsWhatTheCapKeeps) {
+  // The same appends, one add() at a time and through append: same
   // records, same drops.
   PlainLog by_add;
-  PlainLog by_gen;
-  int built = 0;
+  PlainLog by_append;
   add_each(by_add, 0, 3);
-  by_gen.add_generated(3, HueGen{0, Hue::Red, &built});
-  EXPECT_EQ(built, 3);
+  by_append.append(hues(0, 3), 0);
   add_each(by_add, 10, 3);  // One fits, two drop.
-  by_gen.add_generated(3, HueGen{10, Hue::Red, &built});
-  EXPECT_EQ(built, 4);  // The two dropped records were never built.
+  by_append.append(hues(10, 3), 0);
   add_each(by_add, 20, 2);  // Full: both drop.
-  by_gen.add_generated(2, HueGen{20, Hue::Red, &built});
-  EXPECT_EQ(built, 4);
-  EXPECT_EQ(seqs(by_gen.snapshot()), (std::vector<int>{0, 1, 2, 10}));
-  EXPECT_EQ(seqs(by_gen.snapshot()), seqs(by_add.snapshot()));
-  EXPECT_EQ(by_gen.dropped(), 4);
-  EXPECT_EQ(by_gen.dropped(), by_add.dropped());
+  by_append.append(hues(20, 2), 0);
+  EXPECT_EQ(seqs(by_append.snapshot()), (std::vector<int>{0, 1, 2, 10}));
+  EXPECT_EQ(seqs(by_append.snapshot()), seqs(by_add.snapshot()));
+  EXPECT_EQ(by_append.dropped(), 4);
+  EXPECT_EQ(by_append.dropped(), by_add.dropped());
+  EXPECT_EQ(by_append.room(), 0u);
 
-  // A run longer than the cap into an empty log keeps its head.
+  // A run longer than the cap into an empty log keeps its head; the
+  // records its producer never built count as dropped too.
   PlainLog fresh;
-  built = 0;
-  fresh.add_generated(6, HueGen{0, Hue::Red, &built});
-  EXPECT_EQ(built, 4);
+  EXPECT_EQ(fresh.room(), 4u);
+  fresh.append(hues(0, 6), 3);
   EXPECT_EQ(seqs(fresh.snapshot()), (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(fresh.dropped(), 2);
+  EXPECT_EQ(fresh.dropped(), 5);
 }
 
-TEST(CappedLog, AddGeneratedIntoACountedLogCountsTheOverflowKinds) {
-  // The cap bounds memory, not the statistics: a counted log builds the
-  // overflow too, and counts it, exactly as add() does.
-  HueLog by_add;
-  HueLog by_gen;
-  int built = 0;
-  add_each(by_add, 0, 3, Hue::Red);
-  by_gen.add_generated(3, HueGen{0, Hue::Red, &built});
-  add_each(by_add, 10, 3, Hue::Blue);  // One fits, two drop.
-  by_gen.add_generated(3, HueGen{10, Hue::Blue, &built});
-  EXPECT_EQ(built, 6);
-  EXPECT_EQ(seqs(by_gen.snapshot()), (std::vector<int>{0, 1, 2, 10}));
-  EXPECT_EQ(by_gen.dropped(), 2);
-  EXPECT_EQ(by_gen.counts(), (std::array<std::int64_t, 2>{3, 3}));
-  EXPECT_EQ(by_gen.counts(), by_add.counts());
+// --- Segment export: a run keeps what the table's cap keeps ---
+
+/// Two runs' segments: nine spread over four cores, then five of other
+/// tasks.
+std::vector<obs::RunSegmentRecord> first_run() {
+  std::vector<obs::RunSegmentRecord> out;
+  for (int i = 0; i < 9; ++i)
+    out.push_back({msec(i), usec(50 + i), i % 4, i % 3, -1, 0});
+  return out;
 }
 
-// --- Segment export: only what the table's cap keeps is built ---
+std::vector<obs::RunSegmentRecord> second_run() {
+  std::vector<obs::RunSegmentRecord> out;
+  for (int i = 0; i < 5; ++i)
+    out.push_back({msec(20 + i), usec(7), 3 - i % 4, 10 + i, -1, 0});
+  return out;
+}
 
-/// The segment export without the room check: every segment built and
-/// offered to the cap, one add() each.
-void export_each(const Metrics& m, obs::RunSegmentTable& table, int node) {
-  for (const RunSegment& seg : m.segments())
-    table.add({seg.start, seg.dur, seg.core, seg.task, node, 0});
+/// Records `segs` into a Metrics that keeps its segments for `rec`, as a
+/// recorded run does, tagged with cluster node `node`.
+Metrics recorded_run(const std::vector<obs::RunSegmentRecord>& segs,
+                     RunRecorder& rec, int node) {
+  Metrics m(4);
+  m.keep_segments_for(&rec.run_segments(), node);
+  for (const obs::RunSegmentRecord& s : segs)
+    m.record_exec(s.task, s.core, s.start_us, s.dur_us);
+  return m;
+}
+
+/// The segment export without a run-side cap: every segment offered to the
+/// table, one add() each.
+void export_each(const std::vector<obs::RunSegmentRecord>& segs,
+                 obs::RunSegmentTable& table, int node) {
+  for (const obs::RunSegmentRecord& seg : segs)
+    table.add({seg.start_us, seg.dur_us, seg.core, seg.task, node, 0});
 }
 
 void expect_same_segments(const obs::RunSegmentTable& got,
@@ -290,36 +293,34 @@ void expect_same_segments(const obs::RunSegmentTable& got,
 }
 
 TEST(RunRecorder, CappedSegmentExportMatchesOneAddPerSegment) {
-  Metrics first(4);
-  for (int i = 0; i < 9; ++i)
-    first.record_exec(i % 3, i % 4, msec(i), usec(50 + i));
-  Metrics second(4);  // Exported tagged with cluster node 3.
-  for (int i = 0; i < 5; ++i)
-    second.record_exec(10 + i, 3 - i % 4, msec(20 + i), usec(7));
-
-  // Room left after the first export: the second overflows part-way.
+  // Room left after the first export: the second, recorded for the same
+  // table before the first export filled it, overflows part-way.
   RunRecorder rec;
   obs::RunSegmentTable want;
   rec.run_segments().set_cap(12);
   want.set_cap(12);
+  Metrics first = recorded_run(first_run(), rec, -1);
+  Metrics second = recorded_run(second_run(), rec, 3);
   export_run_to_recorder(first, rec);
-  export_each(first, want, -1);
-  export_run_to_recorder(second, rec, 3);
-  export_each(second, want, 3);
+  export_each(first_run(), want, -1);
+  export_run_to_recorder(second, rec);
+  export_each(second_run(), want, 3);
   EXPECT_EQ(rec.run_segments().size(), 12u);
   EXPECT_EQ(rec.run_segments().dropped(), 2);
   expect_same_segments(rec.run_segments(), want);
 
-  // More segments than the cap: the first export overflows and the second
-  // finds no room at all.
+  // More segments than the cap: the first run keeps only the cap's worth,
+  // and the second, recorded after the first export, keeps none.
   RunRecorder small;
   obs::RunSegmentTable small_want;
   small.run_segments().set_cap(4);
   small_want.set_cap(4);
-  export_run_to_recorder(first, small);
-  export_each(first, small_want, -1);
-  export_run_to_recorder(second, small, 3);
-  export_each(second, small_want, 3);
+  Metrics small_first = recorded_run(first_run(), small, -1);
+  export_run_to_recorder(small_first, small);
+  export_each(first_run(), small_want, -1);
+  Metrics small_second = recorded_run(second_run(), small, 3);
+  export_run_to_recorder(small_second, small);
+  export_each(second_run(), small_want, 3);
   EXPECT_EQ(small.run_segments().dropped(), 10);
   expect_same_segments(small.run_segments(), small_want);
 }

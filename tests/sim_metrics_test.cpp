@@ -5,6 +5,12 @@
 namespace speedbal {
 namespace {
 
+/// Hands the run's kept segments over to `rec` and returns its table.
+std::vector<obs::RunSegmentRecord> exported(Metrics& m, obs::RunRecorder& rec) {
+  export_run_to_recorder(m, rec);
+  return rec.run_segments().snapshot();
+}
+
 TEST(Metrics, RecordsExecByCore) {
   Metrics m(4);
   m.record_exec(1, 0, 0, msec(10));
@@ -66,18 +72,60 @@ TEST(Metrics, MigrationLogAndCounts) {
 }
 
 TEST(Metrics, SegmentsAndWindowQueries) {
+  obs::RunRecorder rec;
   Metrics m(2);
+  m.set_recorder(&rec);
   m.record_exec(1, 0, usec(0), usec(100));
   m.record_exec(1, 1, usec(200), usec(100));
   m.record_exec(2, 0, usec(100), usec(100));
-  ASSERT_EQ(m.segments().size(), 3u);
+  const auto segs = exported(m, rec);
+  ASSERT_EQ(segs.size(), 3u);
   // Full window.
-  EXPECT_EQ(m.exec_in_window(1, 0, usec(300)), usec(200));
+  EXPECT_EQ(exec_in_window(segs, 1, 0, usec(300)), usec(200));
   // Clipped at both ends.
-  EXPECT_EQ(m.exec_in_window(1, usec(50), usec(250)), usec(100));
+  EXPECT_EQ(exec_in_window(segs, 1, usec(50), usec(250)), usec(100));
   // Empty window / unknown task.
-  EXPECT_EQ(m.exec_in_window(1, usec(400), usec(500)), 0);
-  EXPECT_EQ(m.exec_in_window(9, 0, usec(300)), 0);
+  EXPECT_EQ(exec_in_window(segs, 1, usec(400), usec(500)), 0);
+  EXPECT_EQ(exec_in_window(segs, 9, 0, usec(300)), 0);
+}
+
+TEST(Metrics, UnrecordedRunKeepsNoSegments) {
+  // No recorder, no segment log: the exec table still sees every stretch,
+  // and an export finds nothing to hand over.
+  Metrics m(2);
+  for (int i = 0; i < 1000; ++i)
+    m.record_exec(1, i % 2, usec(i * 10), usec(5));
+  EXPECT_EQ(m.total_exec(1), usec(5000));
+  EXPECT_EQ(m.segments_recorded(), 1000);
+  obs::RunRecorder rec;
+  EXPECT_TRUE(exported(m, rec).empty());
+  EXPECT_EQ(rec.run_segments().dropped(), 1000);
+}
+
+TEST(Metrics, KeptSegmentsStopAtTheTablesRoomAndCountTheRest) {
+  obs::RunRecorder rec;
+  rec.run_segments().set_cap(3);
+  Metrics m(2);
+  m.keep_segments_for(&rec.run_segments(), 5);
+  for (int i = 0; i < 5; ++i) m.record_exec(i, 0, usec(i * 10), usec(10));
+  const auto segs = exported(m, rec);
+  ASSERT_EQ(segs.size(), 3u);
+  EXPECT_EQ(rec.run_segments().dropped(), 2);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(segs[static_cast<std::size_t>(i)].task, i);
+    EXPECT_EQ(segs[static_cast<std::size_t>(i)].node, 5);
+  }
+  // Lowering the limit drops kept segments past it, counted as dropped.
+  obs::RunRecorder next;
+  Metrics n(2);
+  n.set_recorder(&next);
+  for (int i = 0; i < 5; ++i) n.record_exec(i, 1, usec(i * 10), usec(10));
+  n.limit_segments(2);
+  n.record_exec(9, 1, usec(100), usec(10));
+  EXPECT_EQ(n.segments_recorded(), 6);
+  EXPECT_EQ(exported(n, next).size(), 2u);
+  EXPECT_EQ(next.run_segments().dropped(), 4);
+  EXPECT_EQ(n.segments_recorded(), 0);
 }
 
 TEST(Metrics, CachedCauseTallyTracksEveryRecord) {
@@ -104,34 +152,40 @@ TEST(Metrics, CachedCauseTallyTracksEveryRecord) {
 }
 
 TEST(Metrics, WindowQueryExactAtSegmentBoundaries) {
+  obs::RunRecorder rec;
   Metrics m(2);
+  m.set_recorder(&rec);
   // Three segments of task 1: [0,100), [200,300), [300,400).
   m.record_exec(1, 0, usec(0), usec(100));
   m.record_exec(1, 1, usec(200), usec(100));
   m.record_exec(1, 0, usec(300), usec(100));
+  const auto segs = exported(m, rec);
   // Window touching a segment edge exactly includes/excludes it.
-  EXPECT_EQ(m.exec_in_window(1, usec(100), usec(200)), 0);
-  EXPECT_EQ(m.exec_in_window(1, usec(100), usec(201)), usec(1));
-  EXPECT_EQ(m.exec_in_window(1, usec(99), usec(200)), usec(1));
+  EXPECT_EQ(exec_in_window(segs, 1, usec(100), usec(200)), 0);
+  EXPECT_EQ(exec_in_window(segs, 1, usec(100), usec(201)), usec(1));
+  EXPECT_EQ(exec_in_window(segs, 1, usec(99), usec(200)), usec(1));
   // Window inside one segment.
-  EXPECT_EQ(m.exec_in_window(1, usec(220), usec(280)), usec(60));
+  EXPECT_EQ(exec_in_window(segs, 1, usec(220), usec(280)), usec(60));
   // Window spanning all.
-  EXPECT_EQ(m.exec_in_window(1, 0, usec(400)), usec(300));
+  EXPECT_EQ(exec_in_window(segs, 1, 0, usec(400)), usec(300));
   // Inverted / empty windows.
-  EXPECT_EQ(m.exec_in_window(1, usec(300), usec(300)), 0);
-  EXPECT_EQ(m.exec_in_window(1, usec(400), usec(100)), 0);
+  EXPECT_EQ(exec_in_window(segs, 1, usec(300), usec(300)), 0);
+  EXPECT_EQ(exec_in_window(segs, 1, usec(400), usec(100)), 0);
 }
 
 TEST(Metrics, OutOfOrderSegmentRecordingStillSums) {
   // The Simulator emits a task's segments in time order, but other callers
   // may not; windowed sums must not depend on recording order.
+  obs::RunRecorder rec;
   Metrics m(2);
+  m.set_recorder(&rec);
   m.record_exec(1, 0, usec(200), usec(50));
   m.record_exec(1, 1, usec(0), usec(100));
   m.record_exec(1, 0, usec(120), usec(30));
-  EXPECT_EQ(m.exec_in_window(1, 0, usec(300)), usec(180));
-  EXPECT_EQ(m.exec_in_window(1, usec(50), usec(130)), usec(60));
-  EXPECT_EQ(m.exec_in_window(1, usec(130), usec(210)), usec(30));
+  const auto segs = exported(m, rec);
+  EXPECT_EQ(exec_in_window(segs, 1, 0, usec(300)), usec(180));
+  EXPECT_EQ(exec_in_window(segs, 1, usec(50), usec(130)), usec(60));
+  EXPECT_EQ(exec_in_window(segs, 1, usec(130), usec(210)), usec(30));
 }
 
 TEST(Metrics, ResidencyFraction) {
@@ -147,40 +201,55 @@ TEST(Metrics, ResidencyFraction) {
 TEST(Metrics, SegmentsMatchRunTotals) {
   // The segment log and the exec table see the same records: a window
   // covering the whole run sums to the task's total.
+  obs::RunRecorder rec;
   Metrics m(2);
+  m.set_recorder(&rec);
   m.record_exec(1, 0, 0, usec(120));
   m.record_exec(1, 1, usec(120), usec(80));
-  EXPECT_EQ(m.exec_in_window(1, 0, sec(1)), m.total_exec(1));
+  EXPECT_EQ(exec_in_window(exported(m, rec), 1, 0, sec(1)), m.total_exec(1));
 }
 
 TEST(Metrics, AdjacentSegmentsSumExactlyUnmerged) {
   // A stretch cut into adjacent same-core pieces (as sync_accounting does)
   // sums across the cut exactly like one segment would.
+  obs::RunRecorder rec;
   Metrics m(2);
+  m.set_recorder(&rec);
   m.record_exec(1, 0, usec(0), usec(50));
   m.record_exec(1, 0, usec(50), usec(50));
   m.record_exec(1, 1, usec(100), usec(50));
-  EXPECT_EQ(m.exec_in_window(1, 0, usec(150)), usec(150));
-  EXPECT_EQ(m.exec_in_window(1, usec(25), usec(75)), usec(50));
-  EXPECT_EQ(m.exec_in_window(1, usec(75), usec(125)), usec(50));
-  ASSERT_EQ(m.segments().size(), 3u);  // The raw log never merges.
+  const auto segs = exported(m, rec);
+  EXPECT_EQ(exec_in_window(segs, 1, 0, usec(150)), usec(150));
+  EXPECT_EQ(exec_in_window(segs, 1, usec(25), usec(75)), usec(50));
+  EXPECT_EQ(exec_in_window(segs, 1, usec(75), usec(125)), usec(50));
+  ASSERT_EQ(segs.size(), 3u);  // The raw log never merges.
 }
 
 TEST(Metrics, ResetThenReuse) {
   // reset() must drop every record and leave the instance fully usable for
   // a fresh run.
+  obs::RunRecorder first;
+  obs::RunRecorder after_reset;
+  obs::RunRecorder reused;
   Metrics m(2);
+  m.set_recorder(&first);
   for (int i = 0; i < 5000; ++i)
     m.record_exec(1, i % 2, usec(i * 10), usec(5));
-  EXPECT_EQ(m.exec_in_window(1, 0, usec(100'000)), usec(25'000));
+  EXPECT_EQ(exec_in_window(exported(m, first), 1, 0, usec(100'000)),
+            usec(25'000));
+  for (int i = 0; i < 5000; ++i)
+    m.record_exec(1, i % 2, usec(i * 10), usec(5));
   m.reset();
   EXPECT_EQ(m.total_exec(1), 0);
-  EXPECT_EQ(m.exec_in_window(1, 0, usec(100'000)), 0);
-  EXPECT_EQ(m.segments().size(), 0u);
+  const auto none = exported(m, after_reset);
+  EXPECT_EQ(exec_in_window(none, 1, 0, usec(100'000)), 0);
+  EXPECT_EQ(none.size(), 0u);
+  EXPECT_EQ(after_reset.run_segments().dropped(), 0);
   for (int i = 0; i < 5000; ++i)
     m.record_exec(2, i % 2, usec(i * 10), usec(5));
-  EXPECT_EQ(m.exec_in_window(2, 0, usec(100'000)), usec(25'000));
-  EXPECT_EQ(m.exec_in_window(1, 0, usec(100'000)), 0);
+  const auto segs = exported(m, reused);
+  EXPECT_EQ(exec_in_window(segs, 2, 0, usec(100'000)), usec(25'000));
+  EXPECT_EQ(exec_in_window(segs, 1, 0, usec(100'000)), 0);
 }
 
 TEST(Metrics, CauseNames) {

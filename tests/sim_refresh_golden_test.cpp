@@ -7,8 +7,9 @@
 // speed arithmetic, the event order, or the execution accounting moves the
 // pinned values. The segment digest is taken over the canonical (merged)
 // segment log, so where a stretch of execution is cut into records does not
-// move it. The window digest pins Metrics::exec_in_window over the whole run,
-// so a change to how windowed sums are computed must reproduce them exactly.
+// move it. Both digests read the segments a recorder exported; the window
+// digest pins exec_in_window over the whole run, so a change to how windowed
+// sums are computed must reproduce them exactly.
 
 #include <gtest/gtest.h>
 
@@ -40,19 +41,19 @@ struct Fingerprint {
 /// merged, ordered by (task, start). Independent of where a contiguous
 /// stretch of execution was cut into records, so it compares segment logs
 /// by the execution they describe.
-std::vector<RunSegment> canonical_segments(const Metrics& m) {
-  std::vector<RunSegment> segs = m.segments();
-  std::stable_sort(segs.begin(), segs.end(),
-                   [](const RunSegment& a, const RunSegment& b) {
-                     return a.task != b.task ? a.task < b.task
-                                             : a.start < b.start;
-                   });
-  std::vector<RunSegment> out;
-  for (const RunSegment& s : segs) {
+std::vector<obs::RunSegmentRecord> canonical_segments(
+    std::vector<obs::RunSegmentRecord> segs) {
+  std::stable_sort(
+      segs.begin(), segs.end(),
+      [](const obs::RunSegmentRecord& a, const obs::RunSegmentRecord& b) {
+        return a.task != b.task ? a.task < b.task : a.start_us < b.start_us;
+      });
+  std::vector<obs::RunSegmentRecord> out;
+  for (const obs::RunSegmentRecord& s : segs) {
     if (!out.empty() && out.back().task == s.task &&
         out.back().core == s.core &&
-        out.back().start + out.back().dur == s.start) {
-      out.back().dur += s.dur;
+        out.back().start_us + out.back().dur_us == s.start_us) {
+      out.back().dur_us += s.dur_us;
       continue;
     }
     out.push_back(s);
@@ -72,13 +73,13 @@ struct Fnv1a {
 };
 
 /// FNV-1a over the canonical segments' (task, core, start, dur) fields.
-std::uint64_t fnv1a(const std::vector<RunSegment>& segs) {
+std::uint64_t fnv1a(const std::vector<obs::RunSegmentRecord>& segs) {
   Fnv1a f;
-  for (const RunSegment& s : segs) {
+  for (const obs::RunSegmentRecord& s : segs) {
     f.mix(s.task);
     f.mix(s.core);
-    f.mix(s.start);
-    f.mix(s.dur);
+    f.mix(s.start_us);
+    f.mix(s.dur_us);
   }
   return f.h;
 }
@@ -86,32 +87,40 @@ std::uint64_t fnv1a(const std::vector<RunSegment>& segs) {
 /// FNV-1a over exec_in_window(task, w, w + 50ms) for every task and every
 /// aligned 50 ms window that starts before `end`, followed per task by the
 /// unaligned window [7ms, 133ms).
-std::uint64_t window_digest(const Metrics& m, int num_tasks, SimTime end) {
+std::uint64_t window_digest(const std::vector<obs::RunSegmentRecord>& segs,
+                            int num_tasks, SimTime end) {
   Fnv1a f;
   for (TaskId id = 0; id < num_tasks; ++id) {
     for (SimTime w = 0; w < end; w += msec(50))
-      f.mix(m.exec_in_window(id, w, w + msec(50)));
-    f.mix(m.exec_in_window(id, msec(7), msec(133)));
+      f.mix(exec_in_window(segs, id, w, w + msec(50)));
+    f.mix(exec_in_window(segs, id, msec(7), msec(133)));
   }
   return f.h;
 }
 
 Fingerprint run(ExperimentConfig cfg) {
   Fingerprint fp;
-  cfg.on_run_end = [&fp, inner = cfg.on_run_end](Simulator& sim, SpmdApp& app,
-                                                 int rep) {
+  obs::RunRecorder rec;
+  cfg.recorder = &rec;
+  int num_tasks = 0;
+  SimTime end = 0;
+  cfg.on_run_end = [&, inner = cfg.on_run_end](Simulator& sim, SpmdApp& app,
+                                               int rep) {
     if (inner) inner(sim, app, rep);
     sim.sync_all_accounting();
     fp.events = sim.events_executed();
     for (TaskId id = 0; id < sim.num_tasks(); ++id)
       fp.exec_by_core.push_back(sim.metrics().exec_by_core(id));
-    const auto segs = canonical_segments(sim.metrics());
-    fp.canonical_segments = segs.size();
-    fp.segment_digest = fnv1a(segs);
-    fp.window_digest =
-        window_digest(sim.metrics(), sim.num_tasks(), sim.now());
+    num_tasks = sim.num_tasks();
+    end = sim.now();
   };
   const ExperimentResult res = run_experiment(cfg);
+  const std::vector<obs::RunSegmentRecord> raw = rec.run_segments().snapshot();
+  EXPECT_EQ(rec.run_segments().dropped(), 0);
+  const auto segs = canonical_segments(raw);
+  fp.canonical_segments = segs.size();
+  fp.segment_digest = fnv1a(segs);
+  fp.window_digest = window_digest(raw, num_tasks, end);
   const RunResult& r = res.runs.at(0);
   EXPECT_TRUE(r.completed);
   fp.makespan_s = r.runtime_s;

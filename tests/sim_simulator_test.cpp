@@ -347,6 +347,7 @@ TEST(Simulator, BandwidthContentionSlowsMemoryTasks) {
 /// starts and stops in the middle of that stretch, and core 0's clock
 /// halves at 40 ms. Each of those re-times A without ending its stretch.
 struct StretchRig {
+  obs::RunRecorder rec;  ///< Keeps the run segments; outlives sim.
   Simulator sim;
   Task* a = nullptr;
   Task* b = nullptr;
@@ -365,6 +366,7 @@ struct StretchRig {
   }
 
   StretchRig() : sim(presets::generic(2), params()) {
+    sim.set_recorder(&rec);
     TaskSpec spec;
     spec.mem_intensity = 0.5;
     spec.mem_bw_demand = 0.8;
@@ -396,9 +398,16 @@ struct StretchRig {
     ASSERT_EQ(b->state(), TaskState::Finished);
   }
 
-  std::vector<RunSegment> segments_of(const Task& t) const {
-    std::vector<RunSegment> out;
-    for (const RunSegment& seg : sim.metrics().segments())
+  /// Every segment recorded so far: each call hands the run's newly kept
+  /// segments over to the recorder, whose table accumulates them.
+  std::vector<obs::RunSegmentRecord> segments() {
+    export_run_to_recorder(sim.metrics(), rec);
+    return rec.run_segments().snapshot();
+  }
+
+  std::vector<obs::RunSegmentRecord> segments_of(const Task& t) {
+    std::vector<obs::RunSegmentRecord> out;
+    for (const obs::RunSegmentRecord& seg : segments())
       if (seg.task == t.id()) out.push_back(seg);
     return out;
   }
@@ -406,26 +415,30 @@ struct StretchRig {
 
 /// Σ segment durations per (task, core) equals exec_by_core, per task equals
 /// total_exec, and no two segments on one core overlap.
-void expect_segments_consistent(const Simulator& sim) {
+void expect_segments_consistent(StretchRig& rig) {
+  const Simulator& sim = rig.sim;
   const Metrics& m = sim.metrics();
+  const std::vector<obs::RunSegmentRecord> segs = rig.segments();
   std::vector<std::vector<SimTime>> sums(
       static_cast<std::size_t>(sim.num_tasks()),
       std::vector<SimTime>(static_cast<std::size_t>(sim.num_cores()), 0));
-  for (const RunSegment& seg : m.segments())
+  for (const obs::RunSegmentRecord& seg : segs)
     sums[static_cast<std::size_t>(seg.task)]
-        [static_cast<std::size_t>(seg.core)] += seg.dur;
+        [static_cast<std::size_t>(seg.core)] += seg.dur_us;
   for (TaskId id = 0; id < sim.num_tasks(); ++id) {
     EXPECT_EQ(sums[static_cast<std::size_t>(id)], m.exec_by_core(id));
     EXPECT_EQ(m.total_exec(id), sim.task(id).total_exec());
   }
-  std::vector<RunSegment> by_core = m.segments();
+  std::vector<obs::RunSegmentRecord> by_core = segs;
   std::sort(by_core.begin(), by_core.end(),
-            [](const RunSegment& x, const RunSegment& y) {
-              return x.core != y.core ? x.core < y.core : x.start < y.start;
+            [](const obs::RunSegmentRecord& x, const obs::RunSegmentRecord& y) {
+              return x.core != y.core ? x.core < y.core
+                                      : x.start_us < y.start_us;
             });
   for (std::size_t i = 1; i < by_core.size(); ++i) {
     if (by_core[i].core == by_core[i - 1].core) {
-      EXPECT_LE(by_core[i - 1].start + by_core[i - 1].dur, by_core[i].start);
+      EXPECT_LE(by_core[i - 1].start_us + by_core[i - 1].dur_us,
+                by_core[i].start_us);
     }
   }
 }
@@ -441,13 +454,13 @@ TEST(Simulator, SpeedChangesDoNotCutRunSegments) {
   const auto a_segs = rig.segments_of(*rig.a);
   ASSERT_EQ(a_segs.size(), 1u);
   EXPECT_EQ(a_segs[0].core, 0);
-  EXPECT_EQ(a_segs[0].start, 0);
-  EXPECT_EQ(a_segs[0].dur, rig.a->total_exec());
+  EXPECT_EQ(a_segs[0].start_us, 0);
+  EXPECT_EQ(a_segs[0].dur_us, rig.a->total_exec());
   const auto b_segs = rig.segments_of(*rig.b);
   ASSERT_EQ(b_segs.size(), 1u);
   EXPECT_EQ(b_segs[0].core, 1);
-  EXPECT_EQ(b_segs[0].start, msec(10));
-  expect_segments_consistent(rig.sim);
+  EXPECT_EQ(b_segs[0].start_us, msec(10));
+  expect_segments_consistent(rig);
 }
 
 TEST(Simulator, SyncAccountingMakesWindowsExactMidStretch) {
@@ -458,8 +471,9 @@ TEST(Simulator, SyncAccountingMakesWindowsExactMidStretch) {
   rig.sim.schedule_at(msec(50), [&] {
     rig.sim.sync_accounting(0);
     total = rig.sim.metrics().total_exec(rig.a->id());
-    window = rig.sim.metrics().exec_in_window(rig.a->id(), 0, msec(50));
-    recent = rig.sim.metrics().exec_in_window(rig.a->id(), msec(20), msec(50));
+    const auto segs = rig.segments();
+    window = exec_in_window(segs, rig.a->id(), 0, msec(50));
+    recent = exec_in_window(segs, rig.a->id(), msec(20), msec(50));
   });
   rig.run();
   EXPECT_EQ(total, msec(50));
@@ -468,11 +482,11 @@ TEST(Simulator, SyncAccountingMakesWindowsExactMidStretch) {
   // The sync split A's one stretch into two adjacent pieces.
   const auto a_segs = rig.segments_of(*rig.a);
   ASSERT_EQ(a_segs.size(), 2u);
-  EXPECT_EQ(a_segs[0].start, 0);
-  EXPECT_EQ(a_segs[0].dur, msec(50));
-  EXPECT_EQ(a_segs[1].start, msec(50));
+  EXPECT_EQ(a_segs[0].start_us, 0);
+  EXPECT_EQ(a_segs[0].dur_us, msec(50));
+  EXPECT_EQ(a_segs[1].start_us, msec(50));
   EXPECT_EQ(a_segs[0].core, a_segs[1].core);
-  expect_segments_consistent(rig.sim);
+  expect_segments_consistent(rig);
 }
 
 TEST(Simulator, ParkAndUnpark) {
