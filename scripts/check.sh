@@ -70,6 +70,26 @@ echo "== hetero-smoke: big.LITTLE partition bench, SHARE fuzz, analytic grid =="
 "$repo/build/src/fuzzsim" --hetero --episodes=25 --seed=808
 "$repo/build/src/fuzzsim" --hetero-grid
 
+echo "== memory: an unrecorded run's peak RSS does not grow with simulated time =="
+# Without a recorder a run keeps no run-segment log, only cumulative
+# counters, so quadrupling the simulated time of a serve episode must leave
+# its peak RSS flat. Fails when the 60 s peak exceeds the 15 s peak by more
+# than 10%.
+serve_peak_kb() {
+  python3 -c 'import resource, subprocess, sys
+subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)' \
+    "$repo/build/src/servesim" --service-mean-us=500 --utilization=0.85 \
+    --duration-s="$1"
+}
+peak15="$(serve_peak_kb 15)"
+peak60="$(serve_peak_kb 60)"
+echo "servesim peak RSS: ${peak15} KB at 15 s, ${peak60} KB at 60 s"
+if (( peak60 * 10 > peak15 * 11 )); then
+  echo "FAIL: peak RSS grew more than 10% from 15 s to 60 s of simulated time"
+  exit 1
+fi
+
 echo "== bench-smoke: hot-path micro vs committed baseline =="
 # Tolerance 0.5 (not the bench's default 0.2): shared CI hosts show up to
 # ~40% run-to-run noise, while the regressions this gate exists to catch —

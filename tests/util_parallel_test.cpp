@@ -99,7 +99,9 @@ TEST(ParallelForSeeds, SeedsMatchSequentialFormulaAtAnyWidth) {
     for (int rep = 0; rep < 6; ++rep)
       EXPECT_EQ(seeds[static_cast<std::size_t>(rep)], replica_seed(99, rep))
           << "jobs=" << jobs << " rep=" << rep;
-    if (jobs == 1) EXPECT_EQ(tids.size(), 1u);
+    if (jobs == 1) {
+      EXPECT_EQ(tids.size(), 1u);
+    }
   }
 }
 
