@@ -427,7 +427,7 @@ void expect_golden(const ClusterResult& res, const Golden& g) {
   EXPECT_EQ(res.stats.latency.mean(), g.mean);
 }
 
-// Golden fingerprints: exact outputs of two fixed episodes. Any change to
+// Golden fingerprints: exact outputs of three fixed episodes. Any change to
 // which node simulator runs when — and so to the order in which
 // completions, deliveries and migrations interleave — moves these numbers.
 TEST(ClusterGolden, JsqEpisodeWithRebalanceThrottleAndAdmissionCap) {
@@ -453,6 +453,21 @@ TEST(ClusterGolden, RoundRobinZeroHopEpisode) {
         1137, 1138, 1142, 1168, 1174, 1138, 1143, 1140, 1143, 1135, 1143,
         1228, 1141, 1139, 1148, 1149, 1149, 1147, 1138, 1135, 1142},
        5008156.1068249261, 34345398.382702596, 7208442.5161471497});
+}
+
+TEST(ClusterGolden, NonePolicyEpisodeWithIdleNodes) {
+  // NONE arms no balancer timer, so at utilization 0.2 a node often has
+  // nothing pending between deliveries: the due set must skip such nodes
+  // and still run every node with a due event, in ascending id. The
+  // rebalancer moves pools off the throttled node 0 meanwhile.
+  ClusterConfig config = golden_config();
+  config.nodes = 8;
+  config.policy = Policy::None;
+  config.arrival.rate_rps =
+      8.0 * serve::rate_for_utilization(config.topo, 4, 0.2, 5000.0);
+  expect_golden(run_cluster(config),
+                {2532, 0, 4, {24, 387, 389, 529, 285, 268, 223, 205},
+                 3988593.777777778, 24498667.519999981, 5494787.8787878789});
 }
 
 TEST(ClusterRun, NodeInFlightSumsToInFlightAtEnd) {
