@@ -14,6 +14,7 @@
 #include "serve/scenarios.hpp"
 #include "sim/event_queue.hpp"
 #include "util/fifo.hpp"
+#include "util/winner_tree.hpp"
 #include "workload/arrivals.hpp"
 
 namespace speedbal::cluster {
@@ -189,34 +190,6 @@ class ClusterSim {
     std::int64_t in_flight = 0;
   };
 
-  /// Indexed binary min-heap of node next-event times keyed (time, node
-  /// id). Every node has exactly one entry, re-keyed in place; a node with
-  /// nothing pending is keyed kNever, so it is never due.
-  class NodeHeap {
-   public:
-    /// One entry per node, all keyed kNever.
-    void reset(int nodes);
-    void set(int n, SimTime t);
-    /// Replace `out` with the ids of every node due at or before t; their
-    /// entries stay in place for the caller to re-key.
-    void due(SimTime t, std::vector<int>& out) const;
-
-   private:
-    struct Entry {
-      SimTime time;
-      int node;
-    };
-    static bool before(const Entry& a, const Entry& b) {
-      return a.time < b.time || (a.time == b.time && a.node < b.node);
-    }
-    void put(std::size_t i, Entry e);
-    void sift_up(std::size_t i);
-    void sift_down(std::size_t i);
-
-    std::vector<Entry> heap_;
-    std::vector<std::size_t> pos_;  ///< Node id -> heap index.
-  };
-
   /// Run every node with an event due at or before t to t, ascending id.
   void advance_due(SimTime t);
   /// Run every node to t, ascending id (the end-of-run drain).
@@ -225,6 +198,8 @@ class ClusterSim {
   /// mutates it; the node is re-keyed once the action is done.
   void touch(int n);
   void rekey_touched();
+  /// Key node n in due_ at its next event time.
+  void rekey(int n);
   void arrive(SimTime t);
   /// Put `r` on the wire to `pool`; it arrives one hop from now.
   void send(int pool, const Request& r);
@@ -247,7 +222,9 @@ class ClusterSim {
   std::vector<Pool> pools_;
   /// Dispatch-level load per pool id (see PoolLoad), handed to pick_pool.
   std::vector<PoolLoad> loads_;
-  NodeHeap due_;
+  /// Node next-event times, a node with nothing pending keyed last (at the
+  /// largest SimTime, never due), so the due nodes come out in ascending id.
+  WinnerTree<SimTime> due_;
   std::vector<int> due_scratch_;
   std::vector<int> touched_;
   workload::ArrivalProcess arrivals_;

@@ -14,6 +14,7 @@
 #include "util/enum_names.hpp"
 #include "util/fifo.hpp"
 #include "util/stats.hpp"
+#include "util/winner_tree.hpp"
 
 namespace speedbal::serve {
 
@@ -201,7 +202,7 @@ class ServeRuntime : public TaskClient {
   std::vector<Shard> shards_;
   /// Shard loads under JSQ (waiting + in service) or least-loaded (pending
   /// demand); empty under the other policies.
-  DispatchIndex index_;
+  WinnerTree<double> index_;
   std::uint64_t rr_cursor_ = 0;
   std::vector<double> shard_weights_;  ///< Empty until set_shard_weights.
   std::vector<double> wrr_credit_;     ///< Smooth-WRR running credit.
