@@ -192,6 +192,24 @@ TEST(SimEdge, AffinityNarrowedWhileSleepingAppliesAtWake) {
   EXPECT_EQ(t.core(), 3);
 }
 
+TEST(SimEdge, AffinityOfANeverPlacedTaskMovesNothing) {
+  // A created task is on no core until it starts or first wakes: setting
+  // its affinity only narrows the mask, and the first wake places it there.
+  Simulator sim(presets::generic(4));
+  Task& t = sim.create_task({.name = "t"});
+  sim.assign_work(t, 10'000.0);
+  ASSERT_LT(t.core(), 0);
+  EXPECT_TRUE(sim.set_affinity(t, 0b0100, /*hard_pin=*/true));
+  EXPECT_LT(t.core(), 0);
+  EXPECT_EQ(t.migrations(), 0);
+  EXPECT_TRUE(sim.metrics().migrations().empty());
+  EXPECT_EQ(t.allowed_mask(), 0b0100u);
+  EXPECT_TRUE(t.hard_pinned());
+  sim.wake_task(t);
+  EXPECT_EQ(t.core(), 2);
+  EXPECT_TRUE(sim.metrics().migrations().empty());
+}
+
 TEST(SimEdge, UnparkFromOfflineCoreCountsTheHotplugMove) {
   // A task parked on a core that then goes offline is moved at unpark. Like
   // the runnable task the offlining drains, the move is both logged and
