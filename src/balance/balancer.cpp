@@ -13,13 +13,6 @@ void pin_round_robin(Simulator& sim, std::span<Task* const> tasks,
 
 namespace balance_detail {
 
-std::vector<Task*> kernel_movable(const Simulator& sim, CoreId source,
-                                  CoreId dest) {
-  std::vector<Task*> out;
-  kernel_movable(sim, source, dest, out);
-  return out;
-}
-
 void kernel_movable(const Simulator& sim, CoreId source, CoreId dest,
                     std::vector<Task*>& out) {
   out.clear();

@@ -35,12 +35,8 @@ namespace balance_detail {
 /// Tasks a kernel-level balancer may consider on a core's queue: runnable,
 /// not currently executing, and not pinned via sched_setaffinity by a
 /// user-level balancer (Section 5.2: "Linux will not attempt to move it").
-std::vector<Task*> kernel_movable(const Simulator& sim, CoreId source,
-                                  CoreId dest);
-
-/// Allocation-free variant filling a caller-owned reuse buffer; `out` is
-/// cleared first. Balancer tick loops call this once per core pair, so the
-/// fresh-vector form above costs an allocation per probe.
+/// Fills a caller-owned reuse buffer (cleared first): balancer tick loops
+/// call this once per core pair.
 void kernel_movable(const Simulator& sim, CoreId source, CoreId dest,
                     std::vector<Task*>& out);
 

@@ -77,13 +77,8 @@ class CfsQueue {
   bool has_non_waiting() const;
 
   /// Snapshot of enqueued tasks in vruntime order (for balancer scans).
-  /// Allocates; hot callers should use the out-buffer or visitor forms.
+  /// Allocates; hot callers should use the visitor form.
   std::vector<Task*> tasks() const { return order_; }
-
-  /// Allocation-free snapshot into a caller-owned reuse buffer.
-  void tasks(std::vector<Task*>& out) const {
-    out.assign(order_.begin(), order_.end());
-  }
 
   /// Visit enqueued tasks in vruntime order without copying. The callback
   /// must not mutate the queue.

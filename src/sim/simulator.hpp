@@ -198,9 +198,8 @@ class Simulator {
   std::vector<Task*> live_tasks() const;
   std::vector<Task*> tasks_on(CoreId core) const;
 
-  /// Allocation-free snapshots into caller-owned reuse buffers.
+  /// Allocation-free snapshot into a caller-owned reuse buffer.
   void live_tasks(std::vector<Task*>& out) const;
-  void tasks_on(CoreId core, std::vector<Task*>& out) const;
 
   /// Visit every live (non-finished) task without materializing a list.
   template <typename Fn>

@@ -117,12 +117,6 @@ JsonWriter& JsonWriter::value(bool v) {
   return *this;
 }
 
-JsonWriter& JsonWriter::null() {
-  before_value();
-  os_ << "null";
-  return *this;
-}
-
 // --- JsonValue parser -----------------------------------------------------
 
 class JsonParser {

@@ -36,7 +36,6 @@ class JsonWriter {
   JsonWriter& value(int v) { return value(static_cast<std::int64_t>(v)); }
   JsonWriter& value(std::size_t v) { return value(static_cast<std::int64_t>(v)); }
   JsonWriter& value(bool v);
-  JsonWriter& null();
 
   /// Convenience: key + value in one call.
   template <typename T>
