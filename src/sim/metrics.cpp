@@ -19,20 +19,24 @@ void Metrics::record_exec(TaskId task, CoreId core, SimTime start,
   auto& per_core = exec_[t];
   if (per_core.empty()) per_core.assign(static_cast<std::size_t>(num_cores_), 0);
   per_core[static_cast<std::size_t>(core)] += dur;
-  if (segments_.size() < segment_cap_)
+  if (segments_.size() < segment_cap_) {
+    if (segments_.empty() && reserve_cap_) segments_.reserve(segment_cap_);
     segments_.push_back({start, dur, core, task, segment_node_, 0});
-  else
+  } else {
     ++segments_dropped_;
+  }
 }
 
 void Metrics::set_recorder(obs::RunRecorder* rec) {
   recorder_ = rec;
   keep_segments_for(rec != nullptr ? &rec->run_segments() : nullptr);
+  reserve_cap_ = rec != nullptr;
 }
 
 void Metrics::keep_segments_for(const obs::RunSegmentTable* table, int node) {
   segment_cap_ = table != nullptr ? table->room() : 0;
   segment_node_ = node;
+  reserve_cap_ = false;
   limit_segments(segment_cap_);
 }
 

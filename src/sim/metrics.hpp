@@ -42,8 +42,10 @@ class Metrics {
 
   /// Attach an observability recorder: every subsequent migration is also
   /// appended to the recorder's migration log, and the run's segments are
-  /// kept for its segment table (keep_segments_for). Null (the default)
-  /// disables both at the cost of one pointer test per migration.
+  /// kept for its segment table (keep_segments_for). The run fills the
+  /// whole table, so its segment buffer is allocated once, at the table's
+  /// room, when the first segment is kept. Null (the default) disables both
+  /// at the cost of one pointer test per migration.
   void set_recorder(obs::RunRecorder* rec);
   obs::RunRecorder* recorder() const { return recorder_; }
 
@@ -51,11 +53,16 @@ class Metrics {
   /// room for at this call, for export_run_to_recorder to hand over; the
   /// rest are only counted. `node` tags them with a cluster node id (-1 = a
   /// single-machine run). Null keeps none, the default: a run nobody
-  /// exports keeps no segment log.
+  /// exports keeps no segment log. The buffer grows as segments come, since
+  /// many runs (a cluster's nodes) may share the one table's room.
   void keep_segments_for(const obs::RunSegmentTable* table, int node = -1);
   /// Lower the number of segments kept to `cap`: kept ones past it are
   /// dropped and counted, as if never kept.
   void limit_segments(std::size_t cap);
+  /// The segments kept since the last handover.
+  const std::vector<obs::RunSegmentRecord>& kept_segments() const {
+    return segments_;
+  }
   /// Segments recorded since the last handover, kept or not.
   std::int64_t segments_recorded() const {
     return static_cast<std::int64_t>(segments_.size()) + segments_dropped_;
@@ -99,6 +106,8 @@ class Metrics {
   /// The kept segments (at most segment_cap_) and a count of the rest.
   std::vector<obs::RunSegmentRecord> segments_;
   std::size_t segment_cap_ = 0;
+  /// Reserve segment_cap_ slots at the first kept segment (set_recorder).
+  bool reserve_cap_ = false;
   std::int64_t segments_dropped_ = 0;
   std::int32_t segment_node_ = -1;
   std::vector<MigrationRecord> migrations_;

@@ -97,9 +97,39 @@ TEST(Metrics, UnrecordedRunKeepsNoSegments) {
     m.record_exec(1, i % 2, usec(i * 10), usec(5));
   EXPECT_EQ(m.total_exec(1), usec(5000));
   EXPECT_EQ(m.segments_recorded(), 1000);
+  EXPECT_EQ(m.kept_segments().capacity(), 0u);
   obs::RunRecorder rec;
   EXPECT_TRUE(exported(m, rec).empty());
   EXPECT_EQ(rec.run_segments().dropped(), 1000);
+}
+
+TEST(Metrics, RecordedRunAllocatesItsSegmentBufferOnce) {
+  // A recorded run reserves the table's room at its first kept segment,
+  // not at attach, and never moves the buffer after.
+  obs::RunRecorder rec;
+  rec.run_segments().set_cap(5000);
+  Metrics m(2);
+  m.set_recorder(&rec);
+  EXPECT_EQ(m.kept_segments().capacity(), 0u);
+  m.record_exec(1, 0, usec(0), usec(5));
+  EXPECT_EQ(m.kept_segments().capacity(), 5000u);
+  const obs::RunSegmentRecord* const first = m.kept_segments().data();
+  for (int i = 1; i < 6000; ++i) {
+    m.record_exec(1, i % 2, usec(i * 10), usec(5));
+    ASSERT_EQ(m.kept_segments().data(), first) << i;
+  }
+  EXPECT_EQ(m.kept_segments().size(), 5000u);
+  EXPECT_EQ(m.kept_segments().capacity(), 5000u);
+  EXPECT_EQ(exported(m, rec).size(), 5000u);
+  EXPECT_EQ(rec.run_segments().dropped(), 1000);
+
+  // A cluster node shares the table with the other nodes, so its buffer
+  // grows as it goes rather than reserving the whole room.
+  obs::RunRecorder cluster;
+  Metrics node(2);
+  node.keep_segments_for(&cluster.run_segments(), 3);
+  node.record_exec(1, 0, usec(0), usec(5));
+  EXPECT_LT(node.kept_segments().capacity(), cluster.run_segments().room());
 }
 
 TEST(Metrics, KeptSegmentsStopAtTheTablesRoomAndCountTheRest) {
