@@ -1,9 +1,5 @@
 #include "obs/trace.hpp"
 
-#include <algorithm>
-
-#include "util/json.hpp"
-
 namespace speedbal::obs {
 
 void TraceCollector::counter(std::int64_t ts_us, std::string name,
@@ -31,77 +27,78 @@ void TraceCollector::instant(std::int64_t ts_us, int track, std::string name,
   add(std::move(ev));
 }
 
-namespace {
-
-void write_event(JsonWriter& w, const TraceEvent& ev) {
-  w.begin_object();
-  switch (ev.kind) {
-    case EventKind::Counter: w.kv("ph", "C"); break;
-    case EventKind::Instant: w.kv("ph", "i"); break;
-    case EventKind::Span: w.kv("ph", "X"); break;
-    case EventKind::FlowStart: w.kv("ph", "s"); break;
-    case EventKind::FlowStep: w.kv("ph", "t"); break;
-    case EventKind::FlowEnd: w.kv("ph", "f"); break;
+ChromeTraceWriter::ChromeTraceWriter(
+    std::ostream& os, std::string_view process_name,
+    const std::vector<std::pair<int, std::string>>& track_names)
+    : os_(os), w_(os) {
+  w_.begin_object();
+  w_.kv("displayTimeUnit", "ms");
+  w_.key("traceEvents").begin_array();
+  w_.begin_object();
+  w_.kv("ph", "M").kv("name", "process_name").kv("pid", 0).kv("tid", 0);
+  w_.key("args").begin_object().kv("name", process_name).end_object();
+  w_.end_object();
+  for (const auto& [track, label] : track_names) {
+    w_.begin_object();
+    w_.kv("ph", "M").kv("name", "thread_name").kv("pid", 0).kv("tid", track);
+    w_.key("args").begin_object().kv("name", label).end_object();
+    w_.end_object();
   }
-  w.kv("name", ev.name);
-  if (!ev.cat.empty()) w.kv("cat", ev.cat);
-  w.kv("ts", ev.ts_us);
-  if (ev.kind == EventKind::Span) w.kv("dur", ev.dur_us);
-  if (ev.kind == EventKind::Instant) w.kv("s", "t");  // Thread-scoped tick.
-  if (ev.kind == EventKind::FlowStart || ev.kind == EventKind::FlowStep ||
-      ev.kind == EventKind::FlowEnd) {
-    w.kv("id", ev.flow_id);
-    // Bind the arrow to the enclosing slice rather than the next one.
-    if (ev.kind == EventKind::FlowEnd) w.kv("bp", "e");
-  }
-  w.kv("pid", 0);
-  // Counters are process-scoped tracks in the Chrome UI; pin them to tid 0.
-  w.kv("tid", ev.kind == EventKind::Counter ? 0 : ev.track);
-  if (!ev.num_args.empty() || !ev.str_args.empty()) {
-    w.key("args").begin_object();
-    for (const auto& [k, v] : ev.num_args) w.kv(k, v);
-    for (const auto& [k, v] : ev.str_args) w.kv(k, v);
-    w.end_object();
-  }
-  w.end_object();
 }
 
-}  // namespace
-
-void write_chrome_trace(std::ostream& os, const std::vector<TraceEvent>& events,
-                        std::string_view process_name,
-                        const std::vector<std::pair<int, std::string>>& track_names) {
-  // Sort by timestamp (stable: preserves emission order at equal times) so
-  // every track's events are time-ordered in the file.
-  std::vector<const TraceEvent*> ordered;
-  ordered.reserve(events.size());
-  for (const auto& ev : events) ordered.push_back(&ev);
-  std::stable_sort(ordered.begin(), ordered.end(),
-                   [](const TraceEvent* a, const TraceEvent* b) {
-                     return a->ts_us < b->ts_us;
-                   });
-
-  JsonWriter w(os);
-  w.begin_object();
-  w.kv("displayTimeUnit", "ms");
-  w.key("traceEvents").begin_array();
-
-  // Metadata records naming the process and the per-core tracks.
-  w.begin_object();
-  w.kv("ph", "M").kv("name", "process_name").kv("pid", 0).kv("tid", 0);
-  w.key("args").begin_object().kv("name", process_name).end_object();
-  w.end_object();
-  for (const auto& [track, label] : track_names) {
-    w.begin_object();
-    w.kv("ph", "M").kv("name", "thread_name").kv("pid", 0).kv("tid", track);
-    w.key("args").begin_object().kv("name", label).end_object();
-    w.end_object();
+void ChromeTraceWriter::begin_event(EventKind kind, std::string_view name,
+                                    std::string_view cat, std::int64_t ts_us,
+                                    int track, std::int64_t dur_us,
+                                    std::int64_t flow_id) {
+  w_.begin_object();
+  switch (kind) {
+    case EventKind::Counter: w_.kv("ph", "C"); break;
+    case EventKind::Instant: w_.kv("ph", "i"); break;
+    case EventKind::Span: w_.kv("ph", "X"); break;
+    case EventKind::FlowStart: w_.kv("ph", "s"); break;
+    case EventKind::FlowStep: w_.kv("ph", "t"); break;
+    case EventKind::FlowEnd: w_.kv("ph", "f"); break;
   }
+  w_.kv("name", name);
+  if (!cat.empty()) w_.kv("cat", cat);
+  w_.kv("ts", ts_us);
+  if (kind == EventKind::Span) w_.kv("dur", dur_us);
+  if (kind == EventKind::Instant) w_.kv("s", "t");  // Thread-scoped tick.
+  if (kind == EventKind::FlowStart || kind == EventKind::FlowStep ||
+      kind == EventKind::FlowEnd) {
+    w_.kv("id", flow_id);
+    // Bind the arrow to the enclosing slice rather than the next one.
+    if (kind == EventKind::FlowEnd) w_.kv("bp", "e");
+  }
+  w_.kv("pid", 0);
+  // Counters are process-scoped tracks in the Chrome UI; pin them to tid 0.
+  w_.kv("tid", kind == EventKind::Counter ? 0 : track);
+}
 
-  for (const TraceEvent* ev : ordered) write_event(w, *ev);
-  w.end_array();
-  w.end_object();
-  os << "\n";
+JsonWriter& ChromeTraceWriter::args() {
+  if (!args_open_) w_.key("args").begin_object();
+  args_open_ = true;
+  return w_;
+}
+
+void ChromeTraceWriter::end_event() {
+  if (args_open_) w_.end_object();
+  args_open_ = false;
+  w_.end_object();
+}
+
+void ChromeTraceWriter::event(const TraceEvent& ev) {
+  begin_event(ev.kind, ev.name, ev.cat, ev.ts_us, ev.track, ev.dur_us,
+              ev.flow_id);
+  for (const auto& [k, v] : ev.num_args) args().kv(k, v);
+  for (const auto& [k, v] : ev.str_args) args().kv(k, v);
+  end_event();
+}
+
+void ChromeTraceWriter::finish() {
+  w_.end_array();
+  w_.end_object();
+  os_ << "\n";
 }
 
 }  // namespace speedbal::obs

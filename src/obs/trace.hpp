@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "obs/capped_log.hpp"
+#include "util/json.hpp"
 
 namespace speedbal::obs {
 
@@ -46,13 +47,38 @@ struct TraceCollector : CappedLog<TraceEvent, (1 << 18)> {
                std::vector<std::pair<std::string, std::string>> str_args = {});
 };
 
-/// Serialize events as a Chrome trace-event JSON document ({"traceEvents":
-/// [...]}), loadable in chrome://tracing and Perfetto. Events are emitted
-/// sorted by timestamp; `process_name` labels the single process track and
-/// `track_names` (track id -> label) become thread-name metadata records.
-void write_chrome_trace(
-    std::ostream& os, const std::vector<TraceEvent>& events,
-    std::string_view process_name,
-    const std::vector<std::pair<int, std::string>>& track_names = {});
+/// Streams one Chrome trace-event JSON document ({"traceEvents": [...]}),
+/// loadable in chrome://tracing and Perfetto, one event at a time. The
+/// constructor writes the metadata records: `process_name` labels the
+/// single process track and `track_names` (track id -> label) become
+/// thread-name records. The caller then writes the events in file order,
+/// timestamp order for a trace whose every track is time-ordered, and
+/// finish() closes the document.
+class ChromeTraceWriter {
+ public:
+  ChromeTraceWriter(
+      std::ostream& os, std::string_view process_name,
+      const std::vector<std::pair<int, std::string>>& track_names);
+
+  /// Open one event: its phase, name, category (left out when empty),
+  /// timestamp, the kind's own fields (a span's "dur", an instant's thread
+  /// scope, a flow's "id"), pid and tid (0 for counters).
+  void begin_event(EventKind kind, std::string_view name, std::string_view cat,
+                   std::int64_t ts_us, int track, std::int64_t dur_us = 0,
+                   std::int64_t flow_id = 0);
+  /// The open event's "args" object, opened by the first call: an event
+  /// that never calls it has no "args".
+  JsonWriter& args();
+  /// Close the open event (and its args).
+  void end_event();
+  /// One free-form event, args and all.
+  void event(const TraceEvent& ev);
+  void finish();
+
+ private:
+  std::ostream& os_;
+  JsonWriter w_;
+  bool args_open_ = false;
+};
 
 }  // namespace speedbal::obs
