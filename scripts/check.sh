@@ -75,21 +75,41 @@ echo "== memory: an unrecorded run's peak RSS does not grow with simulated time 
 # Without a recorder a run keeps no run-segment log, only cumulative
 # counters, so quadrupling the simulated time of a serve episode must leave
 # its peak RSS flat. Fails when the 60 s peak exceeds the 15 s peak by more
-# than 10%.
-serve_peak_kb() {
+# than 10%. peak_kb CMD... prints CMD's peak RSS in KB, run as a child.
+peak_kb() {
   python3 -c 'import resource, subprocess, sys
 subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)
-print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)' \
-    "$repo/build/src/servesim" --service-mean-us=500 --utilization=0.85 \
-    --duration-s="$1"
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)' "$@"
 }
-peak15="$(serve_peak_kb 15)"
-peak60="$(serve_peak_kb 60)"
+serve_spec=("$repo/build/src/servesim" --service-mean-us=500 --utilization=0.85)
+peak15="$(peak_kb "${serve_spec[@]}" --duration-s=15)"
+peak60="$(peak_kb "${serve_spec[@]}" --duration-s=60)"
 echo "servesim peak RSS: ${peak15} KB at 15 s, ${peak60} KB at 60 s"
 if (( peak60 * 10 > peak15 * 11 )); then
   echo "FAIL: peak RSS grew more than 10% from 15 s to 60 s of simulated time"
   exit 1
 fi
+
+echo "== memory: the Chrome trace streams from the recorder's logs =="
+# Writing a trace must not hold its events in memory: the writer reads each
+# log in place, so a run with --trace-out peaks within 1.5x of the same run
+# with --report-json alone. A writer that builds every event first (a
+# 15 s servesim trace has about 1.2 M of them) peaks at several times that.
+# gate_traced_peak CMD...: fails when CMD's traced peak exceeds 1.5x its
+# report-only peak.
+gate_traced_peak() {
+  local tool="${1##*/}" report_peak traced_peak
+  report_peak="$(peak_kb "$@" --report-json="$repo/build/peak_report.json")"
+  traced_peak="$(peak_kb "$@" --report-json="$repo/build/peak_report.json" \
+    --trace-out="$repo/build/peak_trace.json")"
+  echo "$tool peak RSS: ${report_peak} KB report only, ${traced_peak} KB traced"
+  if (( traced_peak * 2 > report_peak * 3 )); then
+    echo "FAIL: $tool traced peak RSS exceeds 1.5x its report-only peak"
+    exit 1
+  fi
+}
+gate_traced_peak "${serve_spec[@]}" --duration-s=15
+gate_traced_peak "$repo/build/src/clustersim" --nodes=256 --duration-s=4
 
 echo "== bench-smoke: hot-path micro vs committed baseline =="
 # Tolerance 0.5 (not the bench's default 0.2): shared CI hosts show up to
