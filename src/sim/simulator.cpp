@@ -71,12 +71,13 @@ void Simulator::start_task_on(Task& t, CoreId core, std::uint64_t allowed_mask) 
 void Simulator::assign_work(Task& t, double work_us) {
   if (!(work_us > 0.0))
     throw std::invalid_argument("assign_work: work must be positive");
+  // Flush first: a running waiter's spin since the last flush is not
+  // progress on the new work.
+  const bool running = t.state_ref() == TaskState::Running;
+  if (running) flush_accounting(t.core_ref());
   t.remaining_work_ref() += work_us;
   t.wait_mode_ref() = WaitMode::None;
-  if (t.state_ref() == TaskState::Running) {
-    flush_accounting(t.core_ref());
-    arm_stop(t.core_ref());
-  }
+  if (running) arm_stop(t.core_ref());
 }
 
 void Simulator::set_wait_mode(Task& t, WaitMode mode) {

@@ -50,6 +50,32 @@ TEST(SimEdge, SyncAccountingAtCompletionInstant) {
   EXPECT_EQ(t.total_exec(), msec(5));
 }
 
+TEST(SimEdge, AssignWorkToARunningWaiterCreditsNoSpin) {
+  // A yield-waiting task keeps its core but makes no progress. Work handed
+  // to it while it spins starts at the hand-over: the spin since the
+  // core's last accounting flush must not count as work done.
+  Simulator sim(presets::generic(1));
+  struct Cli : TaskClient {
+    int completions = 0;
+    SimTime done_at = -1;
+    void on_work_complete(Simulator& s, Task& task) override {
+      if (++completions == 1) {
+        s.set_wait_mode(task, WaitMode::Yield);
+      } else {
+        done_at = s.now();
+        s.finish_task(task);
+      }
+    }
+  } client;
+  Task& t = sim.create_task({.name = "t", .client = &client});
+  sim.assign_work(t, 100.0);
+  sim.start_task_on(t, 0);
+  sim.schedule_at(usec(600), [&] { sim.assign_work(t, 100.0); });
+  sim.run_while_pending([&] { return t.state() == TaskState::Finished; }, sec(1));
+  EXPECT_EQ(client.completions, 2);
+  EXPECT_EQ(client.done_at, usec(700));
+}
+
 TEST(SimEdge, SleepImmediatelyAfterStart) {
   Simulator sim(presets::generic(1));
   Task& t = sim.create_task({.name = "t"});
