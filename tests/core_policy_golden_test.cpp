@@ -91,17 +91,17 @@ std::string run_spmd(ExperimentConfig cfg, obs::RunRecorder& rec) {
 TEST(PolicyGolden, Load) {
   obs::RunRecorder rec;
   EXPECT_EQ(run_spmd(spmd_config(scenarios::Setup::LoadYield), rec),
-            "done 0x1.01d566cf41f21p+1 policy=1 [ linux-periodic=1 ]"
-            " done 0x1.0193d5347a5b1p+1 policy=1 [ linux-periodic=1 ]"
-            " report=7271f3afe53b5548");
+            "done 0x1.02f53c579f234p+1 policy=1 [ linux-periodic=1 ]"
+            " done 0x1.02b81f969e3c9p+1 policy=1 [ linux-periodic=1 ]"
+            " report=5d9d44060a0240e4");
 }
 
 TEST(PolicyGolden, Speed) {
   obs::RunRecorder rec;
   EXPECT_EQ(run_spmd(spmd_config(scenarios::Setup::SpeedYield), rec),
-            "done 0x1.008b7e4de3b8ap+1 policy=22 [ speed=22 ]"
-            " done 0x1.006d58c8eef1cp+1 policy=20 [ linux-newidle=1 speed=20 ]"
-            " report=2f79f7c5efa1899d");
+            "done 0x1.01cbff47735c2p+1 policy=22 [ speed=22 ]"
+            " done 0x1.019fdbd2fa0d7p+1 policy=20 [ linux-newidle=1 speed=20 ]"
+            " report=d2bb6aa8cda10939");
   EXPECT_GT(rec.decisions().size(), 0u);
   EXPECT_GT(rec.timeline().snapshot().size(), 0u);
   EXPECT_GT(rec.run_segments().size(), 0u);
@@ -112,34 +112,34 @@ TEST(PolicyGolden, SpeedAdaptive) {
   cfg.adaptive.enabled = true;
   obs::RunRecorder rec;
   EXPECT_EQ(run_spmd(cfg, rec),
-            "done 0x1.00a87e38eb032p+1 policy=23 [ speed=23 ]"
-            " done 0x1.0064a9cdc4439p+1 policy=19 [ linux-newidle=1 speed=19 ]"
-            " report=76182098ec1b9635");
+            "done 0x1.01f7ad4b2745cp+1 policy=23 [ speed=23 ]"
+            " done 0x1.01b2e59af9ebfp+1 policy=19 [ linux-newidle=1 speed=19 ]"
+            " report=a2deadc104996110");
   EXPECT_GT(rec.tuning().size(), 0u);
 }
 
 TEST(PolicyGolden, Pinned) {
   obs::RunRecorder rec;
   EXPECT_EQ(run_spmd(spmd_config(scenarios::Setup::Pinned), rec),
-            "done 0x1.0032ebe596c83p+1 policy=0 [ ]"
-            " done 0x1.002795703f2d4p+1 policy=0 [ ]"
-            " report=b451c42671f4feff");
+            "done 0x1.015a7d24180d4p+1 policy=0 [ ]"
+            " done 0x1.015703f2d3c79p+1 policy=0 [ ]"
+            " report=dd49f181d5205d6e");
 }
 
 TEST(PolicyGolden, Dwrr) {
   obs::RunRecorder rec;
   EXPECT_EQ(run_spmd(spmd_config(scenarios::Setup::Dwrr), rec),
-            "done 0x1.a12253111f0c3p+1 policy=108 [ dwrr=108 ]"
-            " done 0x1.b5b9841aac53bp+1 policy=143 [ dwrr=143 ]"
-            " report=93affabbee132050");
+            "done 0x1.b24e8b7e4de3cp+1 policy=128 [ dwrr=128 ]"
+            " done 0x1.9ff16b11c6d1ep+1 policy=102 [ dwrr=102 ]"
+            " report=111c258998ac4f37");
 }
 
 TEST(PolicyGolden, Ule) {
   obs::RunRecorder rec;
   EXPECT_EQ(run_spmd(spmd_config(scenarios::Setup::FreeBsd), rec),
-            "done 0x1.00344c37e6f72p+1 policy=0 [ ]"
-            " done 0x1.002795703f2d4p+1 policy=0 [ ]"
-            " report=02bbd42c384e46c4");
+            "done 0x1.016694898f606p+1 policy=0 [ ]"
+            " done 0x1.0157603925bb8p+1 policy=0 [ ]"
+            " report=dd49f181d5205d6e");
 }
 
 TEST(PolicyGolden, None) {
@@ -149,7 +149,7 @@ TEST(PolicyGolden, None) {
   EXPECT_EQ(run_spmd(cfg, rec),
             "done 0x1.804b33daf8df8p+1 policy=0 [ ]"
             " done 0x1.80301a79fec9ap+1 policy=0 [ ]"
-            " report=a14beca8c86bd690");
+            " report=3a8b57493687b23f");
 }
 
 TEST(PolicyGolden, ShareOnBigLittle) {
@@ -162,8 +162,8 @@ TEST(PolicyGolden, ShareOnBigLittle) {
   cfg.time_cap = sec(60);
   obs::RunRecorder rec;
   EXPECT_EQ(run_spmd(cfg, rec),
-            "done 0x1.ba355043e5322p-2 policy=0 [ ]"
-            " done 0x1.bba51a005c465p-2 policy=0 [ ]"
+            "done 0x1.be075f6fd21ffp-2 policy=0 [ ]"
+            " done 0x1.bef3d3a1d324p-2 policy=0 [ ]"
             " report=692da830d8f69405");
   EXPECT_GT(rec.shares().size(), 0u);
 }
@@ -197,8 +197,8 @@ TEST(PolicyGolden, SpeedReasonCoverage) {
   // migration-blocked, hot-potato, no-victim, core-offline and a tie-break.
   obs::RunRecorder numa;
   EXPECT_EQ(run_spmd(reason_coverage_config("barcelona", 5, 8), numa),
-            "done 0x1.2d080303c07eep+1 policy=11"
-            " [ linux-newidle=1 speed=11 hotplug=1 ] report=96a5396340486815");
+            "done 0x1.2d2c493426784p+1 policy=11"
+            " [ linux-newidle=1 speed=11 hotplug=1 ] report=f2573a5e9540019b");
   for (const R r : {R::Pulled, R::BelowAverage, R::AboveThreshold,
                     R::MigrationBlocked, R::NumaBlocked, R::NoCandidate,
                     R::NoVictim, R::HotPotato, R::CoreOffline})
@@ -213,8 +213,9 @@ TEST(PolicyGolden, SpeedReasonCoverage) {
   ExperimentConfig cfg = reason_coverage_config("tigerton", 5, 4);
   cfg.speed.max_migration_level = DomainLevel::Cache;
   obs::RunRecorder domain;
-  EXPECT_EQ(run_spmd(cfg, domain), "done 0x1.7a5b078d92fb2p+1 policy=18 [ speed=18 hotplug=1 ]"
-            " report=fd86b1b4b13026df");
+  EXPECT_EQ(run_spmd(cfg, domain),
+            "done 0x1.2171b0468448dp+2 policy=24 [ speed=24 hotplug=1 ]"
+            " report=e44c59eb3206e164");
   for (const R r : {R::Pulled, R::DomainBlocked, R::MigrationBlocked,
                     R::NoVictim, R::HotPotato, R::CoreOffline})
     EXPECT_GT(reason_count(domain, r), 0) << obs::to_string(r);
@@ -246,16 +247,16 @@ TEST(PolicyGolden, SpeedEmptyCoresAndSmt) {
   // the big core empty and make no pull; six threads pull.
   obs::RunRecorder three;
   EXPECT_EQ(run_spmd(speed_all_cores_config("biglittle4+4x3", 3), three),
-            "done 0x1.55ed06fef7c24p-1 policy=3 [ speed=3 ]"
-            " report=39e9adbbc47214e7");
+            "done 0x1.59185cee17a03p-1 policy=3 [ speed=3 ]"
+            " report=14a9154d9f5d17ec");
   EXPECT_TRUE(sampled_at(three, 3, 3.0));
   EXPECT_TRUE(sampled_at(three, 7, 1.0));
   EXPECT_EQ(reason_count(three, obs::PullReason::Pulled), 0);
 
   obs::RunRecorder six;
   EXPECT_EQ(run_spmd(speed_all_cores_config("biglittle4+4x3", 6), six),
-            "done 0x1.848e4755ffe6dp-1 policy=8 [ speed=8 ]"
-            " report=bd1c7c5375f7be0c");
+            "done 0x1.8628027d88c1ep-1 policy=8 [ speed=8 ]"
+            " report=74ef799bf03e5a2c");
   EXPECT_TRUE(sampled_at(six, 7, 1.0));
   EXPECT_GE(reason_count(six, obs::PullReason::Pulled), 1);
 

@@ -288,36 +288,36 @@ TEST(SimRefreshGolden, NumaMemoryBoundWithHog) {
   const Fingerprint got = run(cfg);
   EXPECT_GT(remote_homed, 0) << "no thread ends away from its memory home";
   Fingerprint want;
-  want.events = 23356;
-  want.makespan_s = 2.018964;
+  want.events = 21537;
+  want.makespan_s = 1.929081;
   want.migrations = {{MigrationCause::LinuxNewIdle, 7},
-                     {MigrationCause::SpeedBalancer, 64}};
+                     {MigrationCause::SpeedBalancer, 63}};
   want.exec_by_core = {
-      {49933, 0, 0, 0, 0, 130460, 0, 0, 0, 0, 0, 802273, 525199, 0, 0, 0},
-      {0, 55187, 0, 0, 0, 99178, 0, 0, 0, 0, 0, 0, 291369, 0, 0, 1089942},
-      {0, 0, 50555, 0, 0, 0, 0, 1546169, 194880, 0, 0, 0, 0, 0, 0, 0},
-      {0, 0, 0, 55263, 1121032, 0, 0, 0, 0, 538573, 0, 0, 0, 0, 0, 0},
-      {0, 0, 0, 0, 253965, 0, 0, 0, 103443, 0, 0, 0, 0, 0, 1065514, 0},
-      {0, 0, 0, 975483, 0, 77961, 446354, 0, 0, 0, 0, 0, 0, 0, 0, 0},
-      {0, 0, 0, 0, 0, 0, 264566, 0, 624872, 602041, 0, 0, 0, 0, 0, 0},
-      {95443, 0, 0, 0, 0, 0, 378540, 445927, 0, 0, 497344, 0, 0, 0, 0, 0},
-      {0, 0, 0, 0, 0, 0, 0, 0, 1095769, 0, 0, 0, 0, 0, 513242, 0},
-      {151624, 0, 0, 0, 0, 0, 929504, 0, 0, 490135, 0, 0, 0, 0, 0, 0},
-      {0, 545720, 0, 0, 0, 0, 0, 0, 0, 0, 1000430, 0, 0, 0, 0, 0},
-      {0, 301309, 0, 0, 0, 0, 0, 0, 0, 388215, 0, 661376, 0, 0, 0, 91199},
-      {0, 507002, 0, 96473, 0, 0, 0, 0, 0, 0, 521190, 0, 172786, 0, 0, 0},
-      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1943521, 0, 0},
-      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 456441, 0, 0, 440208, 651072},
-      {0, 0, 0, 0, 0, 130390, 0, 0, 0, 0, 0, 0, 899304, 0, 0, 186751},
-      {1017259, 0, 419652, 104991, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
-      {0, 609746, 720036, 0, 0, 0, 0, 0, 0, 0, 0, 98874, 0, 75443, 0, 0},
-      {0, 0, 828721, 0, 643967, 0, 0, 0, 0, 0, 0, 0, 130306, 0, 0, 0},
-      {704705, 0, 0, 786754, 0, 0, 0, 26868, 0, 0, 0, 0, 0, 0, 0, 0},
-      {0, 0, 0, 0, 0, 1580975, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+      {50137, 0, 0, 503242, 0, 0, 0, 0, 160620, 0, 0, 675875, 0, 0, 0, 0},
+      {0, 54492, 0, 0, 0, 29354, 0, 0, 0, 0, 0, 0, 684447, 0, 0, 716626},
+      {0, 0, 53180, 0, 445172, 0, 0, 0, 56530, 0, 0, 0, 890384, 0, 0, 0},
+      {0, 0, 0, 55627, 1118774, 0, 0, 0, 0, 450665, 0, 0, 0, 0, 0, 0},
+      {0, 0, 0, 0, 365135, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1080509, 0},
+      {0, 0, 321294, 449876, 0, 77961, 445691, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+      {0, 0, 0, 0, 0, 0, 260786, 1444133, 0, 0, 0, 0, 0, 0, 0, 0},
+      {95069, 0, 0, 0, 0, 0, 286489, 484948, 0, 0, 505518, 0, 0, 0, 0, 0},
+      {0, 0, 0, 0, 0, 80233, 0, 0, 449589, 0, 0, 0, 155214, 0, 0, 424489},
+      {87035, 0, 0, 0, 0, 0, 936115, 0, 0, 488073, 0, 0, 0, 0, 0, 0},
+      {0, 546259, 0, 0, 0, 0, 0, 0, 0, 0, 953445, 0, 0, 0, 0, 0},
+      {0, 0, 0, 0, 0, 83579, 0, 0, 84514, 97707, 0, 661596, 0, 0, 420859, 0},
+      {0, 209811, 0, 0, 0, 0, 0, 0, 0, 892636, 0, 0, 199036, 0, 0, 0},
+      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1915023, 0, 0},
+      {0, 509995, 0, 0, 0, 0, 0, 0, 0, 0, 470118, 0, 0, 0, 427713, 0},
+      {0, 0, 0, 540497, 0, 86727, 0, 0, 0, 0, 0, 486625, 0, 0, 0, 184440},
+      {996776, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 603526},
+      {0, 608524, 705227, 0, 0, 0, 0, 0, 0, 0, 0, 104985, 0, 14058, 0, 0},
+      {700064, 0, 849380, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+      {0, 0, 0, 379839, 0, 0, 0, 0, 1177828, 0, 0, 0, 0, 0, 0, 0},
+      {0, 0, 0, 0, 0, 1571227, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
   };
-  want.canonical_segments = 3555;
-  want.segment_digest = 6845341622304615465ULL;
-  want.window_digest = 5385709970232580537ULL;
+  want.canonical_segments = 3128;
+  want.segment_digest = 13639232369509690143ULL;
+  want.window_digest = 14106299681665567744ULL;
   expect_fingerprint(got, want);
 }
 
@@ -331,35 +331,35 @@ TEST(SimRefreshGolden, SmtSiblingRefreshWithoutBandwidthDemand) {
   ExperimentConfig cfg = scenarios::npb_config(
       presets::nehalem(), prof, 20, 16, scenarios::Setup::SpeedYield, 1, 3);
   Fingerprint want;
-  want.events = 3622;
-  want.makespan_s = 0.29727999999999999;
+  want.events = 3308;
+  want.makespan_s = 0.29805700000000002;
   want.migrations = {{MigrationCause::LinuxNewIdle, 3},
                      {MigrationCause::SpeedBalancer, 24}};
   want.exec_by_core = {
-      {82624, 0, 0, 0, 0, 0, 0, 65453, 0, 0, 0, 0, 0, 0, 0, 0},
-      {0, 80137, 0, 0, 0, 0, 69153, 0, 0, 0, 0, 0, 0, 0, 0, 0},
-      {0, 0, 53909, 0, 94535, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
-      {0, 0, 0, 86278, 0, 62175, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
-      {0, 0, 0, 0, 202745, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
-      {0, 0, 0, 0, 0, 235105, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
-      {0, 0, 0, 0, 0, 0, 228127, 0, 0, 0, 0, 0, 0, 0, 0, 0},
-      {0, 0, 0, 0, 0, 0, 0, 231827, 0, 0, 0, 0, 0, 0, 0, 0},
-      {0, 0, 0, 0, 0, 0, 0, 0, 297280, 0, 0, 0, 0, 0, 0, 0},
-      {0, 0, 0, 0, 0, 0, 0, 0, 0, 297280, 0, 0, 0, 0, 0, 0},
-      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 297280, 0, 0, 0, 0, 0},
-      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 297280, 0, 0, 0, 0},
-      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 297280, 0, 0, 0},
-      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 297280, 0, 0},
-      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 297280, 0},
-      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 297280},
-      {214656, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
-      {0, 217143, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
-      {0, 0, 243371, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
-      {0, 0, 0, 211002, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+      {84386, 0, 0, 0, 0, 0, 0, 65374, 0, 0, 0, 0, 0, 0, 0, 0},
+      {0, 79206, 0, 0, 0, 0, 69796, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+      {0, 0, 55866, 0, 94014, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+      {0, 0, 0, 86146, 0, 62737, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+      {0, 0, 0, 0, 204043, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+      {0, 0, 0, 0, 0, 235320, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+      {0, 0, 0, 0, 0, 0, 228261, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+      {0, 0, 0, 0, 0, 0, 0, 232683, 0, 0, 0, 0, 0, 0, 0, 0},
+      {0, 0, 0, 0, 0, 0, 0, 0, 298057, 0, 0, 0, 0, 0, 0, 0},
+      {0, 0, 0, 0, 0, 0, 0, 0, 0, 298057, 0, 0, 0, 0, 0, 0},
+      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 298057, 0, 0, 0, 0, 0},
+      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 298057, 0, 0, 0, 0},
+      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 298057, 0, 0, 0},
+      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 298057, 0, 0},
+      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 298057, 0},
+      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 298057},
+      {213671, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+      {0, 218851, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+      {0, 0, 242191, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+      {0, 0, 0, 211911, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
   };
-  want.canonical_segments = 365;
-  want.segment_digest = 3612595566432313990ULL;
-  want.window_digest = 2326308002473927326ULL;
+  want.canonical_segments = 391;
+  want.segment_digest = 17424108301854624086ULL;
+  want.window_digest = 5838880441317274598ULL;
   expect_fingerprint(run(cfg), want);
 }
 
