@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/episode.hpp"
@@ -80,6 +81,141 @@ TEST(CheckFuzz, ServeDispatchIsDrawnAndOldSpecsDefaultToJsq) {
   json.erase(at, field.size());
   EXPECT_EQ(FuzzScenario::from_json(json).serve_dispatch,
             serve::DispatchPolicy::JoinShortestQueue);
+}
+
+TEST(CheckFuzz, ReplaySpecBytesArePinned) {
+  // One generated scenario per shape: spmd, serve, cluster, SHARE and
+  // adaptive, each with its perturb timeline.
+  const std::pair<std::uint64_t, const char*> pinned[] = {
+      {5,
+       R"({"seed":5,"topo":"generic3","mode":"spmd","policy":"DWRR","cores":2,)"
+       R"("threads":5,"phases":3,"work_per_phase_us":33303.1558277,)"
+       R"("work_jitter":0,"barrier":"sleep","workers":3,"arrival":"diurnal",)"
+       R"("service":"lognormal","utilization":0.881197416782,)"
+       R"("mean_service_us":4946.88613529,"duration_us":1454857,)"
+       R"("serve_busy_poll":false,"serve_dispatch":"jsq","nodes":3,)"
+       R"("cluster_dispatch":"least-loaded","jsq_d":3,"hop_us":298.566268038,)"
+       R"("cluster_rebalance":true,"perturb_node":1,"balance_interval_us":56690,)"
+       R"("threshold":0.872120653591,"share_count":false,"min_share":0.02,)"
+       R"("share_hysteresis":0.02,"adaptive":false,)"
+       R"("perturb":["at=158960us hog-start core=1","at=294099us hog-stop core=1",)"
+       R"("at=58868us spike core=0 work=6824us",)"
+       R"("at=178733us spike core=0 work=10234us"],"broken":"none"})"},
+      {4,
+       R"({"seed":4,"topo":"generic4","mode":"serve","policy":"ULE","cores":4,)"
+       R"("threads":8,"phases":3,"work_per_phase_us":30344.0923125,)"
+       R"("work_jitter":0,"barrier":"yield","workers":5,"arrival":"poisson",)"
+       R"("service":"pareto","utilization":0.801271013133,)"
+       R"("mean_service_us":6208.10390815,"duration_us":795599,)"
+       R"("serve_busy_poll":true,"serve_dispatch":"jsq","nodes":3,)"
+       R"("cluster_dispatch":"least-loaded","jsq_d":6,"hop_us":417.34594917,)"
+       R"("cluster_rebalance":true,"perturb_node":0,"balance_interval_us":21458,)"
+       R"("threshold":0.888476830404,"share_count":false,"min_share":0.02,)"
+       R"("share_hysteresis":0.02,"adaptive":false,)"
+       R"("perturb":["at=303097us dvfs core=2 scale=0.832903",)"
+       R"("at=577150us dvfs core=1 scale=1.25521",)"
+       R"("at=530767us dvfs core=1 scale=0.977968"],"broken":"none"})"},
+      {8,
+       R"({"seed":8,"topo":"barcelona","mode":"cluster","policy":"PINNED",)"
+       R"("cores":2,"threads":3,"phases":1,"work_per_phase_us":21263.5278556,)"
+       R"("work_jitter":0.185413703926,"barrier":"yield","workers":2,)"
+       R"("arrival":"poisson","service":"lognormal",)"
+       R"("utilization":0.88201697085,"mean_service_us":7289.75909325,)"
+       R"("duration_us":956642,"serve_busy_poll":true,"serve_dispatch":"jsq",)"
+       R"("nodes":5,"cluster_dispatch":"jsq","jsq_d":8,"hop_us":210.097898201,)"
+       R"("cluster_rebalance":true,"perturb_node":2,"balance_interval_us":27683,)"
+       R"("threshold":0.831003304446,"share_count":false,"min_share":0.02,)"
+       R"("share_hysteresis":0.02,"adaptive":false,)"
+       R"("perturb":["at=91999us dvfs core=1 scale=1.01946"],"broken":"none"})"},
+      {9,
+       R"({"seed":9,"topo":"biglittle2+2x2","mode":"spmd","policy":"SHARE",)"
+       R"("cores":2,"threads":2,"phases":3,"work_per_phase_us":22639.7685034,)"
+       R"("work_jitter":0,"barrier":"yield","workers":3,"arrival":"bursty",)"
+       R"("service":"fixed","utilization":0.894328581265,)"
+       R"("mean_service_us":7527.88600447,"duration_us":773404,)"
+       R"("serve_busy_poll":true,"serve_dispatch":"jsq","nodes":5,)"
+       R"("cluster_dispatch":"jsq","jsq_d":1,"hop_us":62.5678237752,)"
+       R"("cluster_rebalance":true,"perturb_node":2,"balance_interval_us":48319,)"
+       R"("threshold":0.936906144133,"share_count":false,)"
+       R"("min_share":0.0589596472057,"share_hysteresis":0.029127028766,)"
+       R"("adaptive":false,"perturb":["at=88819us hog-start core=1",)"
+       R"("at=156121us hog-stop core=1",)"
+       R"("at=83010us dvfs-ramp core=0 scale=0.598172 over=37184us steps=12"],)"
+       R"("broken":"none"})"},
+      {25,
+       R"({"seed":25,"topo":"nehalem","mode":"serve","policy":"SPEED","cores":6,)"
+       R"("threads":14,"phases":3,"work_per_phase_us":16119.7307106,)"
+       R"("work_jitter":0,"barrier":"spin","workers":10,"arrival":"bursty",)"
+       R"("service":"fixed","utilization":0.55256756266,)"
+       R"("mean_service_us":7704.45299914,"duration_us":1490338,)"
+       R"("serve_busy_poll":false,"serve_dispatch":"rr","nodes":4,)"
+       R"("cluster_dispatch":"rr","jsq_d":7,"hop_us":24.9480917688,)"
+       R"("cluster_rebalance":true,"perturb_node":3,"balance_interval_us":40965,)"
+       R"("threshold":0.804583522314,"share_count":false,"min_share":0.02,)"
+       R"("share_hysteresis":0.02,"adaptive":true,)"
+       R"("perturb":["at=347815us dvfs core=5 scale=0.724693"],"broken":"none"})"},
+  };
+  for (const auto& [seed, json] : pinned) {
+    const FuzzScenario sc = generate(seed);
+    EXPECT_EQ(sc.to_json(), json) << "seed " << seed;
+    EXPECT_EQ(FuzzScenario::from_json(json).to_json(), json) << "seed " << seed;
+  }
+}
+
+TEST(CheckFuzz, PreClusterSpecLoadsWithTodaysDefaults) {
+  // A spec from before the cluster fields: no serve_dispatch, cluster, SHARE
+  // or adaptive keys. Each one it lacks takes the FuzzScenario default.
+  const std::string old_spec =
+      R"({"seed":12,"topo":"generic4","mode":"serve","policy":"SPEED",)"
+      R"("cores":3,"threads":4,"phases":2,"work_per_phase_us":10000,)"
+      R"("work_jitter":0.1,"barrier":"spin","workers":4,"arrival":"bursty",)"
+      R"("service":"fixed","utilization":0.6,"mean_service_us":2000,)"
+      R"("duration_us":600000,"serve_busy_poll":true,)"
+      R"("balance_interval_us":30000,"threshold":0.85,)"
+      R"("perturb":["at=100ms dvfs core=1 scale=0.5"],"broken":"none"})";
+  EXPECT_EQ(
+      FuzzScenario::from_json(old_spec).to_json(),
+      R"({"seed":12,"topo":"generic4","mode":"serve","policy":"SPEED",)"
+      R"("cores":3,"threads":4,"phases":2,"work_per_phase_us":10000,)"
+      R"("work_jitter":0.1,"barrier":"spin","workers":4,"arrival":"bursty",)"
+      R"("service":"fixed","utilization":0.6,"mean_service_us":2000,)"
+      R"("duration_us":600000,"serve_busy_poll":true,"serve_dispatch":"jsq",)"
+      R"("nodes":3,"cluster_dispatch":"jsq","jsq_d":2,"hop_us":200,)"
+      R"("cluster_rebalance":true,"perturb_node":0,)"
+      R"("balance_interval_us":30000,"threshold":0.85,"share_count":false,)"
+      R"("min_share":0.02,"share_hysteresis":0.02,"adaptive":false,)"
+      R"("perturb":["at=100000us dvfs core=1 scale=0.5"],"broken":"none"})");
+}
+
+/// The message from_json throws for `spec`, or "" when it loads.
+std::string from_json_error(const std::string& spec) {
+  try {
+    FuzzScenario::from_json(spec);
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(CheckFuzz, SpecWithoutSeedOrWithUnknownNamesThrows) {
+  std::string spec = generate(4).to_json();
+  const auto replaced = [&spec](const std::string& from,
+                                const std::string& to) {
+    std::string out = spec;
+    const std::size_t at = out.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) out.replace(at, from.size(), to);
+    return out;
+  };
+  EXPECT_EQ(from_json_error(replaced(R"("seed":4,)", "")),
+            "JSON: missing key 'seed'");
+  EXPECT_EQ(from_json_error(replaced(R"("mode":"serve")", R"("mode":"batch")")),
+            "unknown mode: batch (available: spmd, serve, cluster)");
+  EXPECT_EQ(
+      from_json_error(replaced(R"("policy":"ULE")", R"("policy":"FASTEST")")),
+      "unknown serve policy: FASTEST (available: LOAD, SPEED, PINNED, DWRR, "
+      "ULE, NONE, SHARE)");
+  EXPECT_EQ(from_json_error(spec), "");
 }
 
 TEST(CheckFuzz, JobsIdentityOracleOnBothModes) {

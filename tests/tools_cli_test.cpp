@@ -6,6 +6,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -489,6 +490,40 @@ int run_obsquery(std::vector<std::string> args, std::string* stdout_out) {
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
+/// FNV-1a of `text`, as 16 hex digits: the pinned form of a view's stdout.
+std::string fnv1a_hex(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
+  return buf;
+}
+
+/// Run `tool` (stdout discarded) with `--report-json=` a fresh temporary
+/// path appended; returns the path.
+std::string write_report(const std::string& tool, std::vector<std::string> args) {
+  static int counter = 0;
+  const std::string report = testing::TempDir() + "obsquery_pin_" +
+                             std::to_string(getpid()) + "_" +
+                             std::to_string(counter++) + ".json";
+  args.push_back("--report-json=" + report);
+  std::string out;
+  EXPECT_EQ(run_stdout(tool, std::move(args), &out), 0) << tool;
+  return report;
+}
+
+/// obsquery's stdout for `view` over `report`, as an FNV-1a digest.
+std::string view_digest(const std::string& report,
+                        std::vector<std::string> view) {
+  std::string out;
+  view.insert(view.begin(), "--report=" + report);
+  EXPECT_EQ(run_obsquery(view, &out), 0);
+  return fnv1a_hex(out);
+}
+
 TEST(ObsqueryCli, UsageErrorWithoutReport) {
   std::string out;
   EXPECT_EQ(run_obsquery({}, &out), 1);
@@ -532,6 +567,55 @@ TEST(ObsqueryCli, AnswersQueriesOverATracedServeReport) {
   EXPECT_NE(out.find("sample_seq indexes speed_timeline"), std::string::npos)
       << out;
 
+  // Every view's whole stdout, pinned.
+  EXPECT_EQ(view_digest(report, {}), "f7fdbfc772c482b5");
+  EXPECT_EQ(view_digest(report, {"--slowest=3"}), "4f784739d9aa83f9");
+  EXPECT_EQ(view_digest(report, {"--blame"}), "604500e114ae921c");
+  EXPECT_EQ(view_digest(report, {"--storms"}), "b926f1e6a3f25112");
+  EXPECT_EQ(view_digest(report, {"--pulls"}), "451ab119c747c22e");
+
+  std::remove(report.c_str());
+}
+
+TEST(ObsqueryCli, PinsTheRebalanceViewsOfAThrottledCluster) {
+  // check.sh's cluster-smoke episode: four nodes, node 0 throttled to a
+  // quarter clock at 500 ms, so the rebalancer migrates pools off it.
+  const std::string report = write_report(
+      CLUSTERSIM_BIN,
+      {"--nodes=4", "--dispatch=rr", "--policy=SPEED", "--duration-s=3",
+       "--warmup-s=0.3", "--seed=42", "--rebalance-epoch-ms=100",
+       "--perturb=at=500ms dvfs core=0 scale=0.25; at=500ms dvfs core=1 "
+       "scale=0.25; at=500ms dvfs core=2 scale=0.25; at=500ms dvfs core=3 "
+       "scale=0.25",
+       "--perturb-node=0"});
+  std::string out;
+  ASSERT_EQ(run_obsquery({"--report=" + report, "--rebalances"}, &out), 0);
+  EXPECT_NE(out.find("29 epoch(s), 4 migration(s)"), std::string::npos) << out;
+  EXPECT_EQ(view_digest(report, {"--rebalances"}), "2ccca47491b9bd82");
+  EXPECT_EQ(view_digest(report, {"--rebalances", "--pool=0"}), "4ef518bb6c459a0f");
+  std::remove(report.c_str());
+}
+
+TEST(ObsqueryCli, PinsTheSharesViewOfAHeteroShareRun) {
+  const std::string report =
+      write_report(SIMRUN_BIN, {"--setup=HETERO-SHARE", "--repeats=1"});
+  EXPECT_EQ(view_digest(report, {"--shares"}), "35ec4b0e3348f1f4");
+  std::remove(report.c_str());
+}
+
+TEST(ObsqueryCli, PinsTheTuningViewOfAnAdaptiveServeRun) {
+  // check.sh's adaptive-smoke episode.
+  const std::string report = write_report(
+      SERVESIM_BIN,
+      {"--topo=generic8", "--workers=16", "--policy=SPEED", "--dispatch=rr",
+       "--idle=yield", "--utilization=0.85", "--duration-s=4",
+       "--warmup-s=0.5", "--seed=42", "--adaptive",
+       "--perturb=at=500ms dvfs core=0 scale=0.5; at=500ms dvfs core=1 "
+       "scale=0.5"});
+  std::string out;
+  ASSERT_EQ(run_obsquery({"--report=" + report, "--tuning"}, &out), 0);
+  EXPECT_NE(out.find("25 epoch(s)"), std::string::npos) << out;
+  EXPECT_EQ(view_digest(report, {"--tuning"}), "3b16659deee32f7f");
   std::remove(report.c_str());
 }
 
