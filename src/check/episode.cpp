@@ -252,7 +252,6 @@ void run_spmd_episode(const FuzzScenario& sc, EpisodeResult& r) {
 
   obs::RunRecorder rec;
   cfg.recorder = &rec;
-  cfg.recorded_repeat = 0;
 
   Harvest h;
   cfg.on_run_start = [&](Simulator& sim, SpmdApp&, int) {

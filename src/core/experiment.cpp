@@ -118,14 +118,13 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   ExperimentResult out;
   out.runs.resize(static_cast<std::size_t>(std::max(config.repeats, 0)));
   // Each replica is an independent Simulator with its own salted seed; only
-  // the recorded repeat carries the recorder. Results land in their repeat
-  // slot, so aggregates below see the same order regardless of jobs.
+  // repeat 0 carries the recorder. Results land in their repeat slot, so
+  // aggregates below see the same order regardless of jobs.
   parallel_for_seeds(config.jobs, config.repeats, config.seed,
                      [&](int rep, std::uint64_t seed) {
-                       obs::RunRecorder* recorder =
-                           rep == config.recorded_repeat ? config.recorder : nullptr;
-                       out.runs[static_cast<std::size_t>(rep)] =
-                           run_once(config, seed, recorder, rep);
+                       out.runs[static_cast<std::size_t>(rep)] = run_once(
+                           config, seed, rep == 0 ? config.recorder : nullptr,
+                           rep);
                      });
   std::vector<double> runtimes;
   runtimes.reserve(out.runs.size());

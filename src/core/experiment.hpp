@@ -96,12 +96,11 @@ struct ExperimentConfig {
   std::function<void(Simulator&, SpmdApp&, int)> on_run_start;
   std::function<void(Simulator&, SpmdApp&, int)> on_run_end;
 
-  /// Observability: when set, the repeat selected by `recorded_repeat` runs
-  /// with full tracing (speed timeline, decision log, migration events, run
-  /// segments) into this recorder. Null = no tracing (the default; the only
-  /// residual cost is a pointer test on the hot paths).
+  /// Observability: when set, repeat 0 runs with full tracing (speed
+  /// timeline, decision log, migration events, run segments) into this
+  /// recorder. Null = no tracing (the default; the only residual cost is a
+  /// pointer test on the hot paths).
   obs::RunRecorder* recorder = nullptr;
-  int recorded_repeat = 0;
 };
 
 /// Outcome of a single run.

@@ -193,7 +193,6 @@ TEST(ShareExperiment, TracksOptimumAndBeatsCountBaselineOnBigLittle) {
 
   obs::RunRecorder rec;
   cfg.recorder = &rec;
-  cfg.recorded_repeat = 0;
   const double share_s = run_experiment(cfg).runs.at(0).runtime_s;
   // With noise off the bootstrap epoch already measures the true speeds and
   // adopts the optimal partition; later epochs hold below hysteresis. The
