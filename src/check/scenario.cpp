@@ -6,7 +6,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "serve/scenarios.hpp"
 #include "topo/presets.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
@@ -51,96 +50,13 @@ std::string FuzzScenario::summary() const {
 std::string FuzzScenario::to_json() const {
   std::ostringstream os;
   JsonWriter w(os);
-  w.begin_object();
-  w.kv("seed", static_cast<std::int64_t>(seed));
-  w.kv("topo", topo);
-  w.kv("mode", to_string(mode));
-  w.kv("policy", speedbal::to_string(policy));
-  w.kv("cores", cores);
-  w.kv("threads", threads);
-  w.kv("phases", phases);
-  w.kv("work_per_phase_us", work_per_phase_us);
-  w.kv("work_jitter", work_jitter);
-  w.kv("barrier", speedbal::to_string(barrier));
-  w.kv("workers", workers);
-  w.kv("arrival", workload::to_string(arrival));
-  w.kv("service", workload::to_string(service));
-  w.kv("utilization", utilization);
-  w.kv("mean_service_us", mean_service_us);
-  w.kv("duration_us", duration);
-  w.kv("serve_busy_poll", serve_busy_poll);
-  w.kv("serve_dispatch", serve::to_string(serve_dispatch));
-  w.kv("nodes", nodes);
-  w.kv("cluster_dispatch", cluster::to_string(cluster_dispatch));
-  w.kv("jsq_d", jsq_d);
-  w.kv("hop_us", hop_us);
-  w.kv("cluster_rebalance", cluster_rebalance);
-  w.kv("perturb_node", perturb_node);
-  w.kv("balance_interval_us", balance_interval);
-  w.kv("threshold", threshold);
-  w.kv("share_count", share_count);
-  w.kv("min_share", min_share);
-  w.kv("share_hysteresis", share_hysteresis);
-  w.kv("adaptive", adaptive);
-  w.key("perturb");
-  w.begin_array();
-  for (const auto& ev : perturb) w.value(ev.to_spec());
-  w.end_array();
-  w.kv("broken", to_string(broken));
-  w.end_object();
+  write_record(w, *this);
   return os.str();
 }
 
 FuzzScenario FuzzScenario::from_json(std::string_view text) {
-  const JsonValue doc = JsonValue::parse(text);
   FuzzScenario sc;
-  sc.seed = static_cast<std::uint64_t>(doc.at("seed").as_int());
-  sc.topo = doc.at("topo").as_string();
-  sc.mode = parse_mode(doc.at("mode").as_string());
-  sc.policy = serve::parse_serve_policy(doc.at("policy").as_string());
-  sc.cores = static_cast<int>(doc.at("cores").as_int());
-  sc.threads = static_cast<int>(doc.at("threads").as_int());
-  sc.phases = static_cast<int>(doc.at("phases").as_int());
-  sc.work_per_phase_us = doc.at("work_per_phase_us").as_number();
-  sc.work_jitter = doc.at("work_jitter").as_number();
-  sc.barrier = kWaitPolicyNames.parse(doc.at("barrier").as_string());
-  sc.workers = static_cast<int>(doc.at("workers").as_int());
-  sc.arrival = workload::parse_arrival_kind(doc.at("arrival").as_string());
-  sc.service = workload::parse_service_kind(doc.at("service").as_string());
-  sc.utilization = doc.at("utilization").as_number();
-  sc.mean_service_us = doc.at("mean_service_us").as_number();
-  sc.duration = doc.at("duration_us").as_int();
-  sc.serve_busy_poll = doc.at("serve_busy_poll").as_bool();
-  // Optional so pre-dispatch replay specs keep loading (and keep JSQ).
-  if (const JsonValue* v = doc.find("serve_dispatch"))
-    sc.serve_dispatch = serve::parse_dispatch_policy(v->as_string());
-  // Cluster fields are optional so pre-cluster replay specs keep loading.
-  if (const JsonValue* v = doc.find("nodes"))
-    sc.nodes = static_cast<int>(v->as_int());
-  if (const JsonValue* v = doc.find("cluster_dispatch"))
-    sc.cluster_dispatch = cluster::parse_cluster_dispatch(v->as_string());
-  if (const JsonValue* v = doc.find("jsq_d"))
-    sc.jsq_d = static_cast<int>(v->as_int());
-  if (const JsonValue* v = doc.find("hop_us")) sc.hop_us = v->as_number();
-  if (const JsonValue* v = doc.find("cluster_rebalance"))
-    sc.cluster_rebalance = v->as_bool();
-  if (const JsonValue* v = doc.find("perturb_node"))
-    sc.perturb_node = static_cast<int>(v->as_int());
-  sc.balance_interval = doc.at("balance_interval_us").as_int();
-  sc.threshold = doc.at("threshold").as_number();
-  // SHARE fields are optional so pre-hetero replay specs keep loading.
-  if (const JsonValue* v = doc.find("share_count"))
-    sc.share_count = v->as_bool();
-  if (const JsonValue* v = doc.find("min_share"))
-    sc.min_share = v->as_number();
-  if (const JsonValue* v = doc.find("share_hysteresis"))
-    sc.share_hysteresis = v->as_number();
-  // Adaptive field is optional so pre-adaptive replay specs keep loading.
-  if (const JsonValue* v = doc.find("adaptive")) sc.adaptive = v->as_bool();
-  for (std::size_t i = 0; i < doc.at("perturb").size(); ++i)
-    sc.perturb.push_back(
-        perturb::PerturbTimeline::parse_spec(doc.at("perturb")[i].as_string()));
-  sc.broken = parse_broken_mode(doc.at("broken").as_string());
+  read_record(JsonValue::parse(text), sc);
   sc.validate();
   return sc;
 }

@@ -11,6 +11,7 @@
 #include "perturb/timeline.hpp"
 #include "serve/dispatch.hpp"
 #include "util/enum_names.hpp"
+#include "util/json.hpp"
 #include "workload/arrivals.hpp"
 
 namespace speedbal::check {
@@ -50,6 +51,16 @@ inline const char* to_string(BrokenMode b) { return kBrokenModeNames[b]; }
 inline BrokenMode parse_broken_mode(std::string_view name) {
   return kBrokenModeNames.parse(name);
 }
+
+/// A replay spec spells each perturbation as its compact spec text.
+struct PerturbSpecText {
+  std::string operator[](const perturb::PerturbEvent& ev) const {
+    return ev.to_spec();
+  }
+  perturb::PerturbEvent parse(std::string_view spec) const {
+    return perturb::PerturbTimeline::parse_spec(spec);
+  }
+};
 
 /// One randomized, fully replayable fuzz scenario: every stochastic choice
 /// the episode makes downstream flows from `seed`, and every structural
@@ -129,6 +140,47 @@ struct FuzzScenario {
   /// Throws std::invalid_argument when fields are out of range (bad topo
   /// name, cores exceeding the machine, non-positive work...).
   void validate() const;
+
+  /// The replay spec's fields (util/json field list). Keys added after the
+  /// first specs were written are optional, so those specs keep loading
+  /// with the defaults above; every other key is required.
+  template <class S, class F>
+  static void fields(S& sc, F&& f) {
+    f("seed", sc.seed);
+    f("topo", sc.topo);
+    f("mode", sc.mode, kModeNames);
+    f("policy", sc.policy, kPolicyNames);
+    f("cores", sc.cores);
+    f("threads", sc.threads);
+    f("phases", sc.phases);
+    f("work_per_phase_us", sc.work_per_phase_us);
+    f("work_jitter", sc.work_jitter);
+    f("barrier", sc.barrier, kWaitPolicyNames);
+    f("workers", sc.workers);
+    f("arrival", sc.arrival, workload::kArrivalKindNames);
+    f("service", sc.service, workload::kServiceKindNames);
+    f("utilization", sc.utilization);
+    f("mean_service_us", sc.mean_service_us);
+    f("duration_us", sc.duration);
+    f("serve_busy_poll", sc.serve_busy_poll);
+    f(optional_key("serve_dispatch"), sc.serve_dispatch,
+      serve::kDispatchPolicyNames);
+    f(optional_key("nodes"), sc.nodes);
+    f(optional_key("cluster_dispatch"), sc.cluster_dispatch,
+      cluster::kClusterDispatchNames);
+    f(optional_key("jsq_d"), sc.jsq_d);
+    f(optional_key("hop_us"), sc.hop_us);
+    f(optional_key("cluster_rebalance"), sc.cluster_rebalance);
+    f(optional_key("perturb_node"), sc.perturb_node);
+    f("balance_interval_us", sc.balance_interval);
+    f("threshold", sc.threshold);
+    f(optional_key("share_count"), sc.share_count);
+    f(optional_key("min_share"), sc.min_share);
+    f(optional_key("share_hysteresis"), sc.share_hysteresis);
+    f(optional_key("adaptive"), sc.adaptive);
+    f("perturb", sc.perturb, PerturbSpecText{});
+    f("broken", sc.broken, kBrokenModeNames);
+  }
 };
 
 /// Draw a scenario from the constrained distributions (topology mix —

@@ -38,10 +38,6 @@ struct AttributionTable {
 std::vector<std::size_t> top_k_slowest(const std::vector<RequestSpan>& spans,
                                        std::size_t k);
 
-/// Dominant sojourn component of one span: "queue", "exec", "stall" (when
-/// warmup dominates the execution component), or "preempt".
-const char* blame(const RequestSpan& span);
-
 /// One detected migration storm: a time window holding an anomalous number
 /// of migrations (the signature of balancer ping-ponging).
 struct StormWindow {

@@ -60,6 +60,24 @@ struct DecisionRecord {
   /// Pulled only: warmup cost (µs of slow-speed execution) charged to the
   /// victim by the migration, for end-to-end blame accounting.
   double warmup_charged_us = 0.0;
+
+  /// The run report's decision "records" fields (util/json field list).
+  template <class Rec, class F>
+  static void fields(Rec& d, F&& f) {
+    f("t_us", d.ts_us);
+    f("reason", d.reason, kPullReasonNames);
+    f("local", d.local);
+    f("source", d.source);
+    if (d.reason == PullReason::Pulled) {
+      f("victim", d.victim);
+      f("tie_break", d.tie_break);
+      f("warmup_charged_us", d.warmup_charged_us);
+    }
+    f("sample_seq", d.sample_seq);
+    f("local_speed", d.local_speed);
+    f("source_speed", d.source_speed);
+    f("global", d.global);
+  }
 };
 
 /// Append-only balancer decision log with per-reason counters. Record

@@ -42,6 +42,16 @@ struct MigrationRecord {
   std::int32_t from = -1;
   std::int32_t to = -1;
   MigrationCause cause = MigrationCause::Affinity;
+
+  /// The run report's "migrations" fields (util/json field list).
+  template <class Rec, class F>
+  static void fields(Rec& r, F&& f) {
+    f("t_us", r.ts_us);
+    f("task", r.task);
+    f("from", r.from);
+    f("to", r.to);
+    f("cause", r.cause, kMigrationCauseNames);
+  }
 };
 
 /// Append-only migration log with per-cause counters.

@@ -47,6 +47,24 @@ struct RebalanceRecord {
   /// Requests drained from the pool's queues and re-dispatched with the
   /// migration (Migrated only).
   std::int64_t drained = 0;
+
+  /// The run report's "rebalances" fields (util/json field list).
+  template <class Rec, class F>
+  static void fields(Rec& r, F&& f) {
+    f("t_us", r.ts_us);
+    f("epoch", r.epoch);
+    f("outcome", r.outcome, kRebalanceOutcomeNames);
+    f("imbalance", r.imbalance);
+    f("threshold", r.threshold);
+    if (r.outcome == RebalanceOutcome::Migrated) {
+      f("pool", r.pool);
+      f("from_node", r.from_node);
+      f("to_node", r.to_node);
+      f("from_load", r.from_load);
+      f("to_load", r.to_load);
+      f("drained", r.drained);
+    }
+  }
 };
 
 /// Append-only, capped epoch log — one record per rebalance epoch, so its

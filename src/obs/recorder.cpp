@@ -455,30 +455,16 @@ void RunRecorder::write_report_json(std::ostream& os) const {
     w.end_object();
   }
 
+  // Each record section is written from its log in place, under the log's
+  // lock for that section only; the log's size(), dropped() and counters,
+  // which take the same lock, are read outside the views.
+
   // Sampled request spans and the per-class attribution table derived from
   // them — the report's "why was the tail slow" data.
-  if (const auto spans = spans_.snapshot(); !spans.empty()) {
-    w.key("requests").begin_array();
-    for (const RequestSpan& s : spans) {
-      w.begin_object();
-      w.kv("id", s.id);
-      w.kv("class", s.cls);
-      w.kv("worker", s.worker);
-      w.kv("arrival_us", s.arrival_us);
-      w.kv("started_us", s.started_us);
-      w.kv("completed_us", s.completed_us);
-      w.kv("queue_us", s.queue_us());
-      w.kv("exec_us", s.exec_us);
-      w.kv("preempt_us", s.preempt_us());
-      w.kv("stall_us", s.stall_us);
-      w.kv("sojourn_us", s.sojourn_us());
-      w.kv("migrations", s.migrations);
-      w.kv("blame", blame(s));
-      w.end_object();
-    }
-    w.end_array();
+  if (const auto spans = spans_.locked(); !spans->empty()) {
+    write_records(w.key("requests"), *spans);
 
-    const AttributionTable table = AttributionTable::build(spans);
+    const AttributionTable table = AttributionTable::build(*spans);
     w.key("attribution").begin_array();
     for (const ClassAttribution& a : table.classes) {
       w.begin_object();
@@ -500,91 +486,25 @@ void RunRecorder::write_report_json(std::ostream& os) const {
 
   // The migration log with cause names, the input to obsquery's storm
   // detection.
-  if (migrations_.size() > 0) {
-    w.key("migrations").begin_array();
-    for (const auto& m : migrations_.snapshot()) {
-      w.begin_object();
-      w.kv("t_us", m.ts_us);
-      w.kv("task", m.task);
-      w.kv("from", m.from);
-      w.kv("to", m.to);
-      w.kv("cause", to_string(m.cause));
-      w.end_object();
-    }
-    w.end_array();
-  }
+  if (const auto migrations = migrations_.locked(); !migrations->empty())
+    write_records(w.key("migrations"), *migrations);
 
   // Global rebalancer epoch log — the cluster-level analogue of
   // "decisions" below, one record per epoch with the imbalance it saw.
-  if (rebalances_.size() > 0) {
-    w.key("rebalances").begin_array();
-    for (const auto& r : rebalances_.snapshot()) {
-      w.begin_object();
-      w.kv("t_us", r.ts_us);
-      w.kv("epoch", r.epoch);
-      w.kv("outcome", to_string(r.outcome));
-      w.kv("imbalance", r.imbalance);
-      w.kv("threshold", r.threshold);
-      if (r.outcome == RebalanceOutcome::Migrated) {
-        w.kv("pool", r.pool);
-        w.kv("from_node", r.from_node);
-        w.kv("to_node", r.to_node);
-        w.kv("from_load", r.from_load);
-        w.kv("to_load", r.to_load);
-        w.kv("drained", r.drained);
-      }
-      w.end_object();
-    }
-    w.end_array();
-  }
+  if (const auto rebalances = rebalances_.locked(); !rebalances->empty())
+    write_records(w.key("rebalances"), *rebalances);
 
   // ShareBalancer repartition epoch log — one record per epoch with the
   // partition and the EWMA speeds the decision saw. Absent unless SHARE
   // ran, so pre-SHARE reports stay byte-identical.
-  if (shares_.size() > 0) {
-    w.key("shares").begin_array();
-    for (const auto& r : shares_.snapshot()) {
-      w.begin_object();
-      w.kv("t_us", r.ts_us);
-      w.kv("epoch", r.epoch);
-      w.kv("outcome", to_string(r.outcome));
-      w.kv("max_delta", r.max_delta);
-      w.kv("hysteresis", r.hysteresis);
-      w.kv("floor_clamped", r.floor_clamped);
-      w.key("shares").begin_array();
-      for (const double s : r.shares) w.value(s);
-      w.end_array();
-      w.key("speeds").begin_array();
-      for (const double s : r.speeds) w.value(s);
-      w.end_array();
-      w.end_object();
-    }
-    w.end_array();
-  }
+  if (const auto shares = shares_.locked(); !shares->empty())
+    write_records(w.key("shares"), *shares);
 
   // Adaptive-controller tuning epoch log — one record per controller epoch
   // with the constant-set it left in force. Absent unless --adaptive ran,
   // so pre-adaptive reports stay byte-identical.
-  if (tuning_.size() > 0) {
-    w.key("tuning").begin_array();
-    for (const auto& r : tuning_.snapshot()) {
-      w.begin_object();
-      w.kv("t_us", r.ts_us);
-      w.kv("epoch", r.epoch);
-      w.kv("outcome", to_string(r.outcome));
-      w.kv("arm", r.arm);
-      w.kv("prev_arm", r.prev_arm);
-      w.kv("interval_us", r.interval_us);
-      w.kv("threshold", r.threshold);
-      w.kv("post_migration_block", r.post_migration_block);
-      w.kv("cache_block_scale", r.cache_block_scale);
-      w.kv("reward", r.reward);
-      w.kv("dispersion", r.dispersion);
-      w.kv("predicted", r.predicted);
-      w.end_object();
-    }
-    w.end_array();
-  }
+  if (const auto tuning = tuning_.locked(); !tuning->empty())
+    write_records(w.key("tuning"), *tuning);
 
   // Recorder self-accounting: log sizes and drops. The wall-clock overhead
   // meter is deliberately NOT serialized here — the
@@ -599,38 +519,24 @@ void RunRecorder::write_report_json(std::ostream& os) const {
   w.kv("run_segments_dropped", run_segments_.dropped());
   w.end_object();
 
-  const auto samples = timeline_.snapshot();
-  const GlobalStats stats = global_stats(samples);
-  w.key("global_speed").begin_object();
-  w.kv("samples", stats.samples);
-  w.kv("mean", stats.mean);
-  w.kv("variance", stats.variance);
-  w.kv("min", stats.min);
-  w.kv("max", stats.max);
-  w.end_object();
-
-  w.key("cores").begin_array();
-  for (const int c : cores()) w.value(c);
-  w.end_array();
-
-  w.key("speed_timeline").begin_array();
-  for (const auto& s : samples) {
-    w.begin_object();
-    w.kv("t_us", s.ts_us);
-    w.kv("observer", s.observer);
-    w.kv("global", s.global);
-    w.key("core_speed").begin_array();
-    for (const double v : s.core_speed) w.value(v);
-    w.end_array();
-    w.key("queue_len").begin_array();
-    for (const int v : s.queue_len) w.value(v);
-    w.end_array();
-    w.key("below_threshold").begin_array();
-    for (const bool v : s.below_threshold) w.value(v);
-    w.end_array();
+  const auto cores = this->cores();
+  {
+    const auto samples = timeline_.locked();
+    const GlobalStats stats = global_stats(*samples);
+    w.key("global_speed").begin_object();
+    w.kv("samples", stats.samples);
+    w.kv("mean", stats.mean);
+    w.kv("variance", stats.variance);
+    w.kv("min", stats.min);
+    w.kv("max", stats.max);
     w.end_object();
+
+    w.key("cores").begin_array();
+    for (const int c : cores) w.value(c);
+    w.end_array();
+
+    write_records(w.key("speed_timeline"), *samples);
   }
-  w.end_array();
 
   w.key("decisions").begin_object();
   w.key("by_reason").begin_object();
@@ -639,25 +545,7 @@ void RunRecorder::write_report_json(std::ostream& os) const {
     w.kv(kPullReasonNames.names[r], counts[r]);
   w.end_object();
   w.kv("dropped_records", decisions_.dropped());
-  w.key("records").begin_array();
-  for (const auto& d : decisions_.snapshot()) {
-    w.begin_object();
-    w.kv("t_us", d.ts_us);
-    w.kv("reason", to_string(d.reason));
-    w.kv("local", d.local);
-    w.kv("source", d.source);
-    if (d.reason == PullReason::Pulled) {
-      w.kv("victim", d.victim);
-      w.kv("tie_break", d.tie_break);
-      w.kv("warmup_charged_us", d.warmup_charged_us);
-    }
-    w.kv("sample_seq", d.sample_seq);
-    w.kv("local_speed", d.local_speed);
-    w.kv("source_speed", d.source_speed);
-    w.kv("global", d.global);
-    w.end_object();
-  }
-  w.end_array();
+  write_records(w.key("records"), *decisions_.locked());
   w.end_object();
 
   w.end_object();

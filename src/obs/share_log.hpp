@@ -38,6 +38,19 @@ struct ShareRecord {
   int floor_clamped = 0;
   std::vector<double> shares;
   std::vector<double> speeds;
+
+  /// The run report's "shares" fields (util/json field list).
+  template <class Rec, class F>
+  static void fields(Rec& r, F&& f) {
+    f("t_us", r.ts_us);
+    f("epoch", r.epoch);
+    f("outcome", r.outcome, kShareOutcomeNames);
+    f("max_delta", r.max_delta);
+    f("hysteresis", r.hysteresis);
+    f("floor_clamped", r.floor_clamped);
+    f("shares", r.shares);
+    f("speeds", r.speeds);
+  }
 };
 
 /// Append-only, capped epoch log — one record per repartition epoch, so its

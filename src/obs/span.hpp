@@ -36,7 +36,30 @@ struct RequestSpan {
   std::int64_t queue_us() const { return started_us - arrival_us; }
   std::int64_t preempt_us() const { return completed_us - started_us - exec_us; }
   std::int64_t sojourn_us() const { return completed_us - arrival_us; }
+
+  /// The run report's "requests" fields (util/json field list); the
+  /// partition's derived parts and the blame are written, not read back.
+  template <class Span, class F>
+  static void fields(Span& s, F&& f) {
+    f("id", s.id);
+    f("class", s.cls);
+    f("worker", s.worker);
+    f("arrival_us", s.arrival_us);
+    f("started_us", s.started_us);
+    f("completed_us", s.completed_us);
+    f("queue_us", s.queue_us());
+    f("exec_us", s.exec_us);
+    f("preempt_us", s.preempt_us());
+    f("stall_us", s.stall_us);
+    f("sojourn_us", s.sojourn_us());
+    f("migrations", s.migrations);
+    f("blame", blame(s));
+  }
 };
+
+/// Dominant sojourn component of one span: "queue", "exec", "stall" (when
+/// warmup dominates the execution component), or "preempt".
+const char* blame(const RequestSpan& span);
 
 /// Deterministic 1/2^k request sampler. Sampling is a bitmask test on the
 /// request id — it consumes no randomness and reads no mutable state, so a

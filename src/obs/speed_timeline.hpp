@@ -23,6 +23,17 @@ struct SpeedSample {
   /// Run-queue length (sim) or managed-thread count (native); -1 unknown.
   std::vector<int> queue_len;
   std::vector<bool> below_threshold;
+
+  /// The run report's "speed_timeline" fields (util/json field list).
+  template <class Rec, class F>
+  static void fields(Rec& s, F&& f) {
+    f("t_us", s.ts_us);
+    f("observer", s.observer);
+    f("global", s.global);
+    f("core_speed", s.core_speed);
+    f("queue_len", s.queue_len);
+    f("below_threshold", s.below_threshold);
+  }
 };
 
 /// Append-only per-interval speed time-series, the signal the paper's whole

@@ -48,6 +48,23 @@ struct TuningRecord {
   double dispersion = 0.0;
   /// Predictor's imbalance forecast for the next epoch (level + slope).
   double predicted = 0.0;
+
+  /// The run report's "tuning" fields (util/json field list).
+  template <class Rec, class F>
+  static void fields(Rec& r, F&& f) {
+    f("t_us", r.ts_us);
+    f("epoch", r.epoch);
+    f("outcome", r.outcome, kTuningOutcomeNames);
+    f("arm", r.arm);
+    f("prev_arm", r.prev_arm);
+    f("interval_us", r.interval_us);
+    f("threshold", r.threshold);
+    f("post_migration_block", r.post_migration_block);
+    f("cache_block_scale", r.cache_block_scale);
+    f("reward", r.reward);
+    f("dispersion", r.dispersion);
+    f("predicted", r.predicted);
+  }
 };
 
 /// Append-only, capped tuning-epoch log — one record per controller epoch,

@@ -26,7 +26,12 @@
 #include <vector>
 
 #include "obs/attribution.hpp"
+#include "obs/decision_log.hpp"
+#include "obs/migration_log.hpp"
+#include "obs/rebalance_log.hpp"
+#include "obs/share_log.hpp"
 #include "obs/span.hpp"
+#include "obs/tuning_log.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
@@ -34,27 +39,6 @@
 namespace {
 
 using namespace speedbal;
-
-std::vector<obs::RequestSpan> load_spans(const JsonValue& root) {
-  std::vector<obs::RequestSpan> out;
-  const JsonValue* reqs = root.find("requests");
-  if (reqs == nullptr) return out;
-  out.reserve(reqs->size());
-  for (const JsonValue& r : reqs->items()) {
-    obs::RequestSpan s;
-    s.id = r.at("id").as_int();
-    s.cls = static_cast<int>(r.at("class").as_int());
-    s.worker = static_cast<int>(r.at("worker").as_int());
-    s.arrival_us = r.at("arrival_us").as_int();
-    s.started_us = r.at("started_us").as_int();
-    s.completed_us = r.at("completed_us").as_int();
-    s.exec_us = r.at("exec_us").as_int();
-    s.stall_us = r.at("stall_us").as_number();
-    s.migrations = static_cast<int>(r.at("migrations").as_int());
-    out.push_back(s);
-  }
-  return out;
-}
 
 std::string ms(double us) { return Table::num(us / 1000.0, 3); }
 
@@ -99,10 +83,10 @@ void print_blame(const std::vector<obs::RequestSpan>& spans) {
 
 int print_storms(const JsonValue& root, std::int64_t window_us,
                  std::int64_t threshold) {
-  const JsonValue* migs = root.find("migrations");
   std::vector<std::int64_t> ts;
-  if (migs != nullptr)
-    for (const JsonValue& m : migs->items()) ts.push_back(m.at("t_us").as_int());
+  for (const obs::MigrationRecord& m :
+       read_records<obs::MigrationRecord>(root.find("migrations")))
+    ts.push_back(m.ts_us);
   const auto storms = obs::detect_migration_storms(ts, window_us, threshold);
   std::cout << ts.size() << " migrations, " << storms.size()
             << " storm window(s) (window " << window_us / 1000 << "ms, threshold "
@@ -123,27 +107,19 @@ int print_storms(const JsonValue& root, std::int64_t window_us,
 
 void print_pulls(const JsonValue& root) {
   const JsonValue* decisions = root.find("decisions");
-  const JsonValue* records =
-      decisions != nullptr ? decisions->find("records") : nullptr;
   Table t({"t_ms", "victim", "from", "to", "sample_seq", "warmup_us",
            "src_speed", "local_speed", "global"});
   std::int64_t pulls = 0;
-  if (records != nullptr) {
-    for (const JsonValue& d : records->items()) {
-      if (d.at("reason").as_string() != "pulled") continue;
-      ++pulls;
-      const JsonValue* seq = d.find("sample_seq");
-      const JsonValue* warm = d.find("warmup_charged_us");
-      t.add_row({ms(static_cast<double>(d.at("t_us").as_int())),
-                 std::to_string(d.at("victim").as_int()),
-                 std::to_string(d.at("source").as_int()),
-                 std::to_string(d.at("local").as_int()),
-                 seq != nullptr ? std::to_string(seq->as_int()) : "-",
-                 warm != nullptr ? Table::num(warm->as_number(), 1) : "-",
-                 Table::num(d.at("source_speed").as_number(), 3),
-                 Table::num(d.at("local_speed").as_number(), 3),
-                 Table::num(d.at("global").as_number(), 3)});
-    }
+  for (const obs::DecisionRecord& d : read_records<obs::DecisionRecord>(
+           decisions != nullptr ? decisions->find("records") : nullptr)) {
+    if (d.reason != obs::PullReason::Pulled) continue;
+    ++pulls;
+    t.add_row({ms(static_cast<double>(d.ts_us)), std::to_string(d.victim),
+               std::to_string(d.source), std::to_string(d.local),
+               std::to_string(d.sample_seq),
+               Table::num(d.warmup_charged_us, 1),
+               Table::num(d.source_speed, 3), Table::num(d.local_speed, 3),
+               Table::num(d.global, 3)});
   }
   std::cout << pulls << " pull(s); sample_seq indexes speed_timeline\n";
   if (pulls > 0) t.print(std::cout);
@@ -162,25 +138,22 @@ int print_rebalances(const JsonValue& root, const Cli& cli) {
   std::int64_t migrated = 0;
   Table t({"t_ms", "epoch", "outcome", "imbalance", "threshold", "pool",
            "from", "to", "drained"});
-  for (const JsonValue& r : rebalances->items()) {
+  for (const obs::RebalanceRecord& r :
+       read_records<obs::RebalanceRecord>(rebalances)) {
     ++epochs;
-    const std::string outcome = r.at("outcome").as_string();
-    const JsonValue* pool = r.find("pool");
-    if (outcome == "migrated") ++migrated;
+    const bool moved = r.outcome == obs::RebalanceOutcome::Migrated;
+    if (moved) ++migrated;
     // With --pool: show that pool's migrations, plus every non-migration
     // epoch (the below-threshold / cooldown context explains the gaps).
-    if (filter_pool && pool != nullptr && pool->as_int() != want) continue;
-    t.add_row({ms(static_cast<double>(r.at("t_us").as_int())),
-               std::to_string(r.at("epoch").as_int()), outcome,
-               Table::num(r.at("imbalance").as_number(), 3),
-               Table::num(r.at("threshold").as_number(), 3),
-               pool != nullptr ? std::to_string(pool->as_int()) : "-",
-               pool != nullptr ? std::to_string(r.at("from_node").as_int())
-                               : "-",
-               pool != nullptr ? std::to_string(r.at("to_node").as_int())
-                               : "-",
-               pool != nullptr ? std::to_string(r.at("drained").as_int())
-                               : "-"});
+    if (filter_pool && moved && r.pool != want) continue;
+    const auto moved_only = [moved](auto v) {
+      return moved ? std::to_string(v) : std::string("-");
+    };
+    t.add_row({ms(static_cast<double>(r.ts_us)), std::to_string(r.epoch),
+               obs::to_string(r.outcome), Table::num(r.imbalance, 3),
+               Table::num(r.threshold, 3), moved_only(r.pool),
+               moved_only(r.from_node), moved_only(r.to_node),
+               moved_only(r.drained)});
   }
   std::cout << epochs << " epoch(s), " << migrated << " migration(s)\n";
   t.print(std::cout);
@@ -197,19 +170,17 @@ int print_shares(const JsonValue& root) {
   std::int64_t epochs = 0;
   std::int64_t repartitions = 0;
   Table t({"t_ms", "epoch", "outcome", "max_delta", "floor", "shares"});
-  for (const JsonValue& r : shares->items()) {
+  for (const obs::ShareRecord& r : read_records<obs::ShareRecord>(shares)) {
     ++epochs;
-    const std::string outcome = r.at("outcome").as_string();
-    if (outcome == "repartitioned") ++repartitions;
+    if (r.outcome == obs::ShareOutcome::Repartitioned) ++repartitions;
     std::string w;
-    for (const JsonValue& s : r.at("shares").items()) {
+    for (const double s : r.shares) {
       if (!w.empty()) w += "/";
-      w += Table::num(s.as_number(), 3);
+      w += Table::num(s, 3);
     }
-    t.add_row({ms(static_cast<double>(r.at("t_us").as_int())),
-               std::to_string(r.at("epoch").as_int()), outcome,
-               Table::num(r.at("max_delta").as_number(), 4),
-               std::to_string(r.at("floor_clamped").as_int()), w});
+    t.add_row({ms(static_cast<double>(r.ts_us)), std::to_string(r.epoch),
+               obs::to_string(r.outcome), Table::num(r.max_delta, 4),
+               std::to_string(r.floor_clamped), w});
   }
   std::cout << epochs << " epoch(s), " << repartitions << " repartition(s)\n";
   t.print(std::cout);
@@ -227,19 +198,16 @@ int print_tuning(const JsonValue& root) {
   std::int64_t changes = 0;
   Table t({"t_ms", "epoch", "outcome", "arm", "interval_ms", "T_s", "block",
            "dispersion", "predicted", "reward"});
-  for (const JsonValue& r : tuning->items()) {
+  for (const obs::TuningRecord& r : read_records<obs::TuningRecord>(tuning)) {
     ++epochs;
-    const std::string outcome = r.at("outcome").as_string();
-    if (r.at("arm").as_int() != r.at("prev_arm").as_int()) ++changes;
-    t.add_row({ms(static_cast<double>(r.at("t_us").as_int())),
-               std::to_string(r.at("epoch").as_int()), outcome,
-               std::to_string(r.at("arm").as_int()),
-               ms(static_cast<double>(r.at("interval_us").as_int())),
-               Table::num(r.at("threshold").as_number(), 2),
-               std::to_string(r.at("post_migration_block").as_int()),
-               Table::num(r.at("dispersion").as_number(), 4),
-               Table::num(r.at("predicted").as_number(), 4),
-               Table::num(r.at("reward").as_number(), 4)});
+    if (r.arm != r.prev_arm) ++changes;
+    t.add_row({ms(static_cast<double>(r.ts_us)), std::to_string(r.epoch),
+               obs::to_string(r.outcome), std::to_string(r.arm),
+               ms(static_cast<double>(r.interval_us)),
+               Table::num(r.threshold, 2),
+               std::to_string(r.post_migration_block),
+               Table::num(r.dispersion, 4), Table::num(r.predicted, 4),
+               Table::num(r.reward, 4)});
   }
   std::cout << epochs << " epoch(s), " << changes
             << " parameter change(s)\n";
@@ -289,7 +257,7 @@ int run(const Cli& cli) {
   std::ostringstream buf;
   buf << in.rdbuf();
   const JsonValue root = JsonValue::parse(buf.str());
-  const auto spans = load_spans(root);
+  const auto spans = read_records<obs::RequestSpan>(root.find("requests"));
 
   if (cli.has("slowest")) {
     print_slowest(spans,

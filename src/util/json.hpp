@@ -6,6 +6,8 @@
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace speedbal {
@@ -95,5 +97,136 @@ class JsonValue {
 
   friend class JsonParser;
 };
+
+// --- Record field lists ---------------------------------------------------
+//
+// A record written and read as a JSON object names each of its fields once,
+// in a static member template `fields(rec, f)` that calls, in document
+// order:
+//
+//   f(key, member)         a number, bool, string, or vector of them;
+//   f(key, member, names)  a value spelled as the string `names[v]` and read
+//                          back with `names.parse(s)` (an EnumNames table);
+//   f(key, value)          a derived value (a temporary): written, skipped
+//                          on read.
+//
+// `rec` is const when writing and mutable when reading. A field may sit
+// under an `if` on a member listed before it, which the reader has already
+// read by then. write_record and read_record walk the list.
+
+/// A field's key. Reading requires it unless it is optional: an optional
+/// key missing from the object leaves the member at its default.
+struct FieldKey {
+  constexpr FieldKey(const char* key, bool opt = false)
+      : name(key), optional(opt) {}
+  const char* name;
+  bool optional;
+};
+
+/// A key that older documents lack.
+constexpr FieldKey optional_key(const char* key) { return {key, true}; }
+
+namespace json_detail {
+
+/// The spelling of a field without a names table: the value itself.
+struct Verbatim {
+  template <class T>
+  const T& operator[](const T& v) const { return v; }
+};
+
+struct FieldWriter {
+  JsonWriter& w;
+
+  template <class T, class Names = Verbatim>
+  void operator()(FieldKey k, const T& v, const Names& names = {}) {
+    w.key(k.name);
+    put(v, names);
+  }
+
+  template <class T, class Names>
+  void put(const T& v, const Names& names) {
+    w.value(names[v]);
+  }
+  template <class T, class Names>
+  void put(const std::vector<T>& v, const Names& names) {
+    w.begin_array();
+    for (const auto& x : v) put(x, names);
+    w.end_array();
+  }
+};
+
+struct FieldReader {
+  const JsonValue& obj;
+
+  template <class T, class Names = Verbatim>
+  void operator()(FieldKey k, T& v, const Names& names = {}) {
+    if (const JsonValue* j = k.optional ? obj.find(k.name) : &obj.at(k.name))
+      read(*j, v, names);
+  }
+  /// A derived value: nothing to read it into.
+  template <class T>
+  void operator()(FieldKey, const T&) {}
+
+  template <class T, class Names>
+  static void read(const JsonValue& j, T& v, const Names& names) {
+    if constexpr (!std::is_same_v<Names, Verbatim>)
+      v = names.parse(j.as_string());
+    else if constexpr (std::is_same_v<T, bool>)
+      v = j.as_bool();
+    else if constexpr (std::is_integral_v<T>)
+      v = static_cast<T>(j.as_int());
+    else if constexpr (std::is_floating_point_v<T>)
+      v = j.as_number();
+    else
+      v = j.as_string();
+  }
+  template <class T, class Names>
+  static void read(const JsonValue& j, std::vector<T>& v, const Names& names) {
+    v.clear();
+    for (const JsonValue& item : j.items()) {
+      T x{};
+      read(item, x, names);
+      v.push_back(std::move(x));
+    }
+  }
+};
+
+}  // namespace json_detail
+
+/// Write `rec` as one object, a member per field of its list.
+template <class R>
+void write_record(JsonWriter& w, const R& rec) {
+  w.begin_object();
+  R::fields(rec, json_detail::FieldWriter{w});
+  w.end_object();
+}
+
+/// Read the object `obj` into `rec` through its field list. A missing
+/// required key throws "JSON: missing key 'k'"; members the object does
+/// not set keep the values `rec` had.
+template <class R>
+void read_record(const JsonValue& obj, R& rec) {
+  R::fields(rec, json_detail::FieldReader{obj});
+}
+
+/// An array of records, one object each.
+template <class R>
+void write_records(JsonWriter& w, const std::vector<R>& recs) {
+  w.begin_array();
+  for (const R& r : recs) write_record(w, r);
+  w.end_array();
+}
+
+/// The records of `array`, each read into a default-constructed R; empty
+/// when `array` is null (a report section that was left out).
+template <class R>
+std::vector<R> read_records(const JsonValue* array) {
+  std::vector<R> out;
+  if (array == nullptr) return out;
+  out.reserve(array->size());
+  for (const JsonValue& obj : array->items())
+    read_record(obj, out.emplace_back());
+  return out;
+}
 
 }  // namespace speedbal
