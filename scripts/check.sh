@@ -33,7 +33,10 @@ cluster_report="$repo/build/cluster_smoke_report.json"
   --duration-s=3 --warmup-s=0.3 --seed=42 --rebalance-epoch-ms=100 \
   --perturb="at=500ms dvfs core=0 scale=0.25; at=500ms dvfs core=1 scale=0.25; at=500ms dvfs core=2 scale=0.25; at=500ms dvfs core=3 scale=0.25" \
   --perturb-node=0 --report-json="$cluster_report" >/dev/null
-"$repo/build/src/obsquery" --report="$cluster_report" --rebalances >/dev/null
+# The first line of --rebalances reads "N epoch(s), M migration(s)"; M must
+# not be zero.
+rebalances_out="$("$repo/build/src/obsquery" --report="$cluster_report" --rebalances)"
+grep -Eq '^[0-9]+ epoch\(s\), [1-9][0-9]* migration\(s\)$' <<<"$rebalances_out"
 "$repo/build/src/obsquery" --report="$cluster_report" --rebalances --pool=0 >/dev/null
 "$repo/build/src/fuzzsim" --episodes=25 --mode=cluster --seed=707
 # Jobs-identity at benchmark scale: a 256-node JSQ(2) episode with a node-0
@@ -273,7 +276,9 @@ adaptive_report="$repo/build/adaptive_smoke_report.json"
   --seed=42 --adaptive \
   --perturb="at=500ms dvfs core=0 scale=0.5; at=500ms dvfs core=1 scale=0.5" \
   --report-json="$adaptive_report" >/dev/null
-"$repo/build/src/obsquery" --report="$adaptive_report" --tuning >/dev/null
+# --tuning must replay a nonzero number of controller epochs.
+tuning_out="$("$repo/build/src/obsquery" --report="$adaptive_report" --tuning)"
+grep -Eq '^[1-9][0-9]* epoch\(s\),' <<<"$tuning_out"
 "$repo/build/src/fuzzsim" --adaptive --episodes=25 --mode=spmd --seed=909
 "$repo/build/src/fuzzsim" --adaptive --episodes=25 --mode=serve --seed=910
 "$repo/build/src/fuzzsim" --adaptive --episodes=25 --mode=cluster --seed=911
