@@ -269,5 +269,70 @@ TEST(SimEdge, UnparkFromOfflineCoreCountsTheHotplugMove) {
   EXPECT_EQ(b.state(), TaskState::Finished);
 }
 
+TEST(SimEdge, TiedStopTimersFireInArmOrderAfterAThirdCoreSwitches) {
+  // Two SMT pairs, (0,1) and (2,3), on one saturated bus. Core 0 runs a
+  // bandwidth-bound thread, then switches to a compute hog at its timeslice
+  // end (20 ms). The stop drops bus demand, which re-times every running
+  // core; the start that follows re-times only core 0's sibling, core 1.
+  // Threads `a` (core 2, its sibling busy with a compute filler) and `b`
+  // (core 1) start 1 ms in, so their own slices end after the switch, and
+  // run at equal speeds throughout: their completions tie at one
+  // microsecond. Ties fire in arm order. `a` last changed speed at the
+  // stop, before core 0's own timer was armed, and `b` at the start, after
+  // it. So `a` completes first although its core id is the higher one.
+  MemoryModelParams mem;
+  mem.node_bw_capacity = 1.0;
+  mem.system_bw_capacity = 1.0;
+  TopologySpec spec;
+  spec.cores_per_socket = 2;
+  spec.smt_per_core = 2;
+  SimParams params;
+  params.mem = mem;
+  Simulator sim(Topology::build(spec), params);
+  struct Recorder : TaskClient {
+    std::vector<TaskId> order;
+    std::vector<SimTime> at;
+    const Task* hog = nullptr;
+    bool hog_on_core0 = false;
+    void on_work_complete(Simulator& s, Task& task) override {
+      order.push_back(task.id());
+      at.push_back(s.now());
+      hog_on_core0 = s.core(0).running() == hog;
+      s.finish_task(task);
+    }
+  } rec;
+  Hog hog_client;
+  auto spec_of = [](const char* name, TaskClient* client, double demand) {
+    TaskSpec s;
+    s.name = name;
+    s.client = client;
+    s.mem_intensity = demand > 0.0 ? 0.5 : 0.0;
+    s.mem_bw_demand = demand;
+    return s;
+  };
+  Task& stream = sim.create_task(spec_of("stream", &hog_client, 1.0));
+  Task& compute = sim.create_task(spec_of("compute", &hog_client, 0.0));
+  Task& filler = sim.create_task(spec_of("filler", &hog_client, 0.0));
+  Task& a = sim.create_task(spec_of("a", &rec, 1.0));
+  Task& b = sim.create_task(spec_of("b", &rec, 1.0));
+  rec.hog = &compute;
+  for (Task* t : {&stream, &compute, &filler}) sim.assign_work(*t, 1e9);
+  for (Task* t : {&a, &b}) sim.assign_work(*t, 6'400.0);
+  sim.start_task_on(stream, 0);
+  sim.start_task_on(compute, 0);
+  sim.run_until(msec(1));
+  sim.start_task_on(filler, 3);
+  sim.start_task_on(b, 1);
+  sim.start_task_on(a, 2);
+  sim.run_while_pending(
+      [&] { return a.state() == TaskState::Finished &&
+                   b.state() == TaskState::Finished; },
+      sec(1));
+  ASSERT_EQ(rec.order.size(), 2u);
+  EXPECT_EQ(rec.at[0], rec.at[1]);
+  EXPECT_TRUE(rec.hog_on_core0);
+  EXPECT_EQ(rec.order, (std::vector<TaskId>{a.id(), b.id()}));
+}
+
 }  // namespace
 }  // namespace speedbal

@@ -1,9 +1,10 @@
 // Golden fingerprints of short SPMD episodes that exercise the simulator's
 // speed-refresh path: a memory-bound run on a saturated bus (every dispatch
 // re-times every running core), the same on a NUMA machine with a
-// zero-intensity hog among the memory-bound threads, and an SMT run with no
+// zero-intensity hog among the memory-bound threads, an SMT run with no
 // bandwidth demand (only the sibling of a starting/stopping thread is
-// re-timed). Any change to the
+// re-timed), and an SMT run with bandwidth demand (one refresh re-times
+// every running core, each with or without a busy sibling). Any change to the
 // speed arithmetic, the event order, or the execution accounting moves the
 // pinned values. The segment digest is taken over the canonical (merged)
 // segment log, so where a stretch of execution is cut into records does not
@@ -360,6 +361,50 @@ TEST(SimRefreshGolden, SmtSiblingRefreshWithoutBandwidthDemand) {
   want.canonical_segments = 391;
   want.segment_digest = 17424108301854624086ULL;
   want.window_digest = 5838880441317274598ULL;
+  expect_fingerprint(run(cfg), want);
+}
+
+TEST(SimRefreshGolden, SmtMemoryBound) {
+  // cg.B on nehalem: 20 threads on 16 hardware contexts, so SMT siblings
+  // and bandwidth demand meet in one refresh. A stop frees its core's
+  // sibling from contention while the drop in bus demand speeds up every
+  // other running core. The speed balancer keeps to each NUMA node, so
+  // node 1's eight threads never move and node 0 shares eight contexts
+  // among twelve.
+  NpbProfile prof = npb::by_name("cg.B");
+  prof.phases = 150;
+  ExperimentConfig cfg = scenarios::npb_config(
+      presets::nehalem(), prof, 20, 16, scenarios::Setup::SpeedYield, 1, 7);
+  Fingerprint want;
+  want.events = 19616;
+  want.makespan_s = 1.9346749999999999;
+  want.migrations = {{MigrationCause::LinuxNewIdle, 6},
+                     {MigrationCause::SpeedBalancer, 45}};
+  want.exec_by_core = {
+      {506719, 106497, 0, 0, 0, 0, 632173, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+      {0, 83052, 531748, 0, 0, 686020, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+      {0, 0, 100826, 602573, 0, 0, 0, 500098, 0, 0, 0, 0, 0, 0, 0, 0},
+      {331137, 419166, 0, 54654, 527984, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+      {0, 0, 175212, 613975, 221719, 0, 147557, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+      {0, 443775, 0, 0, 576085, 291801, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+      {0, 0, 179193, 0, 0, 0, 1154945, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+      {608955, 442034, 0, 0, 0, 0, 0, 321341, 0, 0, 0, 0, 0, 0, 0, 0},
+      {0, 0, 0, 0, 0, 0, 0, 0, 1934675, 0, 0, 0, 0, 0, 0, 0},
+      {0, 0, 0, 0, 0, 0, 0, 0, 0, 1934675, 0, 0, 0, 0, 0, 0},
+      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1934675, 0, 0, 0, 0, 0},
+      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1934675, 0, 0, 0, 0},
+      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1934675, 0, 0, 0},
+      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1934675, 0, 0},
+      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1934675, 0},
+      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1934675},
+      {487864, 0, 0, 0, 161351, 0, 0, 646908, 0, 0, 0, 0, 0, 0, 0, 0},
+      {0, 440151, 0, 0, 447536, 0, 0, 466328, 0, 0, 0, 0, 0, 0, 0, 0},
+      {0, 0, 947696, 0, 0, 429759, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+      {0, 0, 0, 663473, 0, 527095, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+  };
+  want.canonical_segments = 1466;
+  want.segment_digest = 9485637418160185108ULL;
+  want.window_digest = 9441070146147831015ULL;
   expect_fingerprint(run(cfg), want);
 }
 
