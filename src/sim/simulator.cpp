@@ -355,7 +355,7 @@ void Simulator::live_tasks(std::vector<Task*>& out) const {
 
 // --- Dispatch engine ----------------------------------------------------
 
-void Simulator::dispatch(CoreId c) {
+void Simulator::dispatch(CoreId c, const Task* stopped) {
   auto& cs = core_at(c);
   // An offline core executes nothing — in particular its idle hook must not
   // fire, or new-idle balancing would pull work into a dead core.
@@ -363,6 +363,7 @@ void Simulator::dispatch(CoreId c) {
   if (cs.running_ref() != nullptr || cs.in_dispatch_ref()) return;
   cs.in_dispatch_ref() = 1;
   Task* pick = cs.queue().pick_next();
+  assert(stopped == nullptr || pick != nullptr);  // The stopped task is queued.
   if (pick == nullptr) {
     // New-idle balancing: give the attached balancer a chance to pull work
     // into this queue before we commit to idling.
@@ -370,14 +371,14 @@ void Simulator::dispatch(CoreId c) {
     pick = cs.queue().pick_next();
   }
   if (pick != nullptr) {
-    start_running(c, *pick);
+    start_running(c, *pick, stopped);
   } else {
     cs.idle_since_ref() = now();
   }
   cs.in_dispatch_ref() = 0;
 }
 
-void Simulator::start_running(CoreId c, Task& t) {
+void Simulator::start_running(CoreId c, Task& t, const Task* stopped) {
   auto& cs = core_at(c);
   assert(cs.running_ref() == nullptr);
   // A task can legitimately arrive here with zero work: migrating a running
@@ -395,6 +396,10 @@ void Simulator::start_running(CoreId c, Task& t) {
   cs.run_start_ref() = now();
   cs.seg_start_ref() = now();
   cs.idle_since_ref() = kNever;
+  const int node = demand_node(t);
+  const StopStage stage{stopped, node,
+                        node_demand_[static_cast<std::size_t>(node)],
+                        system_demand_};
   add_running_demand(t, +1);
   cs.current_speed_ref() = compute_speed(t, c);
 
@@ -409,8 +414,7 @@ void Simulator::start_running(CoreId c, Task& t) {
     slice = cs.queue().timeslice();
   }
   cs.slice_end_ref() = now() + slice;
-  arm_stop(c);
-  refresh_speeds(t);
+  refresh_speeds(t, /*started=*/true, stopped != nullptr ? &stage : nullptr);
 }
 
 void Simulator::flush_accounting(CoreId c) {
@@ -446,7 +450,7 @@ void Simulator::halt_running(CoreId c) {
   cs.running_ref() = nullptr;
   t->state_ref() = TaskState::Runnable;
   add_running_demand(*t, -1);
-  refresh_speeds(*t);
+  refresh_speeds(*t, /*started=*/false);
 }
 
 void Simulator::arm_stop(CoreId c) {
@@ -479,39 +483,51 @@ void Simulator::core_stop(CoreId c) {
   cs.running_ref() = nullptr;
   t->state_ref() = TaskState::Runnable;
   add_running_demand(*t, -1);
-  refresh_speeds(*t);
 
-  if (t->wait_mode_ref() == WaitMode::None && t->remaining_work_ref() <= kWorkEps &&
-      t->warmup_remaining_ref() <= kWorkEps) {
-    t->remaining_work_ref() = 0.0;
-    t->warmup_remaining_ref() = 0.0;
-    if (t->spec().client != nullptr) {
-      t->spec().client->on_work_complete(*this, *t);
-      if (t->state_ref() == TaskState::Runnable && t->wait_mode_ref() == WaitMode::None &&
-          t->remaining_work_ref() <= kWorkEps)
-        throw std::logic_error("TaskClient for '" + t->name() +
-                               "' left the task runnable with no work");
-    } else {
-      finish_task(*t);
-    }
-  } else if (t->state_ref() == TaskState::Runnable && t->wait_mode_ref() == WaitMode::Yield) {
-    cs.queue().requeue_behind(*t);
+  const bool done = t->wait_mode_ref() == WaitMode::None &&
+                    t->remaining_work_ref() <= kWorkEps &&
+                    t->warmup_remaining_ref() <= kWorkEps;
+  if (!done) {
+    // No client code runs before dispatch starts a task here (this one or
+    // the next in line), and nothing on the way reads another core, so
+    // this stop's speed refresh runs inside that start's.
+    if (t->wait_mode_ref() == WaitMode::Yield) cs.queue().requeue_behind(*t);
+    dispatch(c, t);
+    return;
+  }
+  refresh_speeds(*t, /*started=*/false);
+  t->remaining_work_ref() = 0.0;
+  t->warmup_remaining_ref() = 0.0;
+  if (t->spec().client != nullptr) {
+    t->spec().client->on_work_complete(*this, *t);
+    if (t->state_ref() == TaskState::Runnable && t->wait_mode_ref() == WaitMode::None &&
+        t->remaining_work_ref() <= kWorkEps)
+      throw std::logic_error("TaskClient for '" + t->name() +
+                             "' left the task runnable with no work");
+  } else {
+    finish_task(*t);
   }
   dispatch(c);
 }
 
 // --- Speed model --------------------------------------------------------
 
-double Simulator::memory_factor(const Task& t, CoreId c) const {
+double Simulator::memory_factor(const Task& t, CoreId c,
+                                const StopStage* stage) const {
   const int node = t.home_numa() >= 0 ? t.home_numa() : core_info(c).numa_node;
-  return memory_.speed_factor(t, c, node_demand_[static_cast<std::size_t>(node)],
-                              system_demand_);
+  double node_demand = node_demand_[static_cast<std::size_t>(node)];
+  double system_demand = system_demand_;
+  if (stage != nullptr) {
+    if (node == stage->node) node_demand = stage->node_demand;
+    system_demand = stage->system_demand;
+  }
+  return memory_.speed_factor(t, c, node_demand, system_demand);
 }
 
-double Simulator::speed_on(CoreId c, double mem_factor) const {
+double Simulator::speed_on(CoreId c, double mem_factor, CoreId idle) const {
   const CoreInfo& info = core_info(c);
   double s = info.clock_scale;
-  if (info.smt_sibling >= 0 &&
+  if (info.smt_sibling >= 0 && info.smt_sibling != idle &&
       core_store_.running[static_cast<std::size_t>(info.smt_sibling)] != nullptr)
     s *= memory_.params().smt_contention_factor;
   return s * mem_factor;
@@ -520,52 +536,93 @@ double Simulator::speed_on(CoreId c, double mem_factor) const {
 void Simulator::add_running_demand(const Task& t, int sign) {
   const double d = t.spec().mem_bw_demand;
   if (d <= 0.0) return;
-  const int node = t.home_numa() >= 0 ? t.home_numa()
-                                      : topo_.core(t.core()).numa_node;
-  auto& nd = node_demand_[static_cast<std::size_t>(node)];
+  auto& nd = node_demand_[static_cast<std::size_t>(demand_node(t))];
   nd = std::max(0.0, nd + sign * d);
   system_demand_ = std::max(0.0, system_demand_ + sign * d);
 }
 
+namespace {
+
+/// Speeds closer than this re-time nothing.
+bool same_speed(double a, double b) { return std::abs(a - b) < 1e-12; }
+
+}  // namespace
+
 void Simulator::retime(CoreId c, double speed) {
   auto& cs = core_at(c);
-  if (std::abs(speed - cs.current_speed_ref()) < 1e-12) return;
+  if (same_speed(speed, cs.current_speed_ref())) return;
   flush_accounting(c);  // Charge the elapsed part at the old speed.
   cs.current_speed_ref() = speed;
   arm_stop(c);
 }
 
-void Simulator::refresh_speeds(const Task& changed) {
-  if (changed.spec().mem_bw_demand <= 0.0) {
-    // No demand moved: only the SMT sibling's contention changed.
-    if (!topo_.has_smt()) return;
-    const CoreId sib = core_info(changed.core()).smt_sibling;
-    if (sib < 0) return;
-    if (const Task* rt = core_store_.running[static_cast<std::size_t>(sib)])
-      retime(sib, compute_speed(*rt, sib));
-    return;
-  }
-  // Demand moved: re-time every running core. Node and system demand stay
-  // fixed for the loop, so consecutive cores with the same key share one
-  // memory factor (all of them, for one program on a UMA machine).
-  double memo_mi = 0.0;
-  int memo_home = -1;
-  int memo_node = -1;  // No core has node -1: the first running core misses.
-  double memo_factor = 1.0;
-  for (CoreId c = 0; c < num_cores(); ++c) {
-    const Task* rt = core_store_.running[static_cast<std::size_t>(c)];
+void Simulator::refresh_speeds(const Task& changed, bool started,
+                               const StopStage* stage) {
+  const CoreId c = changed.core();
+  const CoreId sib = core_info(c).smt_sibling;
+  // A start or stop with bandwidth demand re-times every running core; one
+  // without changes only the SMT sibling's contention.
+  const bool all_then =
+      stage != nullptr && stage->stopped->spec().mem_bw_demand > 0.0;
+  const bool all_now = changed.spec().mem_bw_demand > 0.0;
+  const bool all = all_then || all_now;
+  // Node and system demand are fixed within each stage, so consecutive
+  // cores with the same key share one memory factor per stage (all of
+  // them, for one program on a UMA machine).
+  struct Memo {
+    double mi = 0.0;
+    int home = -1;
+    int node = -1;  // No core has node -1: the first running core misses.
+    double factor = 1.0;
+  };
+  Memo memo_then;
+  Memo memo_now;
+  const auto factor = [this](Memo& m, const Task& rt, CoreId k,
+                             const StopStage* at) {
+    const double mi = rt.spec().mem_intensity;
+    const int home = rt.home_numa();
+    const int node = core_info(k).numa_node;
+    if (node != m.node || home != m.home || mi != m.mi)
+      m = {mi, home, node, memory_factor(rt, k, at)};
+    return m.factor;
+  };
+  // The stop saw core c idle, and re-timed neither c nor, in the stop's own
+  // stage, the task now started there. A core's speed runs through both
+  // stages as two separate refreshes would set it; it is flushed once at
+  // the old speed and armed once at the new. Cores the start moved are
+  // armed after c, the others before it, each group in core order: the
+  // (time, seq) order two refreshes around c's arm leave.
+  std::uint64_t arm_after = 0;
+  const CoreId lo = all ? 0 : std::max<CoreId>(sib, 0);
+  const CoreId hi = all ? num_cores() : sib + 1;
+  for (CoreId k = lo; k < hi; ++k) {
+    const Task* rt = core_store_.running[static_cast<std::size_t>(k)];
     if (rt == nullptr) continue;
-    const double mi = rt->spec().mem_intensity;
-    const int home = rt->home_numa();
-    const int node = core_info(c).numa_node;
-    if (node != memo_node || home != memo_home || mi != memo_mi) {
-      memo_mi = mi;
-      memo_home = home;
-      memo_node = node;
-      memo_factor = memory_factor(*rt, c);
+    auto& ks = core_at(k);
+    double speed = ks.current_speed_ref();
+    bool moved_then = false;
+    if (stage != nullptr && k != c && (all_then || k == sib)) {
+      const double s = speed_on(k, factor(memo_then, *rt, k, stage), c);
+      moved_then = !same_speed(s, speed);
+      if (moved_then) speed = s;
     }
-    retime(c, speed_on(c, memo_factor));
+    bool moved_now = false;
+    if (all_now || k == sib) {
+      const double s = speed_on(k, factor(memo_now, *rt, k, nullptr));
+      moved_now = !same_speed(s, speed);
+      if (moved_now) speed = s;
+    }
+    if (!moved_then && !moved_now) continue;
+    if (now() > ks.run_start_ref()) flush_accounting(k);  // At the old speed.
+    ks.current_speed_ref() = speed;
+    if (moved_now)
+      arm_after |= 1ULL << k;
+    else
+      arm_stop(k);
   }
+  if (started) arm_stop(c);
+  for (; arm_after != 0; arm_after &= arm_after - 1)
+    arm_stop(std::countr_zero(arm_after));
 }
 
 // --- Placement ------------------------------------------------------------

@@ -235,8 +235,21 @@ class Simulator {
  private:
   static constexpr double kWorkEps = 1e-6;
 
-  void dispatch(CoreId core);
-  void start_running(CoreId core, Task& t);
+  /// A core stop whose speed refresh runs inside the refresh of the start
+  /// that follows it on the same core (see refresh_speeds): the stopped
+  /// task, and the bus demand the stop left. That is the current demand
+  /// except at `node`, the node the start adds to, and system-wide.
+  struct StopStage {
+    const Task* stopped;
+    int node;
+    double node_demand;
+    double system_demand;
+  };
+
+  /// Run the next task on `core`, if any. `stopped`, when set, is the task
+  /// core_stop just stopped here without refreshing speeds.
+  void dispatch(CoreId core, const Task* stopped = nullptr);
+  void start_running(CoreId core, Task& t, const Task* stopped);
   /// Charge the running task's execution since the last flush at the
   /// core's current speed: remaining work, warmup, CPU time, CFS vruntime.
   /// Runs at every speed change; records nothing in Metrics (a stretch's
@@ -254,20 +267,31 @@ class Simulator {
   double compute_speed(const Task& t, CoreId core) const {
     return speed_on(core, memory_factor(t, core));
   }
-  double speed_on(CoreId core, double mem_factor) const;
+  /// `idle`, when set, is a core to count as idle whatever it runs.
+  double speed_on(CoreId core, double mem_factor, CoreId idle = -1) const;
   /// MemoryModel::speed_factor of `t` on `core` at the current node and
-  /// system demand. Depends on `t` and `core` only through (mem_intensity,
-  /// home node, the core's node).
-  double memory_factor(const Task& t, CoreId core) const;
+  /// system demand, or at the demand `stage` left. Depends on `t` and
+  /// `core` only through (mem_intensity, home node, the core's node).
+  double memory_factor(const Task& t, CoreId core,
+                       const StopStage* stage = nullptr) const;
+  /// The NUMA node whose bandwidth `t` uses while it runs on its core.
+  int demand_node(const Task& t) const {
+    return t.home_numa() >= 0 ? t.home_numa() : core_info(t.core()).numa_node;
+  }
   void add_running_demand(const Task& t, int sign);
   /// Give the running task on `core` a new speed: charge the elapsed part
   /// at the old speed and re-arm the stop timer. No-op if it is unchanged.
   void retime(CoreId core, double speed);
-  /// Re-time the running cores a start/stop of `changed` affects: all of
-  /// them when it carries bandwidth demand, else only its SMT sibling.
-  /// Memoizes the memory factor on (mem_intensity, home node, core node),
-  /// the whole of what it depends on while the demand is fixed.
-  void refresh_speeds(const Task& changed);
+  /// Re-time the running cores a start or stop of `changed` affects: all
+  /// of them when it carries bandwidth demand, else only its SMT sibling.
+  /// With `stage`, `changed` has just started on the core `stage` stopped,
+  /// and one pass re-times the cores for both: first as of the stop, then
+  /// as of the start. Each moved core is flushed once at its old speed and
+  /// armed once at its final one; when `started`, the core `changed` runs
+  /// on is armed between the cores only the stop moved and the rest, the
+  /// order two separate refreshes around its arm would leave.
+  void refresh_speeds(const Task& changed, bool started,
+                      const StopStage* stage = nullptr);
   CoreId select_core_fork(const Task& t);
   CoreId select_core_wake(const Task& t);
   CoreId least_loaded_online(std::uint64_t mask) const;
