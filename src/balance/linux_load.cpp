@@ -139,7 +139,7 @@ bool LinuxLoadBalancer::balance_domain(CoreId core, const Domain& dom) {
 }
 
 bool LinuxLoadBalancer::try_pull(CoreId dest, CoreId source, bool allow_hot) {
-  if (source == dest) return false;
+  if (source == dest || sim_->num_unpinned_tasks() == 0) return false;
   auto& candidates = scratch_;
   balance_detail::kernel_movable(*sim_, source, dest, candidates);
   if (candidates.empty()) return false;
@@ -160,7 +160,9 @@ bool LinuxLoadBalancer::try_pull(CoreId dest, CoreId source, bool allow_hot) {
 void LinuxLoadBalancer::newidle_balance(CoreId core) {
   // On the idle transition Linux immediately tries to pull one task from
   // the busiest queue within each domain, bottom-up, without waiting for
-  // the periodic interval. Cache-hot tasks still resist.
+  // the periodic interval. Cache-hot tasks still resist. With every live
+  // task hard-pinned there is nothing it could move.
+  if (sim_->num_unpinned_tasks() == 0) return;
   const auto chain = sim_->domains().domains_for(core);
   for (const std::size_t di : chain) {
     const Domain& dom = sim_->domains().domain(di);

@@ -46,6 +46,7 @@ Simulator::Simulator(const Topology& topo, SimParams params, std::uint64_t seed)
 Task& Simulator::create_task(TaskSpec spec) {
   tasks_.emplace_back(next_task_id_++, std::move(spec), task_store_);
   tasks_.back().sleep_since_ = now();  // Born sleeping.
+  ++num_unpinned_;
   return tasks_.back();
 }
 
@@ -147,6 +148,7 @@ void Simulator::wake_task(Task& t) {
 
 void Simulator::finish_task(Task& t) {
   ++t.wake_seq_;
+  if (t.state_ref() != TaskState::Finished && !t.hard_pinned_) --num_unpinned_;
   switch (t.state_ref()) {
     case TaskState::Finished:
       return;
@@ -213,7 +215,10 @@ bool Simulator::set_affinity(Task& t, std::uint64_t mask, bool hard_pin,
   // old affinity in place; callers must cope, like the real balancer does.
   if ((mask & online_mask()) == 0) return false;
   t.allowed_ = mask;
-  if (hard_pin) t.hard_pinned_ = true;
+  if (hard_pin && !t.hard_pinned_) {
+    t.hard_pinned_ = true;
+    if (t.state_ref() != TaskState::Finished) --num_unpinned_;
+  }
   // A task never placed is on no core, so there is nothing to move: its
   // first wake places it inside the new mask; start_task replaces the mask.
   if (t.state_ref() == TaskState::Finished || t.core_ref() < 0) return true;

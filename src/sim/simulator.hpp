@@ -214,6 +214,10 @@ class Simulator {
     this->core(core).queue().for_each(fn);
   }
 
+  /// Unfinished tasks that are not hard-pinned: the only ones a kernel
+  /// balancer may move. Zero means every kernel pull would find nothing.
+  int num_unpinned_tasks() const { return num_unpinned_; }
+
   /// Every task ever created (ids are dense from 0), including Finished
   /// ones — the audience for whole-run conservation checks, which must sum
   /// over hogs and spikes that live_tasks() no longer reports.
@@ -342,6 +346,7 @@ class Simulator {
   SimTime load_snapshot_time_ = kNever;
 
   int next_task_id_ = 0;
+  int num_unpinned_ = 0;
 };
 
 }  // namespace speedbal

@@ -220,6 +220,29 @@ TEST(Simulator, SetAffinityMovesExcludedTask) {
   EXPECT_FALSE(t.allowed_on(0));
 }
 
+TEST(Simulator, UnpinnedTaskCountFollowsPinsAndFinishes) {
+  // The count kernel balancers skip their scans on: unfinished tasks that
+  // are not hard-pinned. A second hard pin, a soft pin, a pin after the
+  // finish and a second finish each leave it alone.
+  Simulator sim(presets::generic(2));
+  Task& a = sim.create_task({.name = "a"});
+  Task& b = sim.create_task({.name = "b"});
+  Task& c = sim.create_task({.name = "c"});
+  EXPECT_EQ(sim.num_unpinned_tasks(), 3);
+  sim.set_affinity(a, 0b01, /*hard_pin=*/true);
+  sim.set_affinity(a, 0b10, /*hard_pin=*/true);
+  sim.set_affinity(b, 0b10, /*hard_pin=*/false);
+  EXPECT_EQ(sim.num_unpinned_tasks(), 2);
+  sim.finish_task(b);
+  sim.finish_task(b);
+  EXPECT_EQ(sim.num_unpinned_tasks(), 1);
+  sim.finish_task(a);  // Pinned: already not counted.
+  EXPECT_EQ(sim.num_unpinned_tasks(), 1);
+  sim.finish_task(c);
+  sim.set_affinity(c, 0b01, /*hard_pin=*/true);
+  EXPECT_EQ(sim.num_unpinned_tasks(), 0);
+}
+
 TEST(Simulator, SetAffinityOnSleeperLogsTheMigration) {
   // Regression: the fuzz harness's decision-vs-migration cross-check found
   // that moving a *sleeping* task via set_affinity retargeted it silently,
