@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "util/json.hpp"
 
@@ -51,6 +52,21 @@ double parse_number(std::string_view text, std::string_view what) {
     throw std::invalid_argument("bad " + std::string(what) + " value: '" +
                                 std::string(text) + "'");
   return v;
+}
+
+/// How many of `<stem>_us`, `<stem>_ms` and `<stem>_s` the event object
+/// `e` holds; the last one found is stored in `out`, in microseconds.
+int read_time(const JsonValue& e, const std::string& stem, SimTime& out) {
+  int found = 0;
+  for (const auto& [suffix, unit] : {std::pair{"_us", kUsec},
+                                     std::pair{"_ms", kMsec},
+                                     std::pair{"_s", kSec}}) {
+    if (const JsonValue* v = e.find(stem + suffix)) {
+      out = static_cast<SimTime>(v->as_number() * static_cast<double>(unit));
+      ++found;
+    }
+  }
+  return found;
 }
 
 }  // namespace
@@ -164,20 +180,7 @@ PerturbTimeline PerturbTimeline::parse_json(std::string_view text) {
     PerturbEvent ev;
     ev.kind =
         parse_kind(e.at("kind").as_string(), "perturb JSON: unknown kind");
-    int time_keys = 0;
-    if (const JsonValue* v = e.find("at_us")) {
-      ev.at = v->as_int();
-      ++time_keys;
-    }
-    if (const JsonValue* v = e.find("at_ms")) {
-      ev.at = static_cast<SimTime>(v->as_number() * kMsec);
-      ++time_keys;
-    }
-    if (const JsonValue* v = e.find("at_s")) {
-      ev.at = static_cast<SimTime>(v->as_number() * kSec);
-      ++time_keys;
-    }
-    if (time_keys != 1)
+    if (read_time(e, "at", ev.at) != 1)
       throw std::invalid_argument(
           "perturb JSON: each event needs exactly one of at_us/at_ms/at_s");
     if (const JsonValue* v = e.find("core"))
@@ -187,20 +190,7 @@ PerturbTimeline PerturbTimeline::parse_json(std::string_view text) {
       if (ev.scale <= 0.0)
         throw std::invalid_argument("perturb JSON: scale must be > 0");
     }
-    int over_keys = 0;
-    if (const JsonValue* v = e.find("over_us")) {
-      ev.ramp_over = v->as_int();
-      ++over_keys;
-    }
-    if (const JsonValue* v = e.find("over_ms")) {
-      ev.ramp_over = static_cast<SimTime>(v->as_number() * kMsec);
-      ++over_keys;
-    }
-    if (const JsonValue* v = e.find("over_s")) {
-      ev.ramp_over = static_cast<SimTime>(v->as_number() * kSec);
-      ++over_keys;
-    }
-    if (over_keys > 1)
+    if (read_time(e, "over", ev.ramp_over) > 1)
       throw std::invalid_argument(
           "perturb JSON: at most one of over_us/over_ms/over_s");
     if (const JsonValue* v = e.find("steps")) {
