@@ -41,6 +41,8 @@ peak_kb() {
 subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)
 print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)' "$@"
 }
+# The serve episode both memory legs measure.
+serve_spec=("$repo/build/src/servesim" --service-mean-us=500 --utilization=0.85)
 
 tier1() {
   cmake -B "$repo/build" -S "$repo" >/dev/null
@@ -119,7 +121,6 @@ memory_flat_peak() {
   # counters, so quadrupling the simulated time of a serve episode must leave
   # its peak RSS flat. Fails when the 60 s peak exceeds the 15 s peak by more
   # than 10%.
-  serve_spec=("$repo/build/src/servesim" --service-mean-us=500 --utilization=0.85)
   peak15="$(peak_kb "${serve_spec[@]}" --duration-s=15)"
   peak60="$(peak_kb "${serve_spec[@]}" --duration-s=60)"
   echo "servesim peak RSS: ${peak15} KB at 15 s, ${peak60} KB at 60 s"
