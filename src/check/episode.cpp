@@ -22,6 +22,7 @@ constexpr int kQueueFuzzOps = 400;
 /// Simulator is still alive.
 struct Harvest {
   std::vector<TaskSnapshot> snaps;
+  std::vector<CoreSpeed> speeds;
   std::vector<CoreTimes> cores;
   std::vector<MigrationRecord> migrations;
   ServeCounters serve;
@@ -58,6 +59,10 @@ void probe_tick(Simulator& sim, Harvest& h, SimTime horizon) {
   ++h.probes;
   sim.for_each_live_task(
       [&](const Task* t) { snapshot_task(sim, *t, h.snaps); });
+  for (CoreId c = 0; c < sim.num_cores(); ++c)
+    if (const Task* t = sim.core(c).running())
+      h.speeds.push_back({c, t->id(), sim.core(c).current_speed(),
+                          sim.compute_speed(*t, c), sim.now()});
   if (sim.now() + kProbePeriod <= horizon)
     sim.schedule_after(kProbePeriod, [&sim, &h, horizon] {
       probe_tick(sim, h, horizon);
@@ -273,6 +278,7 @@ void run_spmd_episode(const FuzzScenario& sc, EpisodeResult& r) {
 
   check_time_conservation(h.cores, r.violations);
   check_task_placement(h.snaps, r.violations);
+  check_speed_consistency(h.speeds, r.violations);
   check_balancer_rules(sc, cfg, std::move(h.migrations), rec, r.violations);
   if (!r.completed)
     r.violations.push_back(Violation{
@@ -331,6 +337,7 @@ void run_serve_episode(const FuzzScenario& sc, EpisodeResult& r) {
 
   check_time_conservation(h.cores, r.violations);
   check_task_placement(h.snaps, r.violations);
+  check_speed_consistency(h.speeds, r.violations);
   check_serve_counters(h.serve, r.violations);
   check_span_conservation(rec.spans().snapshot(), r.violations);
   check_balancer_rules(sc, cfg, std::move(h.migrations), rec, r.violations);

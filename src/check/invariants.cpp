@@ -89,6 +89,16 @@ void check_task_placement(const std::vector<TaskSnapshot>& tasks,
   }
 }
 
+void check_speed_consistency(const std::vector<CoreSpeed>& speeds,
+                             std::vector<Violation>& out) {
+  for (const CoreSpeed& s : speeds)
+    if (!(std::abs(s.current - s.model) < 1e-12))
+      add(out, "speed-consistency",
+          "core " + std::to_string(s.core) + " at t=" + std::to_string(s.when) +
+              "us: task " + std::to_string(s.task) + " runs at speed " +
+              fmt(s.current) + ", model speed " + fmt(s.model));
+}
+
 void check_speed_rules(const SpeedRuleInputs& in, std::vector<Violation>& out) {
   // Pulls = SpeedBalancer-cause migrations after the attach-time placement.
   std::vector<MigrationRecord> pulls;

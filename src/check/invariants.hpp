@@ -20,7 +20,8 @@ namespace speedbal::check {
 /// "affinity", "numa-block", "cooldown", "threshold", "speed-accounting",
 /// "histogram-merge", "event-queue", "serve-counters",
 /// "cluster-conservation", "span-conservation", "sampling-identity",
-/// "share-conservation", "oscillation", "tuning-thrash", "liveness");
+/// "share-conservation", "oscillation", "tuning-thrash", "speed-consistency",
+/// "liveness");
 /// `detail` is a deterministic human-readable message (fixed-format number
 /// rendering, no pointers or timestamps), so a replayed episode reproduces
 /// the violation byte-for-byte.
@@ -74,6 +75,24 @@ struct TaskSnapshot {
 /// "task-conservation" and "affinity".
 void check_task_placement(const std::vector<TaskSnapshot>& tasks,
                           std::vector<Violation>& out);
+
+/// One running core at a probe: the speed its stop timer was armed at and
+/// the speed the model gives its task for the running set of that instant.
+struct CoreSpeed {
+  int core = -1;
+  std::int64_t task = -1;
+  double current = 0.0;  ///< CoreState::current_speed().
+  double model = 0.0;    ///< Simulator::compute_speed(task, core).
+  SimTime when = 0;      ///< Probe time (for the detail message).
+};
+
+/// Every running core's speed is the model speed of its task on that core,
+/// within 1e-12 (the tolerance below which the simulator re-times nothing).
+/// A start or stop that skips a core whose contention or bus demand it
+/// changed leaves a stale speed, and with it a wrong exec rate and stop
+/// time. Emits "speed-consistency".
+void check_speed_consistency(const std::vector<CoreSpeed>& speeds,
+                             std::vector<Violation>& out);
 
 /// Inputs for the SPEED-balancer rule checks (paper Section 5).
 struct SpeedRuleInputs {

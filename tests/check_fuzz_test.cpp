@@ -294,6 +294,25 @@ TEST(CheckInvariants, CleanCoreTimesPass) {
   EXPECT_TRUE(out.empty()) << format_violations(out);
 }
 
+TEST(CheckInvariants, SpeedConsistencyFiresOnStaleSpeed) {
+  std::vector<Violation> out;
+  // Core 1 still runs at the speed of before a bus-demand change.
+  check_speed_consistency({{0, 3, 0.5, 0.5, msec(5)},
+                           {1, 4, 0.8, 0.5, msec(5)}},
+                          out);
+  ASSERT_EQ(out.size(), 1u) << format_violations(out);
+  EXPECT_EQ(out[0].invariant, "speed-consistency");
+  EXPECT_NE(out[0].detail.find("core 1 "), std::string::npos) << out[0].detail;
+}
+
+TEST(CheckInvariants, SpeedConsistencyPassesWithinTolerance) {
+  std::vector<Violation> out;
+  check_speed_consistency({{0, 3, 0.5, 0.5 + 1e-13, msec(5)},
+                           {1, 4, 1.0, 1.0, msec(5)}},
+                          out);
+  EXPECT_TRUE(out.empty()) << format_violations(out);
+}
+
 TaskSnapshot good_runnable() {
   TaskSnapshot s;
   s.id = 7;
