@@ -401,11 +401,16 @@ void Simulator::start_running(CoreId c, Task& t, const Task* stopped) {
   cs.run_start_ref() = now();
   cs.seg_start_ref() = now();
   cs.idle_since_ref() = kNever;
-  const int node = demand_node(t);
-  const StopStage stage{stopped, node,
-                        node_demand_[static_cast<std::size_t>(node)],
-                        system_demand_};
-  add_running_demand(t, +1);
+  // A stop and the start that follows it here, at the same instant, are one
+  // speed change: the zero-length dip between them is no speed any core
+  // runs at. A swap of equal demand changes no core's memory factor, and
+  // core c is busy before and after, so its SMT sibling's contention holds
+  // too: only c itself is re-timed.
+  const bool neutral = stopped != nullptr && same_demand(*stopped, t);
+  if (!neutral) {
+    if (stopped != nullptr) add_running_demand(*stopped, -1);
+    add_running_demand(t, +1);
+  }
   cs.current_speed_ref() = compute_speed(t, c);
 
   SimTime slice;
@@ -419,7 +424,13 @@ void Simulator::start_running(CoreId c, Task& t, const Task* stopped) {
     slice = cs.queue().timeslice();
   }
   cs.slice_end_ref() = now() + slice;
-  refresh_speeds(t, /*started=*/true, stopped != nullptr ? &stage : nullptr);
+  if (neutral) {
+    arm_stop(c);
+    return;
+  }
+  // A swap that is not neutral moves some node's demand.
+  refresh_speeds(c, stopped != nullptr || t.spec().mem_bw_demand > 0.0,
+                 /*started=*/true);
 }
 
 void Simulator::flush_accounting(CoreId c) {
@@ -455,7 +466,7 @@ void Simulator::halt_running(CoreId c) {
   cs.running_ref() = nullptr;
   t->state_ref() = TaskState::Runnable;
   add_running_demand(*t, -1);
-  refresh_speeds(*t, /*started=*/false);
+  refresh_speeds(c, t->spec().mem_bw_demand > 0.0, /*started=*/false);
 }
 
 void Simulator::arm_stop(CoreId c) {
@@ -487,20 +498,20 @@ void Simulator::core_stop(CoreId c) {
   sync_accounting(c);  // The stretch ends: its segment is recorded.
   cs.running_ref() = nullptr;
   t->state_ref() = TaskState::Runnable;
-  add_running_demand(*t, -1);
 
   const bool done = t->wait_mode_ref() == WaitMode::None &&
                     t->remaining_work_ref() <= kWorkEps &&
                     t->warmup_remaining_ref() <= kWorkEps;
   if (!done) {
     // No client code runs before dispatch starts a task here (this one or
-    // the next in line), and nothing on the way reads another core, so
-    // this stop's speed refresh runs inside that start's.
+    // the next in line), and nothing on the way reads another core, so the
+    // stopped task's demand stays until that start swaps it out.
     if (t->wait_mode_ref() == WaitMode::Yield) cs.queue().requeue_behind(*t);
     dispatch(c, t);
     return;
   }
-  refresh_speeds(*t, /*started=*/false);
+  add_running_demand(*t, -1);
+  refresh_speeds(c, t->spec().mem_bw_demand > 0.0, /*started=*/false);
   t->remaining_work_ref() = 0.0;
   t->warmup_remaining_ref() = 0.0;
   if (t->spec().client != nullptr) {
@@ -517,22 +528,16 @@ void Simulator::core_stop(CoreId c) {
 
 // --- Speed model --------------------------------------------------------
 
-double Simulator::memory_factor(const Task& t, CoreId c,
-                                const StopStage* stage) const {
+double Simulator::memory_factor(const Task& t, CoreId c) const {
   const int node = t.home_numa() >= 0 ? t.home_numa() : core_info(c).numa_node;
-  double node_demand = node_demand_[static_cast<std::size_t>(node)];
-  double system_demand = system_demand_;
-  if (stage != nullptr) {
-    if (node == stage->node) node_demand = stage->node_demand;
-    system_demand = stage->system_demand;
-  }
-  return memory_.speed_factor(t, c, node_demand, system_demand);
+  return memory_.speed_factor(t, c, node_demand_[static_cast<std::size_t>(node)],
+                              system_demand_);
 }
 
-double Simulator::speed_on(CoreId c, double mem_factor, CoreId idle) const {
+double Simulator::speed_on(CoreId c, double mem_factor) const {
   const CoreInfo& info = core_info(c);
   double s = info.clock_scale;
-  if (info.smt_sibling >= 0 && info.smt_sibling != idle &&
+  if (info.smt_sibling >= 0 &&
       core_store_.running[static_cast<std::size_t>(info.smt_sibling)] != nullptr)
     s *= memory_.params().smt_contention_factor;
   return s * mem_factor;
@@ -561,73 +566,37 @@ void Simulator::retime(CoreId c, double speed) {
   arm_stop(c);
 }
 
-void Simulator::refresh_speeds(const Task& changed, bool started,
-                               const StopStage* stage) {
-  const CoreId c = changed.core();
+void Simulator::refresh_speeds(CoreId c, bool demand_moved, bool started) {
   const CoreId sib = core_info(c).smt_sibling;
-  // A start or stop with bandwidth demand re-times every running core; one
-  // without changes only the SMT sibling's contention.
-  const bool all_then =
-      stage != nullptr && stage->stopped->spec().mem_bw_demand > 0.0;
-  const bool all_now = changed.spec().mem_bw_demand > 0.0;
-  const bool all = all_then || all_now;
-  // Node and system demand are fixed within each stage, so consecutive
-  // cores with the same key share one memory factor per stage (all of
-  // them, for one program on a UMA machine).
-  struct Memo {
+  // Node and system demand are fixed for the whole pass, so consecutive
+  // cores with the same key share one memory factor (all of them, for one
+  // program on a UMA machine).
+  struct {
     double mi = 0.0;
     int home = -1;
     int node = -1;  // No core has node -1: the first running core misses.
     double factor = 1.0;
-  };
-  Memo memo_then;
-  Memo memo_now;
-  const auto factor = [this](Memo& m, const Task& rt, CoreId k,
-                             const StopStage* at) {
-    const double mi = rt.spec().mem_intensity;
-    const int home = rt.home_numa();
-    const int node = core_info(k).numa_node;
-    if (node != m.node || home != m.home || mi != m.mi)
-      m = {mi, home, node, memory_factor(rt, k, at)};
-    return m.factor;
-  };
-  // The stop saw core c idle, and re-timed neither c nor, in the stop's own
-  // stage, the task now started there. A core's speed runs through both
-  // stages as two separate refreshes would set it; it is flushed once at
-  // the old speed and armed once at the new. Cores the start moved are
-  // armed after c, the others before it, each group in core order: the
-  // (time, seq) order two refreshes around c's arm leave.
-  std::uint64_t arm_after = 0;
-  const CoreId lo = all ? 0 : std::max<CoreId>(sib, 0);
-  const CoreId hi = all ? num_cores() : sib + 1;
+  } memo;
+  std::uint64_t moved = 0;
+  const CoreId lo = demand_moved ? 0 : std::max<CoreId>(sib, 0);
+  const CoreId hi = demand_moved ? num_cores() : sib + 1;
   for (CoreId k = lo; k < hi; ++k) {
     const Task* rt = core_store_.running[static_cast<std::size_t>(k)];
     if (rt == nullptr) continue;
+    const double mi = rt->spec().mem_intensity;
+    const int home = rt->home_numa();
+    const int node = core_info(k).numa_node;
+    if (node != memo.node || home != memo.home || mi != memo.mi)
+      memo = {mi, home, node, memory_factor(*rt, k)};
+    const double speed = speed_on(k, memo.factor);
     auto& ks = core_at(k);
-    double speed = ks.current_speed_ref();
-    bool moved_then = false;
-    if (stage != nullptr && k != c && (all_then || k == sib)) {
-      const double s = speed_on(k, factor(memo_then, *rt, k, stage), c);
-      moved_then = !same_speed(s, speed);
-      if (moved_then) speed = s;
-    }
-    bool moved_now = false;
-    if (all_now || k == sib) {
-      const double s = speed_on(k, factor(memo_now, *rt, k, nullptr));
-      moved_now = !same_speed(s, speed);
-      if (moved_now) speed = s;
-    }
-    if (!moved_then && !moved_now) continue;
+    if (same_speed(speed, ks.current_speed_ref())) continue;
     if (now() > ks.run_start_ref()) flush_accounting(k);  // At the old speed.
     ks.current_speed_ref() = speed;
-    if (moved_now)
-      arm_after |= 1ULL << k;
-    else
-      arm_stop(k);
+    moved |= 1ULL << k;
   }
   if (started) arm_stop(c);
-  for (; arm_after != 0; arm_after &= arm_after - 1)
-    arm_stop(std::countr_zero(arm_after));
+  for (; moved != 0; moved &= moved - 1) arm_stop(std::countr_zero(moved));
 }
 
 // --- Placement ------------------------------------------------------------
