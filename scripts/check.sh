@@ -172,10 +172,11 @@ spmd_smoke() {
   # far/near ties and the per-core timers included — plus the
   # exec-conservation probes that read the metrics exec table mid-run.
   "$repo/build/src/fuzzsim" --episodes=25 --mode=spmd --seed=505
-  # Jobs-identity on a saturated bus: cg.B's every dispatch re-times all
-  # running cores, so this puts the per-core stop timers and the
-  # one-segment-per-stretch run log under the oracle. Two replicas run
-  # serially and in parallel must write byte-identical reports.
+  # Jobs-identity on a saturated bus: cg.B re-times all running cores at
+  # each barrier arrival and the restart that follows it, so this puts the
+  # per-core stop timers and the one-segment-per-stretch run log under the
+  # oracle. Two replicas run serially and in parallel must write
+  # byte-identical reports.
   for j in 1 2; do
     "$repo/build/src/simrun" --bench=cg.B --threads=16 --cores=12 --repeats=2 \
       --seed=7 --jobs="$j" --report-json="$repo/build/spmd_cgB_jobs$j.json" \
