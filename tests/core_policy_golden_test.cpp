@@ -1,8 +1,9 @@
 // Golden fingerprints of every balancer stack a run can attach: the batch
 // (spmd) experiment under each policy, the serving runtime under ULE, SHARE
 // and SPEED with least-loaded dispatch, a DWRR serve episode on NUMA
-// barcelona with hotplug and an overflowing run-segment cap, and a recorded
-// SPEED cluster episode with a pool migration. Each case pins the run's
+// barcelona with hotplug and an overflowing run-segment cap, a recorded
+// SPEED cluster episode with a pool migration, and the user-level count
+// balancer of the speed-metric ablation. Each case pins the run's
 // results exactly (runtimes as hexfloats) together with an FNV-1a digest of
 // its full JSON run report, so any change to which balancer attaches when,
 // in what order, or with which recorder moves a pinned value. Between them
@@ -15,16 +16,22 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
 
+#include "app/multiprog.hpp"
+#include "app/spmd.hpp"
+#include "balance/linux_load.hpp"
+#include "balance/userlevel_count.hpp"
 #include "cluster/cluster.hpp"
 #include "core/scenarios.hpp"
 #include "serve/scenarios.hpp"
 #include "topo/presets.hpp"
 #include "util/json.hpp"
+#include "workload/generator.hpp"
 #include "workload/npb.hpp"
 
 namespace speedbal {
@@ -270,6 +277,48 @@ TEST(PolicyGolden, SpeedEmptyCoresAndSmt) {
             "done 0x1.01c26dce39b45p+0 policy=14 [ linux-newidle=2 speed=14 ]"
             " report=93f26755dc658a2d");
   EXPECT_GT(smt.timeline().size(), 0u);
+}
+
+/// bench/ablation_speed_metric's run, cut short: tigerton under the kernel
+/// LOAD balancer plus the user-level CountBalancer on the first `cores`
+/// cores, a uniform app of `threads` threads and four phases, optionally a
+/// cpu-hog on core 0. Gives the elapsed time (hexfloat), the migrations by
+/// cause and each thread's final core and migration count.
+std::string run_count(bool with_hog, int threads, int cores,
+                      std::uint64_t seed) {
+  Simulator sim(presets::tigerton(), {}, seed);
+  LinuxLoadBalancer lb;
+  lb.attach(sim);
+  std::unique_ptr<CpuHog> hog;
+  if (with_hog) {
+    hog = std::make_unique<CpuHog>(sim);
+    hog->launch(0);
+  }
+  SpmdApp app(sim, workload::uniform_app(threads, 4, 1e6 / 4));
+  app.launch(SpmdApp::Placement::LinuxFork, workload::first_cores(cores));
+  CountBalancer count({}, app.threads(), workload::first_cores(cores));
+  count.attach(sim);
+  sim.run_while_pending([&] { return app.finished(); }, sec(60));
+
+  std::ostringstream os;
+  os << (app.finished() ? "done " : "capped ") << hexfloat(to_sec(app.elapsed()))
+     << " [";
+  for (const auto& [cause, n] : sim.metrics().migration_counts_by_cause())
+    os << " " << to_string(cause) << "=" << n;
+  os << " ]";
+  for (const Task* t : app.threads())
+    os << " " << t->core() << "/" << t->migrations();
+  return os.str();
+}
+
+TEST(PolicyGolden, CountBalancer) {
+  // The attach-time round-robin pin books one affinity move per thread
+  // that LinuxFork placed elsewhere; the count pulls follow.
+  EXPECT_EQ(run_count(false, 3, 2, 11),
+            "done 0x1.a6ea747d805e6p+0 [ affinity=7 ] 0/3 1/2 0/2");
+  EXPECT_EQ(run_count(true, 8, 8, 11),
+            "done 0x1.000029f16b11cp+1 [ affinity=6 linux-newidle=1 ]"
+            " 0/1 1/1 2/0 3/2 4/0 5/1 6/1 7/1");
 }
 
 /// Four generic4 cores serving exponential 2 ms requests at utilization 0.7
