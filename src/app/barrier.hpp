@@ -33,8 +33,6 @@ struct BarrierConfig {
   SimTime block_time = msec(200);
   /// SleepPoll policy: period of each short block.
   SimTime poll_period = msec(1);
-  /// CPU cost of one barrier poll check (flag read + yield/usleep setup).
-  SimTime poll_cost = usec(2);
 };
 
 }  // namespace speedbal

@@ -4,6 +4,12 @@
 #include <stdexcept>
 
 namespace speedbal {
+namespace {
+
+/// CPU cost of one SleepPoll barrier check (flag read + yield/usleep setup).
+constexpr SimTime kPollCost = usec(2);
+
+}  // namespace
 
 SpmdApp::SpmdApp(Simulator& sim, SpmdAppSpec spec)
     : sim_(sim), spec_(std::move(spec)), rng_(0) {
@@ -65,7 +71,7 @@ void SpmdApp::on_work_complete(Simulator& sim, Task& task) {
 
   if (st.in_barrier) {
     // A SleepPoll check ran and the barrier is still closed: poll again.
-    sim.assign_work(task, static_cast<double>(spec_.barrier.poll_cost));
+    sim.assign_work(task, static_cast<double>(kPollCost));
     sim.sleep_task_for(task, spec_.barrier.poll_period);
     return;
   }
@@ -110,7 +116,7 @@ void SpmdApp::arrive(Simulator& sim, Task& task) {
     }
     case WaitPolicy::SleepPoll:
       // usleep(1)-style: block briefly, wake, re-check, block again.
-      sim.assign_work(task, static_cast<double>(spec_.barrier.poll_cost));
+      sim.assign_work(task, static_cast<double>(kPollCost));
       sim.sleep_task_for(task, spec_.barrier.poll_period);
       break;
   }

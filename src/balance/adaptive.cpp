@@ -12,6 +12,30 @@ namespace speedbal {
 namespace {
 /// Portfolio index of the arm anticipation jumps to.
 constexpr int kAggressiveArm = 1;
+/// Reward penalty per speed-balancer migration per sample (churn cost).
+constexpr double kChurnPenalty = 0.02;
+/// Reward penalty per queued-request-per-worker (serve stacks feed the
+/// congestion probe; batch stacks leave it at zero input).
+constexpr double kCongestionPenalty = 0.01;
+/// Anticipation trip: when the dispersion forecast exceeds this level and
+/// the smoothed slope is rising faster than kSlopeTrip per epoch, jump to
+/// the aggressive arm before the stall finishes forming. The level sits
+/// well above the measurement-noise floor (CV ~0.02-0.05) and well below
+/// a DVFS-step signature (CV ~0.4 on four cores).
+constexpr double kTripThreshold = 0.12;
+constexpr double kSlopeTrip = 0.01;
+/// Forecast horizon, in epochs, for the trip test.
+constexpr double kLookaheadEpochs = 2.0;
+/// Minimum epochs between anticipation jumps (on top of the dwell).
+constexpr int kAnticipationCooldownEpochs = 8;
+/// Congestion gate: when the congestion EWMA (queued requests per worker)
+/// exceeds this, the controller retreats to — and parks on — the base
+/// arm: no bootstrap exploration, no anticipation jump, no hold, no
+/// greedy movement until the backlog drains. Experimenting with the
+/// balance constants while requests are backed up trades tail latency
+/// for nothing. Batch stacks never feed congestion, so the gate is
+/// always open there.
+constexpr double kCongestionGate = 0.5;
 }  // namespace
 
 std::vector<TuningArm> default_portfolio(const SpeedBalanceParams& base) {
@@ -137,8 +161,8 @@ void AdaptiveSpeedBalancer::close_epoch(std::int64_t ts_us) {
                        static_cast<double>(samples_per_epoch_);
   last_pulls_ = pulls;
 
-  const double reward = -predictor_.level() - params_.churn_penalty * churn -
-                        params_.congestion_penalty * congestion_ewma_;
+  const double reward = -predictor_.level() - kChurnPenalty * churn -
+                        kCongestionPenalty * congestion_ewma_;
   ArmStats& incumbent = stats_[static_cast<std::size_t>(current_arm_)];
   ++incumbent.visits;
   incumbent.mean_reward +=
@@ -147,7 +171,7 @@ void AdaptiveSpeedBalancer::close_epoch(std::int64_t ts_us) {
   ++epoch_;
   const int prev = current_arm_;
   const bool dwell_ok = epoch_ - last_change_epoch_ >= params_.min_dwell_epochs;
-  const double predicted = predictor_.forecast(params_.lookahead_epochs);
+  const double predicted = predictor_.forecast(kLookaheadEpochs);
   obs::TuningOutcome outcome = obs::TuningOutcome::Kept;
 
   int unvisited = -1;
@@ -158,10 +182,10 @@ void AdaptiveSpeedBalancer::close_epoch(std::int64_t ts_us) {
     }
   }
 
-  const bool congestion_ok = congestion_ewma_ <= params_.congestion_gate;
+  const bool congestion_ok = congestion_ewma_ <= kCongestionGate;
   const bool tripping = predictor_.primed() &&
-                        predicted > params_.trip_threshold &&
-                        predictor_.slope() > params_.slope_trip;
+                        predicted > kTripThreshold &&
+                        predictor_.slope() > kSlopeTrip;
   // A disturbance forming while the controller already sits on the
   // aggressive arm (greedy put it there) arms the hold the same way an
   // anticipation switch would — the trip condition is what matters, not
@@ -170,7 +194,7 @@ void AdaptiveSpeedBalancer::close_epoch(std::int64_t ts_us) {
     holding_ = true;
 
   if (holding_ && congestion_ok && current_arm_ == kAggressiveArm &&
-      predicted > params_.trip_threshold) {
+      predicted > kTripThreshold) {
     // Hold: the disturbance that tripped anticipation is still in force.
     // The greedy comparison below must not run here — quiet-phase reward
     // history would pull the controller off the aggressive arm mid-ramp
@@ -203,7 +227,7 @@ void AdaptiveSpeedBalancer::close_epoch(std::int64_t ts_us) {
     }
   } else if (tripping && current_arm_ != kAggressiveArm &&
              epoch_ - last_anticipation_epoch_ >=
-                 params_.anticipation_cooldown_epochs) {
+                 kAnticipationCooldownEpochs) {
     // Predictor trip: dispersion is high and still rising (a DVFS ramp or
     // hog onset forming) — shorten the interval before the stall, not
     // after. The slope condition is what keeps a merely-high steady state

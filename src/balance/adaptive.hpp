@@ -56,30 +56,6 @@ struct AdaptiveParams {
   /// dwell gate this is what makes the trajectory converge under a constant
   /// perturbation).
   double hysteresis = 0.02;
-  /// Reward penalty per speed-balancer migration per sample (churn cost).
-  double churn_penalty = 0.02;
-  /// Reward penalty per queued-request-per-worker (serve stacks feed the
-  /// congestion probe; batch stacks leave it at zero input).
-  double congestion_penalty = 0.01;
-  /// Anticipation trip: when the dispersion forecast exceeds this level and
-  /// the smoothed slope is rising faster than slope_trip per epoch, jump to
-  /// the aggressive arm before the stall finishes forming. The default sits
-  /// well above the measurement-noise floor (CV ~0.02-0.05) and well below
-  /// a DVFS-step signature (CV ~0.4 on four cores).
-  double trip_threshold = 0.12;
-  double slope_trip = 0.01;
-  /// Forecast horizon, in epochs, for the trip test.
-  double lookahead_epochs = 2.0;
-  /// Minimum epochs between anticipation jumps (on top of the dwell).
-  int anticipation_cooldown_epochs = 8;
-  /// Congestion gate: when the congestion EWMA (queued requests per worker)
-  /// exceeds this, the controller retreats to — and parks on — the base
-  /// arm: no bootstrap exploration, no anticipation jump, no hold, no
-  /// greedy movement until the backlog drains. Experimenting with the
-  /// balance constants while requests are backed up trades tail latency
-  /// for nothing. Batch stacks never feed congestion, so the gate is
-  /// always open there.
-  double congestion_gate = 0.5;
 };
 
 namespace adapt {

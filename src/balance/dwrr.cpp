@@ -4,13 +4,19 @@
 #include <limits>
 
 namespace speedbal {
+namespace {
+
+/// Granularity at which round accounting is checked (the timer tick).
+constexpr SimTime kTick = msec(10);
+
+}  // namespace
 
 DwrrBalancer::DwrrBalancer(DwrrParams params) : params_(params) {}
 
 void DwrrBalancer::attach(Simulator& sim) {
   sim_ = &sim;
   for (CoreId c = 0; c < sim.num_cores(); ++c) round_[c] = 0;
-  if (params_.automatic) sim.schedule_after(params_.tick, [this] { tick(); });
+  if (params_.automatic) sim.schedule_after(kTick, [this] { tick(); });
 }
 
 int DwrrBalancer::round(CoreId c) const { return round_.at(c); }
@@ -29,7 +35,7 @@ void DwrrBalancer::tick() {
     if (try_steal(c)) continue;
     if (core_has_parked(c)) advance_round(c);
   }
-  if (params_.automatic) sim_->schedule_after(params_.tick, [this] { tick(); });
+  if (params_.automatic) sim_->schedule_after(kTick, [this] { tick(); });
 }
 
 void DwrrBalancer::expire_over_budget() {

@@ -12,8 +12,6 @@ struct DwrrParams {
   /// Round slice: CPU time each task may consume per round (100 ms in the
   /// 2.6.22-based implementation the paper evaluates).
   SimTime round_slice = msec(100);
-  /// Granularity at which round accounting is checked (the timer tick).
-  SimTime tick = msec(10);
   /// When false, attach() only initializes state; tests call tick_once().
   bool automatic = true;
 };

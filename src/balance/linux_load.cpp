@@ -6,6 +6,16 @@
 #include "util/log.hpp"
 
 namespace speedbal {
+namespace {
+
+/// Granularity of the per-core balancing check (the timer tick at which
+/// rebalance_domains runs; ~10ms on a server HZ=100 kernel).
+constexpr SimTime kTick = msec(10);
+/// Failed balance attempts on a domain before the migration thread actively
+/// pushes the running task of the busiest queue to an idle core.
+constexpr int kFailuresBeforePush = 4;
+
+}  // namespace
 
 LinuxLoadBalancer::LinuxLoadBalancer(LinuxLoadParams params)
     : params_(params) {}
@@ -19,19 +29,18 @@ void LinuxLoadBalancer::attach(Simulator& sim) {
     state_[static_cast<std::size_t>(c)].resize(sim.domains().domains_for(c).size());
 
   if (!params_.automatic) return;
-  if (params_.newidle)
-    sim.set_idle_hook([this](CoreId c) { newidle_balance(c); });
+  sim.set_idle_hook([this](CoreId c) { newidle_balance(c); });
 
   // Stagger the per-core ticks so balancing passes do not herd.
   for (CoreId c = 0; c < n; ++c) {
-    const SimTime offset = params_.tick * (c + 1) / (n + 1);
-    sim.schedule_after(params_.tick + offset, [this, c] { tick(c); });
+    const SimTime offset = kTick * (c + 1) / (n + 1);
+    sim.schedule_after(kTick + offset, [this, c] { tick(c); });
   }
 }
 
 void LinuxLoadBalancer::tick(CoreId core) {
   rebalance_core(core);
-  sim_->schedule_after(params_.tick, [this, core] { tick(core); });
+  sim_->schedule_after(kTick, [this, core] { tick(core); });
 }
 
 void LinuxLoadBalancer::rebalance_core(CoreId core) {
@@ -115,7 +124,7 @@ bool LinuxLoadBalancer::balance_domain(CoreId core, const Domain& dom) {
   }
 
   ++fails;
-  if (fails >= params_.failures_before_push) {
+  if (fails >= kFailuresBeforePush) {
     // Migration-thread escalation: actively push the running task of the
     // busiest queue to an idle core (it does not finish its quantum).
     Task* victim = sim_->core(source).running();

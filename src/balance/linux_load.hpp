@@ -12,21 +12,14 @@ namespace speedbal {
 /// paper). Per-domain balance intervals and imbalance percentages come from
 /// the DomainTree; these are the remaining kernel knobs.
 struct LinuxLoadParams {
-  /// Granularity of the per-core balancing check (the timer tick at which
-  /// rebalance_domains runs; ~10ms on a server HZ=100 kernel).
-  SimTime tick = msec(10);
   /// A task that executed on its core within this window is "cache hot" and
   /// resists migration.
   SimTime cache_hot_time = msec(5);
   /// Failed balance attempts on a domain before cache-hot tasks may move.
   int failures_before_hot = 2;
-  /// Additional failures before the migration thread actively pushes the
-  /// running task of the busiest queue to an idle core.
-  int failures_before_push = 4;
-  /// Model the new-idle balance (pull on idle transition).
-  bool newidle = true;
   /// When false, attach() initializes state but schedules no periodic ticks
-  /// and registers no idle hook — tests drive rebalance_core directly.
+  /// and registers no idle hook (the new-idle pull) — tests drive
+  /// rebalance_core directly.
   bool automatic = true;
 };
 

@@ -12,8 +12,12 @@
 
 namespace speedbal {
 
-/// Default hot-potato guard in balance intervals, shared by the simulated
-/// (SpeedBalanceParams::hot_potato_guard) and the native balancer.
+/// Hot-potato guard in balance intervals, shared by the simulated and the
+/// native balancer: a thread whose last speed-balancer pull moved it from
+/// core A to core B cannot be pulled back B -> A for this many balance
+/// intervals. The least-migrated victim rule makes ping-pong rare but not
+/// impossible (a two-thread tie can alternate); the guard makes the
+/// oscillation invariant hold by construction.
 inline constexpr int kHotPotatoGuard = 3;
 
 /// A managed thread (sim TaskId or native tid), the core it was measured

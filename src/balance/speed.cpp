@@ -8,6 +8,13 @@
 #include "util/log.hpp"
 
 namespace speedbal {
+namespace {
+
+/// Speed weight of a thread whose core's SMT sibling context is also busy
+/// (read under SpeedBalanceParams::smt_aware).
+constexpr double kSmtDiscount = 0.65;
+
+}  // namespace
 
 SpeedBalancer::SpeedBalancer(SpeedBalanceParams params,
                              std::vector<Task*> managed,
@@ -22,18 +29,10 @@ void SpeedBalancer::attach(Simulator& sim) {
   snapshots_.assign(n, {});
   snapshot_time_.assign(n, SimTime{0});
 
-  std::uint64_t mask = 0;
-  for (CoreId c : cores_) mask |= 1ULL << c;
-
-  if (params_.initial_round_robin) {
-    // Pin each thread to a core, round-robin across the managed cores, so
-    // hardware parallelism is maximally exploited regardless of how the
-    // kernel placed the threads at fork (Section 5.2).
-    pin_round_robin(sim, managed_, cores_, 0, MigrationCause::SpeedBalancer);
-  } else {
-    for (Task* t : managed_)
-      sim.set_affinity(*t, mask, /*hard_pin=*/true, MigrationCause::SpeedBalancer);
-  }
+  // Pin each thread to a core, round-robin across the managed cores, so
+  // hardware parallelism is maximally exploited regardless of how the
+  // kernel placed the threads at fork (Section 5.2).
+  pin_round_robin(sim, managed_, cores_, 0, MigrationCause::SpeedBalancer);
 
   // One balancer per managed core, each with an independent phase.
   for (CoreId c : cores_) {
@@ -119,7 +118,7 @@ int SpeedBalancer::measure_core_speeds(CoreId local) {
       // A hardware context whose sibling is also busy delivers less real
       // progress than its CPU-time share suggests (Section 6, Nehalem).
       const CoreId sib = sim_->topo().core(t->core()).smt_sibling;
-      if (sib >= 0 && ((occupied >> sib) & 1ULL) != 0) s *= params_.smt_discount;
+      if (sib >= 0 && ((occupied >> sib) & 1ULL) != 0) s *= kSmtDiscount;
     }
     if (params_.measurement_noise > 0.0)
       s = std::max(0.0, s * (1.0 + rng_.normal(0.0, params_.measurement_noise)));
@@ -178,7 +177,7 @@ void SpeedBalancer::balance_once(CoreId local) {
   const PullLimits limits{params_.threshold,
                           params_.post_migration_block * params_.interval,
                           params_.shared_cache_block_scale,
-                          params_.hot_potato_guard * params_.interval};
+                          kHotPotatoGuard * params_.interval};
   obs::DecisionRecord pull = rule_.decide(
       base, speeds_.speed(), speeds_.present(), speeds_.threads(),
       sim_->now(), limits, veto,

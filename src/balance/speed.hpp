@@ -37,19 +37,12 @@ struct SpeedBalanceParams {
   /// between cores that share a cache", Section 5.2). 0.5 = twice as often;
   /// the paper's reported experiments use a uniform interval (1.0).
   double shared_cache_block_scale = 1.0;
-  /// Hot-potato guard: a thread whose last speed-balancer pull moved it
-  /// from core A to core B cannot be pulled back B -> A for this many
-  /// balance intervals. The least-migrated victim rule makes ping-pong
-  /// rare but not impossible (a two-thread tie can alternate); the guard
-  /// makes the oscillation invariant hold by construction. 0 disables.
-  int hot_potato_guard = kHotPotatoGuard;
   /// Weight a thread's measured speed down when its core's SMT sibling
   /// context is also busy (the Nehalem adaptation the paper lists as future
   /// work in Section 6: "a task running on a 'core' where both hardware
   /// contexts are utilized will run slower than when running on a core by
   /// itself"). Off by default, as in the paper.
   bool smt_aware = false;
-  double smt_discount = 0.65;
   /// Relative standard deviation of multiplicative noise applied to each
   /// measured thread speed, modeling taskstats timing jitter (Section 5.2:
   /// "there is a certain amount of noise in the measurements"; the speed
@@ -61,9 +54,6 @@ struct SpeedBalanceParams {
   /// Delay before the balancer starts (the paper's startup delay while the
   /// PIDs of the application's threads appear in /proc).
   SimTime startup_delay = 0;
-  /// Re-pin the managed threads round-robin across the managed cores at
-  /// attach time (the paper's initial distribution).
-  bool initial_round_robin = true;
   /// Weight each thread's measured speed by its core's relative clock
   /// speed — the paper's adaptation for asymmetric systems (Sections 4/5:
   /// "can be easily adapted to capture behavior in asymmetric systems" by
@@ -79,7 +69,8 @@ struct SpeedBalanceParams {
   /// Threads with negligible demand in an interval carry no speed signal
   /// and are skipped. Off by default (the paper's batch semantics).
   bool demand_scaled = false;
-  /// When false, attach() pins and initializes state but schedules no
+  /// When false, attach() pins (round-robin across the managed cores, the
+  /// paper's initial distribution) and initializes state but schedules no
   /// periodic balancer wake-ups — tests drive balance_once directly.
   bool automatic = true;
 };

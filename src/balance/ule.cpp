@@ -3,18 +3,24 @@
 #include <limits>
 
 namespace speedbal {
+namespace {
+
+/// The push balancer runs twice a second.
+constexpr SimTime kPushInterval = msec(500);
+
+}  // namespace
 
 UleBalancer::UleBalancer(UleParams params) : params_(params) {}
 
 void UleBalancer::attach(Simulator& sim) {
   sim_ = &sim;
   if (params_.automatic)
-    sim.schedule_after(params_.push_interval, [this] { tick(); });
+    sim.schedule_after(kPushInterval, [this] { tick(); });
 }
 
 void UleBalancer::tick() {
   push_once();
-  sim_->schedule_after(params_.push_interval, [this] { tick(); });
+  sim_->schedule_after(kPushInterval, [this] { tick(); });
 }
 
 void UleBalancer::push_once() {

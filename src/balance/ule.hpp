@@ -6,8 +6,6 @@ namespace speedbal {
 
 /// Tunables of the FreeBSD ULE push-migration model (Section 2).
 struct UleParams {
-  /// The push balancer runs twice a second.
-  SimTime push_interval = msec(500);
   /// Minimum queue-length difference before a migration happens. The
   /// FreeBSD 7.2 default does not move threads "when a static balance is
   /// not attainable" (a difference of one); kern.sched.steal_thresh=1

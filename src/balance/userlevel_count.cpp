@@ -12,8 +12,7 @@ CountBalancer::CountBalancer(CountBalanceParams params,
 void CountBalancer::attach(Simulator& sim) {
   sim_ = &sim;
   rng_ = sim.rng().fork();
-  if (params_.initial_round_robin)
-    pin_round_robin(sim, managed_, cores_, 0, MigrationCause::Affinity);
+  pin_round_robin(sim, managed_, cores_, 0, MigrationCause::Affinity);
   if (!params_.automatic) return;
   for (CoreId c : cores_) {
     const SimTime jitter =

@@ -14,7 +14,6 @@ struct CountBalanceParams {
   SimTime interval = msec(100);
   int post_migration_block = 2;
   bool block_numa = true;
-  bool initial_round_robin = true;
   bool automatic = true;
 };
 

@@ -205,7 +205,7 @@ TuningRuleInputs tuning_inputs(const FuzzScenario& sc,
                                const AdaptiveParams& adaptive) {
   TuningRuleInputs in;
   in.interval = speed.interval;
-  in.hot_potato_guard = speed.hot_potato_guard;
+  in.hot_potato_guard = kHotPotatoGuard;
   in.min_dwell_epochs = adaptive.min_dwell_epochs;
   if (sc.adaptive) in.portfolio = default_portfolio(speed);
   return in;

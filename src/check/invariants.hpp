@@ -133,7 +133,7 @@ void check_speed_rules(const SpeedRuleInputs& in, std::vector<Violation>& out);
 /// self-tuning must not oscillate).
 struct TuningRuleInputs {
   SimTime interval = msec(100);  ///< Base balance interval (portfolio arm 0).
-  int hot_potato_guard = 3;      ///< SpeedBalanceParams::hot_potato_guard.
+  int hot_potato_guard = 3;      ///< The balancers' kHotPotatoGuard.
   int min_dwell_epochs = 4;      ///< AdaptiveParams::min_dwell_epochs.
   /// The controller's arm set; empty skips the arm-membership check (e.g. a
   /// cluster node whose per-node trajectory went unrecorded).

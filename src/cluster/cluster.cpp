@@ -327,11 +327,14 @@ void ClusterSim::epoch() {
         }
       }
     }
-    // The improvement gate: the backlog moves with the pool, so a
-    // destination that would end up roughly as loaded as the source is no
-    // fix — demand a real win or stay put.
-    const double required =
-        (1.0 - config_.rebalance.min_improvement) * max_load;
+    // The improvement gate: migrate only when the best destination's
+    // predicted capacity-scaled ratio (pool backlog included) undercuts the
+    // source node's by at least this fraction. A pool's backlog travels with
+    // it, so moving it between equally healthy machines fixes nothing —
+    // without this gate the hottest-node title follows the backlog and the
+    // pool bounces every post-cooldown epoch until the backlog drains.
+    constexpr double kMinImprovement = 0.25;
+    const double required = (1.0 - kMinImprovement) * max_load;
     if (candidate < 0 || coldest < 0 || best_predicted >= required) {
       rec.outcome = obs::RebalanceOutcome::NoCandidate;
     } else {

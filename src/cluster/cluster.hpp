@@ -35,13 +35,6 @@ struct RebalanceParams {
   /// drained queues and warmup make loads stale, like the paper's
   /// two-interval post-migration block.
   int cooldown_epochs = 2;
-  /// Migrate only when the best destination's predicted capacity-scaled
-  /// ratio (pool backlog included) undercuts the source node's by at least
-  /// this fraction. A pool's backlog travels with it, so moving it between
-  /// equally healthy machines fixes nothing — without this gate the
-  /// hottest-node title follows the backlog and the pool bounces every
-  /// post-cooldown epoch until the backlog drains.
-  double min_improvement = 0.25;
 };
 
 /// One simulated cluster: `nodes` machines (one Simulator each, running the

@@ -8,7 +8,7 @@
 namespace speedbal {
 
 /// Parameters of the memory-system model: migration cache-refill costs,
-/// NUMA remote-access penalties, bandwidth saturation, and SMT contention.
+/// NUMA remote-access penalties and bandwidth saturation.
 /// Defaults are calibrated to the figures the paper cites: migration costs
 /// range from microseconds (footprint within cache) to ~2 ms (larger than
 /// cache) on the UMA Intel systems (Li et al., quoted in Section 4).
@@ -23,8 +23,6 @@ struct MemoryModelParams {
   double numa_refill_factor = 2.0;
   /// Steady-state slowdown of memory accesses to a remote NUMA node.
   double numa_remote_penalty = 0.4;
-  /// Slowdown of each hardware context when its SMT sibling is busy.
-  double smt_contention_factor = 0.65;
   /// Aggregate memory bandwidth capacity, in units of "one fully
   /// memory-bound task", per NUMA node and for the whole system. A UMA
   /// front-side-bus machine is modeled with a low system capacity; a NUMA

@@ -18,11 +18,6 @@ struct CfsParams {
   /// A waking task preempts the current one only if its vruntime is behind
   /// by more than this.
   SimTime wakeup_granularity = msec(1);
-  /// CPU time a yield-polling task consumes per sched_yield round trip.
-  SimTime yield_check = usec(5);
-  /// Timeslice given to a yield-waiting task when every runnable task on the
-  /// core is also yield-waiting (coarsening only; occupancy is equivalent).
-  SimTime yield_idle_slice = msec(1);
 };
 
 /// Per-core CFS run queue: tasks ordered by virtual runtime; the leftmost

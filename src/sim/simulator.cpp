@@ -10,6 +10,23 @@
 #include "util/log.hpp"
 
 namespace speedbal {
+namespace {
+
+/// NUMA first-touch model: a task's memory home node is fixed where it is
+/// running once it has accumulated this much execution. Real applications
+/// allocate their working set a little into the run — after a user-level
+/// balancer's initial pinning, not at the fork-placement instant. Until
+/// the home is fixed, memory behaves as local to wherever the task runs.
+constexpr SimTime kFirstTouchExec = msec(10);
+/// CPU time a yield-polling task consumes per sched_yield round trip.
+constexpr SimTime kYieldCheck = usec(5);
+/// Timeslice given to a yield-waiting task when every runnable task on the
+/// core is also yield-waiting (coarsening only; occupancy is equivalent).
+constexpr SimTime kYieldIdleSlice = msec(1);
+/// Slowdown of each hardware context when its SMT sibling is busy.
+constexpr double kSmtContentionFactor = 0.65;
+
+}  // namespace
 
 Simulator::Simulator(const Topology& topo, SimParams params, std::uint64_t seed)
     : topo_(topo),
@@ -393,10 +410,10 @@ void Simulator::start_running(CoreId c, Task& t, const Task* stopped) {
   cs.running_ref() = &t;
   t.state_ref() = TaskState::Running;
   // First touch: the memory home is fixed only once the task has actually
-  // executed for a while (see SimParams::first_touch_exec), i.e. after any
+  // executed for a while (see kFirstTouchExec), i.e. after any
   // initial balancer pinning. Updating only at dispatch keeps the
   // node-demand accounting consistent within each dispatch.
-  if (t.home_numa_ < 0 && t.total_exec_ref() >= params_.first_touch_exec)
+  if (t.home_numa_ < 0 && t.total_exec_ref() >= kFirstTouchExec)
     t.home_numa_ = topo_.core(c).numa_node;
   cs.run_start_ref() = now();
   cs.seg_start_ref() = now();
@@ -418,8 +435,7 @@ void Simulator::start_running(CoreId c, Task& t, const Task* stopped) {
     // A polling waiter burns only a sched_yield round trip when it shares
     // the core with real work; when every runnable task here is waiting we
     // coarsen the slice (occupancy is equivalent, events are fewer).
-    slice = cs.queue().has_non_waiting() ? cs.queue().params().yield_check
-                                         : cs.queue().params().yield_idle_slice;
+    slice = cs.queue().has_non_waiting() ? kYieldCheck : kYieldIdleSlice;
   } else {
     slice = cs.queue().timeslice();
   }
@@ -539,7 +555,7 @@ double Simulator::speed_on(CoreId c, double mem_factor) const {
   double s = info.clock_scale;
   if (info.smt_sibling >= 0 &&
       core_store_.running[static_cast<std::size_t>(info.smt_sibling)] != nullptr)
-    s *= memory_.params().smt_contention_factor;
+    s *= kSmtContentionFactor;
   return s * mem_factor;
 }
 

@@ -30,12 +30,6 @@ struct SimParams {
   /// (the paper's footnote: "idleness information is not updated when
   /// multiple tasks start simultaneously").
   SimTime load_snapshot_period = msec(10);
-  /// NUMA first-touch model: a task's memory home node is fixed where it is
-  /// running once it has accumulated this much execution. Real applications
-  /// allocate their working set a little into the run — after a user-level
-  /// balancer's initial pinning, not at the fork-placement instant. Until
-  /// the home is fixed, memory behaves as local to wherever the task runs.
-  SimTime first_touch_exec = msec(10);
 };
 
 /// Discrete-event simulator of a multicore machine running per-core CFS
