@@ -5,10 +5,13 @@
 // the regenerated rows/series, through the same Table formatter, so that
 // EXPERIMENTS.md can quote either verbatim.
 
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <iostream>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -74,12 +77,18 @@ struct BenchArgs {
   bool quick = false;
   std::string report_json;
 
+  /// Exits with status 2 on a malformed number, naming the flag.
   static BenchArgs parse(int argc, char** argv) {
     const Cli cli(argc, argv);
     BenchArgs args;
-    args.repeats = static_cast<int>(cli.get_int("repeats", args.repeats));
-    args.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
-    args.jobs = resolve_jobs(static_cast<int>(cli.get_int("jobs", 0)));
+    try {
+      args.repeats = static_cast<int>(cli.get_int("repeats", args.repeats));
+      args.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
+      args.jobs = resolve_jobs(static_cast<int>(cli.get_int("jobs", 0)));
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+      std::exit(2);
+    }
     args.quick = cli.get_bool("quick", false);
     args.report_json = cli.get("report-json");
     return args;

@@ -71,7 +71,7 @@ ClusterConfig parse_cluster_config(const Cli& cli) {
       static_cast<SimTime>(cli.get_double("warmup-s", 1.0) * kSec);
   config.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
 
-  config.rebalance.enabled = cli.get_int("rebalance", 1) != 0;
+  config.rebalance.enabled = cli.get_bool("rebalance", true);
   config.rebalance.epoch = static_cast<SimTime>(
       cli.get_double("rebalance-epoch-ms", 250.0) * kMsec);
   config.rebalance.threshold = cli.get_double("rebalance-threshold", 0.5);

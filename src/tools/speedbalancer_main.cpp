@@ -58,28 +58,30 @@ int main(int argc, char** argv) {
   }
   const Cli cli(split, argv);
 
+  NativeBalancerConfig config;
+  int fail_affinity = 0;
+  int fail_procfs = 0;
+  int fail_errno = EINTR;
   try {
     if (cli.has("log-level"))
       set_log_level(kLogLevelNames.parse(cli.get("log-level")));
+    config.interval = std::chrono::milliseconds(cli.get_int("interval", 100));
+    config.threshold = cli.get_double("threshold", 0.9);
+    config.block_numa = !cli.get_bool("no-numa-block", false);
+    config.startup_delay =
+        std::chrono::milliseconds(cli.get_int("startup-delay", 100));
+    if (cli.has("cores")) config.cores = CpuSet::parse_list(cli.get("cores"));
+    fail_affinity = static_cast<int>(cli.get_int("fail-affinity", 0));
+    fail_procfs = static_cast<int>(cli.get_int("fail-procfs", 0));
+    fail_errno = static_cast<int>(cli.get_int("fail-errno", EINTR));
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "speedbalancer: %s\n", e.what());
     return 2;
   }
-
-  NativeBalancerConfig config;
-  config.interval = std::chrono::milliseconds(cli.get_int("interval", 100));
-  config.threshold = cli.get_double("threshold", 0.9);
-  config.block_numa = !cli.get_bool("no-numa-block", false);
-  config.startup_delay =
-      std::chrono::milliseconds(cli.get_int("startup-delay", 100));
-  if (cli.has("cores")) config.cores = CpuSet::parse_list(cli.get("cores"));
   const std::string trace_out = cli.get("trace-out");
   const std::string report_json = cli.get("report-json");
 
   perturb::FaultInjector injector;
-  const int fail_affinity = cli.get_int("fail-affinity", 0);
-  const int fail_procfs = cli.get_int("fail-procfs", 0);
-  const int fail_errno = cli.get_int("fail-errno", EINTR);
   if (fail_affinity > 0)
     injector.fail_next(perturb::FaultOp::SetAffinity, fail_affinity, fail_errno);
   if (fail_procfs > 0)

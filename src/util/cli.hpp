@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -11,7 +12,9 @@ namespace speedbal {
 /// Tiny command-line flag parser shared by the tools and bench binaries.
 /// Accepts "--name=value" and bare "--name" (boolean true); everything else
 /// is collected as a positional argument. Unknown flags are kept (callers
-/// decide whether to reject them via `unknown()`).
+/// decide whether to reject them via `unknown()`). `get_int` and
+/// `get_double` throw std::invalid_argument naming the flag when its value
+/// is not a whole number (or a number), a bare flag included.
 class Cli {
  public:
   Cli(int argc, const char* const* argv,
@@ -31,6 +34,7 @@ class Cli {
 
  private:
   std::map<std::string, std::string, std::less<>> flags_;
+  std::set<std::string, std::less<>> bare_;
   std::vector<std::string> positional_;
   std::vector<std::string> known_;
 };

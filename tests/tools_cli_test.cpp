@@ -134,6 +134,18 @@ TEST(SimrunCli, RejectsUnknownLogLevel) {
   EXPECT_NE(err.find("unknown log level"), std::string::npos) << err;
 }
 
+TEST(SimrunCli, RejectsASeedThatIsNotAWholeNumber) {
+  std::string err;
+  EXPECT_EQ(run_simrun({"--topo=generic2", "--bench=ep.S", "--threads=3",
+                        "--cores=2", "--setup=PINNED", "--repeats=1",
+                        "--seed=12abc"},
+                       &err),
+            2);
+  EXPECT_NE(err.find("--seed: '12abc' is not a whole number"),
+            std::string::npos)
+      << err;
+}
+
 TEST(SimrunCli, WritesTraceAndReportFiles) {
   const std::string trace = testing::TempDir() + "simrun_trace.json";
   const std::string report = testing::TempDir() + "simrun_report.json";
@@ -355,6 +367,24 @@ TEST(ClustersimCli, ListPoliciesAndDispatchExitZero) {
   EXPECT_EQ(out, "rr\nleast-loaded\njsq\n");
   EXPECT_EQ(run_stdout(CLUSTERSIM_BIN, {"--list-services"}, &out), 0);
   EXPECT_EQ(out, "fixed\nexp\nlognormal\npareto\n");
+}
+
+TEST(ClustersimCli, BareRebalanceMeansOn) {
+  std::string out;
+  for (const char* flag : {"--rebalance", "--rebalance=0"}) {
+    EXPECT_EQ(run_stdout(CLUSTERSIM_BIN,
+                         {"--nodes=2", "--duration-s=0.1", "--warmup-s=0.01",
+                          flag},
+                         &out),
+              0);
+    // The table row reads "rebalancer", padding, then on or off.
+    const auto row = out.find("\nrebalancer ");
+    ASSERT_NE(row, std::string::npos) << out;
+    const auto start = out.find_first_not_of(' ', row + 11);
+    EXPECT_EQ(out.substr(start, out.find('\n', start) - start),
+              std::string(flag) == "--rebalance" ? "on" : "off")
+        << flag;
+  }
 }
 
 TEST(ServesimCli, RunsShortServe) {

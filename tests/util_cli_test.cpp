@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace speedbal {
 namespace {
 
@@ -35,6 +38,55 @@ TEST(Cli, DefaultsWhenMissing) {
 TEST(Cli, DoubleParsing) {
   const auto cli = make_cli({"--threshold=0.9"});
   EXPECT_DOUBLE_EQ(cli.get_double("threshold", 0.0), 0.9);
+}
+
+/// The message of the std::invalid_argument `f` throws, or "" if none.
+template <typename F>
+std::string error_of(F f) {
+  try {
+    f();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Cli, IntRejectsTrailingGarbage) {
+  const auto cli = make_cli({"--seed=12abc"});
+  EXPECT_EQ(error_of([&] { cli.get_int("seed", 0); }),
+            "--seed: '12abc' is not a whole number");
+}
+
+TEST(Cli, IntRejectsNonNumbersEmptyAndFractions) {
+  EXPECT_NE(error_of([] { make_cli({"--seed=abc"}).get_int("seed", 0); }), "");
+  EXPECT_NE(error_of([] { make_cli({"--seed="}).get_int("seed", 0); }), "");
+  EXPECT_NE(error_of([] { make_cli({"--seed=1.5"}).get_int("seed", 0); }), "");
+  EXPECT_NE(error_of([] {
+              make_cli({"--seed=99999999999999999999"}).get_int("seed", 0);
+            }),
+            "");
+  EXPECT_EQ(make_cli({"--seed=-3"}).get_int("seed", 0), -3);
+}
+
+TEST(Cli, BareFlagIsNotANumber) {
+  const auto cli = make_cli({"--rebalance-cooldown", "--threshold"});
+  EXPECT_EQ(error_of([&] { cli.get_int("rebalance-cooldown", 2); }),
+            "--rebalance-cooldown needs a whole number: "
+            "--rebalance-cooldown=<value>");
+  EXPECT_EQ(error_of([&] { cli.get_double("threshold", 0.9); }),
+            "--threshold needs a number: --threshold=<value>");
+}
+
+TEST(Cli, DoubleRejectsTrailingGarbage) {
+  EXPECT_EQ(error_of([] { make_cli({"--threshold=0.9x"}).get_double("threshold", 0); }),
+            "--threshold: '0.9x' is not a number");
+  EXPECT_DOUBLE_EQ(make_cli({"--threshold=1e-3"}).get_double("threshold", 0),
+                   1e-3);
+}
+
+TEST(Cli, BareBoolIsOnAndZeroIsOff) {
+  EXPECT_TRUE(make_cli({"--rebalance"}).get_bool("rebalance", false));
+  EXPECT_FALSE(make_cli({"--rebalance=0"}).get_bool("rebalance", true));
 }
 
 TEST(Cli, BoolParsesCommonForms) {
