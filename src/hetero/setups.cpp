@@ -75,20 +75,4 @@ const HeteroSetup* find_hetero_setup(std::string_view name) {
   return nullptr;
 }
 
-std::vector<perturb::PerturbEvent> thermal_ramp_profile(
-    int core, SimTime onset, double throttled_scale, SimTime ramp,
-    SimTime hold, double nominal_scale) {
-  perturb::PerturbEvent down;
-  down.at = onset;
-  down.kind = perturb::PerturbKind::DvfsRamp;
-  down.core = core;
-  down.scale = throttled_scale;
-  down.ramp_over = ramp;
-
-  perturb::PerturbEvent up = down;
-  up.at = onset + ramp + hold;
-  up.scale = nominal_scale;
-  return {down, up};
-}
-
 }  // namespace speedbal::hetero

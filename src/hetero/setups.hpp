@@ -49,12 +49,4 @@ const HeteroSetup* find_hetero_setup(std::string_view name);
 /// 3, "1/0.89/0.79/..." style per-core list for a ladder.
 std::string clock_ladder(const Topology& t);
 
-/// Thermal-throttle DVFS profile: at `onset` core `core` ramps linearly
-/// down to `throttled_scale` over `ramp`, holds for `hold`, then ramps back
-/// up to `nominal_scale` over `ramp` — the sawtooth a thermally limited
-/// core traces. Returns the two DvfsRamp events to add to a timeline.
-std::vector<perturb::PerturbEvent> thermal_ramp_profile(
-    int core, SimTime onset, double throttled_scale, SimTime ramp,
-    SimTime hold, double nominal_scale = 1.0);
-
 }  // namespace speedbal::hetero

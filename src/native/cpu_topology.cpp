@@ -36,10 +36,6 @@ CpuSet read_cpulist(const std::filesystem::path& p, int self) {
 bool SysTopology::same_cache(int a, int b) const {
   return cpus.at(static_cast<std::size_t>(a)).cache_siblings.contains(b);
 }
-bool SysTopology::same_package(int a, int b) const {
-  return cpus.at(static_cast<std::size_t>(a)).package_id ==
-         cpus.at(static_cast<std::size_t>(b)).package_id;
-}
 bool SysTopology::same_numa(int a, int b) const {
   return cpus.at(static_cast<std::size_t>(a)).numa_node ==
          cpus.at(static_cast<std::size_t>(b)).numa_node;

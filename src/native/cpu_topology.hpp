@@ -23,7 +23,6 @@ struct SysTopology {
 
   int num_cpus() const { return static_cast<int>(cpus.size()); }
   bool same_cache(int a, int b) const;
-  bool same_package(int a, int b) const;
   bool same_numa(int a, int b) const;
 };
 

@@ -55,14 +55,6 @@ void Metrics::hand_over_segments(obs::RunSegmentTable& table) {
   segments_dropped_ = 0;
 }
 
-void Metrics::reset() {
-  exec_.clear();
-  segments_.clear();
-  segments_dropped_ = 0;
-  migrations_.clear();
-  cause_counts_.fill(0);
-}
-
 const std::vector<SimTime>& Metrics::exec_by_core(TaskId task) const {
   const auto t = static_cast<std::size_t>(task);
   if (task < 0 || t >= exec_.size() || exec_[t].empty()) return empty_;

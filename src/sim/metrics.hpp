@@ -93,9 +93,6 @@ class Metrics {
   /// Built from the running tally — does not rescan the migration log.
   std::map<MigrationCause, std::int64_t> migration_counts_by_cause() const;
 
-  /// Clear all recorded state for reuse by another run.
-  void reset();
-
   int num_cores() const { return num_cores_; }
 
  private:

@@ -68,13 +68,6 @@ bool Topology::same_cache(CoreId a, CoreId b) const {
   return core(a).cache_group == core(b).cache_group;
 }
 
-std::vector<CoreId> Topology::cores_in_numa(int node) const {
-  std::vector<CoreId> out;
-  for (const auto& c : cores_)
-    if (c.numa_node == node) out.push_back(c.id);
-  return out;
-}
-
 void Topology::set_clock_scale(CoreId id, double scale) {
   if (!(scale > 0.0))
     throw std::invalid_argument("set_clock_scale: scale must be > 0");

@@ -62,8 +62,6 @@ class Topology {
   bool same_socket(CoreId a, CoreId b) const;
   bool same_cache(CoreId a, CoreId b) const;
 
-  std::vector<CoreId> cores_in_numa(int node) const;
-
  private:
   std::string name_;
   std::vector<CoreInfo> cores_;

@@ -45,18 +45,6 @@ void Table::print(std::ostream& os) const {
   for (const auto& row : rows_) emit(row);
 }
 
-void Table::print_csv(std::ostream& os) const {
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      os << row[c];
-      if (c + 1 < row.size()) os << ',';
-    }
-    os << '\n';
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-}
-
 void Table::write_json(JsonWriter& w) const {
   w.begin_array();
   for (const auto& row : rows_) {

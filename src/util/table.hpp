@@ -27,9 +27,6 @@ class Table {
   /// Pretty-print with aligned columns and a rule under the header.
   void print(std::ostream& os) const;
 
-  /// Comma-separated output (no quoting; cells must not contain commas).
-  void print_csv(std::ostream& os) const;
-
   /// Emit as a JSON value through an in-progress writer: an array of
   /// objects, one per row, keyed by the column headers. Numeric-looking
   /// cells are emitted as numbers.

@@ -307,21 +307,6 @@ TEST(HeteroSetups, ClockLadderRunLengthEncodes) {
   EXPECT_EQ(hetero::clock_ladder(presets::generic(4)), "4x1");
 }
 
-TEST(HeteroSetups, ThermalRampProfileIsDownThenUp) {
-  const auto events =
-      hetero::thermal_ramp_profile(/*core=*/2, /*onset=*/sec(1),
-                                   /*throttled_scale=*/0.5, /*ramp=*/msec(200),
-                                   /*hold=*/sec(2));
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].kind, perturb::PerturbKind::DvfsRamp);
-  EXPECT_EQ(events[0].at, sec(1));
-  EXPECT_EQ(events[0].core, 2);
-  EXPECT_NEAR(events[0].scale, 0.5, 1e-12);
-  EXPECT_EQ(events[1].kind, perturb::PerturbKind::DvfsRamp);
-  EXPECT_EQ(events[1].at, sec(1) + msec(200) + sec(2));
-  EXPECT_NEAR(events[1].scale, 1.0, 1e-12);
-}
-
 // --- The heterogeneous analytic model ----------------------------------------
 
 TEST(HeteroModel, OptimalSharesAreSpeedProportional) {

@@ -47,8 +47,6 @@ TEST_F(SysfsFixture, ParsesTigertonLikeTree) {
   ASSERT_EQ(topo.num_cpus(), 4);
   EXPECT_TRUE(topo.same_cache(0, 1));
   EXPECT_FALSE(topo.same_cache(1, 2));
-  EXPECT_TRUE(topo.same_package(0, 1));
-  EXPECT_FALSE(topo.same_package(1, 2));
   EXPECT_TRUE(topo.same_numa(0, 3));
 }
 
@@ -80,7 +78,6 @@ TEST_F(SysfsFixture, MissingFilesDegradeGracefully) {
   fs::create_directories(root_ / "cpu1");
   const auto topo = read_sys_topology(root_.string());
   ASSERT_EQ(topo.num_cpus(), 2);
-  EXPECT_TRUE(topo.same_package(0, 1));  // Defaults to package 0.
   EXPECT_FALSE(topo.same_cache(0, 1));   // Each falls back to itself.
 }
 

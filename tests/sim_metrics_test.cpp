@@ -255,33 +255,6 @@ TEST(Metrics, AdjacentSegmentsSumExactlyUnmerged) {
   ASSERT_EQ(segs.size(), 3u);  // The raw log never merges.
 }
 
-TEST(Metrics, ResetThenReuse) {
-  // reset() must drop every record and leave the instance fully usable for
-  // a fresh run.
-  obs::RunRecorder first;
-  obs::RunRecorder after_reset;
-  obs::RunRecorder reused;
-  Metrics m(2);
-  m.set_recorder(&first);
-  for (int i = 0; i < 5000; ++i)
-    m.record_exec(1, i % 2, usec(i * 10), usec(5));
-  EXPECT_EQ(exec_in_window(exported(m, first), 1, 0, usec(100'000)),
-            usec(25'000));
-  for (int i = 0; i < 5000; ++i)
-    m.record_exec(1, i % 2, usec(i * 10), usec(5));
-  m.reset();
-  EXPECT_EQ(m.total_exec(1), 0);
-  const auto none = exported(m, after_reset);
-  EXPECT_EQ(exec_in_window(none, 1, 0, usec(100'000)), 0);
-  EXPECT_EQ(none.size(), 0u);
-  EXPECT_EQ(after_reset.run_segments().dropped(), 0);
-  for (int i = 0; i < 5000; ++i)
-    m.record_exec(2, i % 2, usec(i * 10), usec(5));
-  const auto segs = exported(m, reused);
-  EXPECT_EQ(exec_in_window(segs, 2, 0, usec(100'000)), usec(25'000));
-  EXPECT_EQ(exec_in_window(segs, 1, 0, usec(100'000)), 0);
-}
-
 TEST(Metrics, CauseNames) {
   EXPECT_STREQ(to_string(MigrationCause::SpeedBalancer), "speed");
   EXPECT_STREQ(to_string(MigrationCause::LinuxNewIdle), "linux-newidle");

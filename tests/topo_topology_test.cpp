@@ -46,8 +46,6 @@ TEST(Topology, NumaNodesSeparateSockets) {
   EXPECT_EQ(t.num_numa_nodes(), 2);
   EXPECT_TRUE(t.same_numa(0, 1));
   EXPECT_FALSE(t.same_numa(1, 2));
-  EXPECT_EQ(t.cores_in_numa(0), (std::vector<CoreId>{0, 1}));
-  EXPECT_EQ(t.cores_in_numa(1), (std::vector<CoreId>{2, 3}));
 }
 
 TEST(Topology, SmtSiblingsArePaired) {

@@ -40,20 +40,12 @@ TEST(Table, ColumnsAligned) {
   EXPECT_EQ(r1.find('1'), r2.find('2'));
 }
 
-TEST(Table, CsvOutput) {
-  Table t({"x", "y"});
-  t.add_row({"1", "2"});
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "x,y\n1,2\n");
-}
-
 TEST(Table, ShortRowsArePadded) {
   Table t({"a", "b", "c"});
   t.add_row({"only"});
   std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "a,b,c\nonly,,\n");
+  t.print(os);
+  EXPECT_EQ(os.str(), "a     b  c\n----------\nonly     \n");
 }
 
 TEST(Table, NumFormatsPrecision) {
