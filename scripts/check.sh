@@ -5,8 +5,10 @@
 # AddressSanitizer + UndefinedBehaviorSanitizer build of every ctest target
 # (timeline parsing, fault-injection paths, hotplug drain, the simulator,
 # serve and cluster stacks among them); each sanitizer tree also
-# runs one fuzz episode. Run from anywhere; build trees live under build/,
-# build-tsan/, and build-asan/ at the repo root.
+# runs one fuzz episode. A last leg lists the src/ functions no shipped
+# binary keeps against tests/unreached_symbols.txt. Run from anywhere; build
+# trees live under build/, build-tsan/, build-asan/, build-reach/ and
+# build-reach-perfbench/ at the repo root.
 #
 # Every leg runs, whether or not an earlier one failed: each stops at its
 # own first failing command. The script then lists the failed legs and
@@ -379,6 +381,51 @@ asan_ubsan() {
   "$repo/build-asan/src/fuzzsim" --hetero --episodes=3 --seed="$fuzz_seed" >/dev/null
 }
 run_leg "asan+ubsan: every ctest target" asan_ubsan
+
+unreached_symbols() {
+  # Out-of-line speedbal:: functions compiled from src/ that no shipped
+  # binary keeps. Every tool, bench and example binary, and perfbench, is
+  # built unoptimized and uninlined with one section per function and linked
+  # with --gc-sections, so a function survives only if a binary reaches it.
+  # The leg fails on a name missing from tests/unreached_symbols.txt (new
+  # code that only tests reach) and on a listed name no longer unreached
+  # (delete it from the list): the list only shrinks.
+  local reach="$repo/build-reach" pb="$repo/build-reach-perfbench"
+  local flags=(-DCMAKE_BUILD_TYPE=None
+    "-DCMAKE_CXX_FLAGS=-O0 -fno-inline -ffunction-sections -fdata-sections"
+    "-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections")
+  cmake -B "$reach" -S "$repo" "${flags[@]}" >/dev/null
+  cmake -B "$pb" -S "$repo/perfbench" "${flags[@]}" >/dev/null
+  # Every executable target but the tests, from the generated target list.
+  local targets
+  targets="$(cmake --build "$reach" --target help |
+    sed -n 's/^\.\.\. \([A-Za-z0-9_]*\)$/\1/p' |
+    grep -Ev '^(all|clean|depend|test|edit_cache|rebuild_cache|speedbal_.*|.*_test)$')"
+  # shellcheck disable=SC2086
+  cmake --build "$reach" -j "$jobs" --target $targets
+  cmake --build "$pb" -j "$jobs" --target perfbench
+  local bins=("$pb/perfbench")
+  for t in $targets; do
+    bins+=("$(find "$reach/src" "$reach/bench" "$reach/examples" -maxdepth 1 \
+      -type f -name "$t" -perm -u+x | head -n 1)")
+  done
+  text_symbols() {
+    nm -C --defined-only "$@" | sed -nE 's/^[0-9a-f]+ [TtWw] (speedbal::.*)$/\1/p'
+  }
+  local out="$reach/unreached_symbols.txt"
+  comm -23 <(text_symbols "$reach"/src/libspeedbal_*.a | sort -u) \
+    <(text_symbols "${bins[@]}" | sort -u) >"$out"
+  echo "unreached src functions: $(wc -l <"$out") (binaries scanned: ${#bins[@]})"
+  local committed="$repo/tests/unreached_symbols.txt"
+  if ! cmp -s "$out" "$committed"; then
+    echo "new unreached functions (give each a shipped caller or delete it):"
+    comm -23 "$out" "$committed"
+    echo "listed but no longer unreached (delete from $committed):"
+    comm -13 "$out" "$committed"
+    return 1
+  fi
+}
+run_leg "unreached: src functions that no shipped binary keeps" unreached_symbols
 
 if (( ${#failed_legs[@]} != 0 )); then
   echo "check.sh: ${#failed_legs[@]} leg(s) failed:"
