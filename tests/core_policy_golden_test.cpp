@@ -176,6 +176,40 @@ TEST(PolicyGolden, ShareOnBigLittle) {
   EXPECT_GT(rec.shares().size(), 0u);
 }
 
+TEST(PolicyGolden, ShareCountOnBigLittle) {
+  // The HETERO-SHARE-COUNT shape: the same pinned machine, but the Count
+  // source keeps shares uniform while every epoch still measures.
+  ExperimentConfig cfg = scenarios::npb_config(
+      presets::by_name("biglittle4+4x3"), npb::by_name("cg.S"), 8, 8,
+      scenarios::Setup::Pinned, /*repeats=*/2, /*seed=*/11);
+  cfg.policy = Policy::Share;
+  cfg.share.source = hetero::ShareParams::Source::Count;
+  cfg.time_cap = sec(60);
+  obs::RunRecorder rec;
+  EXPECT_EQ(run_spmd(cfg, rec),
+            "done 0x1.84f2cf95d4e9p-1 policy=0 [ ]"
+            " done 0x1.84f227d028a1ep-1 policy=0 [ ]"
+            " report=84f39499ff140646");
+  EXPECT_GT(rec.shares().size(), 0u);
+}
+
+TEST(PolicyGolden, ShareOnLadder) {
+  // The HETERO-LADDER-SHARE shape: one pinned thread per core of the
+  // 8-step frequency ladder, work split by measured speed.
+  const Topology topo = presets::by_name("ladder8");
+  ExperimentConfig cfg = scenarios::npb_config(
+      topo, npb::by_name("cg.S"), topo.num_cores(), topo.num_cores(),
+      scenarios::Setup::Pinned, /*repeats=*/2, /*seed=*/11);
+  cfg.policy = Policy::Share;
+  cfg.time_cap = sec(60);
+  obs::RunRecorder rec;
+  EXPECT_EQ(run_spmd(cfg, rec),
+            "done 0x1.4bf5a5332acfbp+0 policy=0 [ ]"
+            " done 0x1.4c1beb18116ecp+0 policy=0 [ ]"
+            " report=c045db227ef83a17");
+  EXPECT_GT(rec.shares().size(), 0u);
+}
+
 
 /// A recorded SPEED episode built to reach every pull-rule reason the
 /// simulator can emit: cg.S on `cores` cores of `topo` with a CPU hog on
