@@ -14,7 +14,7 @@
 // fractionally to the windows it spans, so the series is smooth at any
 // phase length. The perturbation lands at t=2s via the perturb timeline;
 // perturb::analyze_step_response then reports the re-convergence latency
-// (time until the series stays within 5% of its post-step steady value)
+// (time until the series stays within 10% of its post-step steady value)
 // and the disruption integral |throughput - steady| dt.
 
 #include <algorithm>
@@ -161,7 +161,7 @@ int main(int argc, char** argv) {
   }
   std::cout << "(recovered% = post-perturbation steady throughput relative to\n"
                " the undisturbed rate; latency = time from the perturbation\n"
-               " until throughput stays within 5% of its new steady value;\n"
+               " until throughput stays within 10% of its new steady value;\n"
                " disruption = integral of |throughput - steady| afterwards.\n"
                " A fast latency at a low recovered% means the policy settled\n"
                " quickly into a degraded state, not that it adapted well.)\n";
