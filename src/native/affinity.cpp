@@ -10,36 +10,10 @@
 
 namespace speedbal::native {
 
-CpuSet CpuSet::of(const std::vector<int>& cpus) {
-  CpuSet s;
-  for (int c : cpus) s.add(c);
-  return s;
-}
-
-int CpuSet::count() const { return __builtin_popcountll(mask_); }
-
 std::vector<int> CpuSet::cpus() const {
   std::vector<int> out;
   for (int c = 0; c < 64; ++c)
     if (contains(c)) out.push_back(c);
-  return out;
-}
-
-std::string CpuSet::to_list() const {
-  std::string out;
-  int c = 0;
-  while (c < 64) {
-    if (!contains(c)) {
-      ++c;
-      continue;
-    }
-    int end = c;
-    while (end + 1 < 64 && contains(end + 1)) ++end;
-    if (!out.empty()) out += ',';
-    out += std::to_string(c);
-    if (end > c) out += '-' + std::to_string(end);
-    c = end + 1;
-  }
   return out;
 }
 

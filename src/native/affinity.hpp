@@ -20,18 +20,15 @@ class CpuSet {
   explicit CpuSet(std::uint64_t mask) : mask_(mask) {}
 
   static CpuSet single(int cpu) { return CpuSet(1ULL << cpu); }
-  static CpuSet of(const std::vector<int>& cpus);
 
   void add(int cpu) { mask_ |= 1ULL << cpu; }
   void remove(int cpu) { mask_ &= ~(1ULL << cpu); }
   bool contains(int cpu) const { return (mask_ >> cpu) & 1ULL; }
   bool empty() const { return mask_ == 0; }
-  int count() const;
   std::uint64_t mask() const { return mask_; }
   std::vector<int> cpus() const;
 
-  /// "0,2-5"-style rendering (and parsing) of Linux cpu lists.
-  std::string to_list() const;
+  /// Parse a "0,2-5"-style Linux cpu list.
   static CpuSet parse_list(const std::string& list);
 
   bool operator==(const CpuSet&) const = default;

@@ -45,14 +45,6 @@ Topology generic(int cores) {
   return Topology::build(spec);
 }
 
-Topology dual_socket(int cores_per_socket) {
-  TopologySpec spec;
-  spec.name = "dual" + std::to_string(cores_per_socket);
-  spec.sockets_per_node = 2;
-  spec.cores_per_socket = cores_per_socket;
-  return Topology::build(spec);
-}
-
 Topology asymmetric(int cores, int fast_cores, double fast_scale) {
   if (fast_cores > cores)
     throw std::invalid_argument("asymmetric: fast_cores > cores");

@@ -24,9 +24,6 @@ Topology nehalem();
 /// Flat UMA machine with `cores` identical cores sharing one cache.
 Topology generic(int cores);
 
-/// Two sockets of `cores_per_socket` cores each, UMA.
-Topology dual_socket(int cores_per_socket);
-
 /// Asymmetric machine (Turbo-Boost-like, Section 4): `cores` total,
 /// the first `fast_cores` run at `fast_scale` (> 1.0), the rest at 1.0.
 Topology asymmetric(int cores, int fast_cores, double fast_scale);

@@ -30,13 +30,6 @@ BarrierConfig usleep_barrier() {
   return b;
 }
 
-BarrierConfig blocking_barrier() {
-  BarrierConfig b;
-  b.policy = WaitPolicy::Sleep;
-  b.block_time = 0;
-  return b;
-}
-
 SpmdAppSpec uniform_app(int nthreads, int phases, double work_per_phase_us,
                         BarrierConfig barrier) {
   SpmdAppSpec spec;

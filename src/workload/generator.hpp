@@ -22,9 +22,6 @@ BarrierConfig omp_polling_barrier();
 /// The paper's modified UPC runtime that calls usleep(1) in the wait loop.
 BarrierConfig usleep_barrier();
 
-/// Immediate-block barrier (pthread condvar style).
-BarrierConfig blocking_barrier();
-
 /// Quick builder for uniform synthetic SPMD apps used across the tests.
 SpmdAppSpec uniform_app(int nthreads, int phases, double work_per_phase_us,
                         BarrierConfig barrier = upc_yield_barrier());

@@ -174,9 +174,5 @@ std::vector<NpbProfile> paper_selection() {
   return {bt('A'), ft('B'), is('C'), sp('A'), cg('B')};
 }
 
-std::vector<NpbProfile> all() {
-  return {ep('C'), bt('A'), ft('B'), is('C'), sp('A'), cg('B'), mg('B'), lu('A')};
-}
-
 }  // namespace npb
 }  // namespace speedbal

@@ -50,8 +50,5 @@ NpbProfile by_name(std::string_view name);
 /// The representative sample of Table 2 (plus cg.B used in the text).
 std::vector<NpbProfile> paper_selection();
 
-/// Every implemented benchmark at its reference class.
-std::vector<NpbProfile> all();
-
 }  // namespace npb
 }  // namespace speedbal

@@ -69,7 +69,7 @@ TEST(BarrierPolicy, SleepBarrierBlocksAfterBlockTime) {
 }
 
 TEST(BarrierPolicy, ImmediateBlockNeverSpins) {
-  WaitProbe p(workload::blocking_barrier());
+  WaitProbe p(BarrierConfig{.policy = WaitPolicy::Sleep, .block_time = 0});
   p.run_to_mid_wait();
   EXPECT_EQ(p.fast_thread()->state(), TaskState::Sleeping);
   p.sim.sync_all_accounting();
@@ -118,7 +118,7 @@ TEST(BarrierPolicy, SpinnersReleasePromptly) {
 }
 
 TEST(BarrierPolicy, SleepersWakeOnRelease) {
-  BarrierConfig barrier = workload::blocking_barrier();
+  const BarrierConfig barrier{.policy = WaitPolicy::Sleep, .block_time = 0};
   WaitProbe p(barrier, /*phases=*/3);
   ASSERT_TRUE(p.sim.run_while_pending([&] { return p.app.finished(); }, sec(5)));
   // Wake-up latency is modeled as zero (futex wake): same completion time.

@@ -45,8 +45,8 @@ TEST(SpmdApp, NoThreadEntersNextPhaseEarly) {
   // completion each thread executed exactly its own work (plus wait time
   // for spinners, so use a sleeping barrier to observe pure work).
   Simulator sim(presets::generic(2));
-  SpmdAppSpec spec = workload::uniform_app(3, 5, 20'000.0,
-                                           workload::blocking_barrier());
+  SpmdAppSpec spec = workload::uniform_app(
+      3, 5, 20'000.0, {.policy = WaitPolicy::Sleep, .block_time = 0});
   SpmdApp app(sim, spec);
   app.launch(SpmdApp::Placement::RoundRobin, workload::first_cores(2));
   ASSERT_TRUE(sim.run_while_pending([&] { return app.finished(); }, sec(5)));
@@ -73,8 +73,8 @@ TEST(SpmdApp, WorkJitterPerturbsButConserves) {
 TEST(SpmdApp, ThreadSkewScalesWorkButConservesTotal) {
   // skew = 1: thread 0 carries 0.5x, the last thread 1.5x, mean unchanged.
   Simulator sim(presets::generic(4));
-  SpmdAppSpec spec = workload::uniform_app(4, 2, 50'000.0,
-                                           workload::blocking_barrier());
+  SpmdAppSpec spec = workload::uniform_app(
+      4, 2, 50'000.0, {.policy = WaitPolicy::Sleep, .block_time = 0});
   spec.thread_skew = 1.0;
   SpmdApp app(sim, spec);
   app.launch(SpmdApp::Placement::RoundRobin, workload::first_cores(4));

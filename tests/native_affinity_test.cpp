@@ -13,7 +13,6 @@ TEST(CpuSet, BasicOperations) {
   s.add(0);
   s.add(3);
   EXPECT_FALSE(s.empty());
-  EXPECT_EQ(s.count(), 2);
   EXPECT_TRUE(s.contains(0));
   EXPECT_TRUE(s.contains(3));
   EXPECT_FALSE(s.contains(1));
@@ -24,33 +23,17 @@ TEST(CpuSet, BasicOperations) {
 
 TEST(CpuSet, Factories) {
   EXPECT_EQ(CpuSet::single(5).mask(), 1ULL << 5);
-  EXPECT_EQ(CpuSet::of({1, 2, 4}).count(), 3);
   EXPECT_EQ(CpuSet(0b1010).cpus(), (std::vector<int>{1, 3}));
 }
 
-TEST(CpuSet, ListRendering) {
-  EXPECT_EQ(CpuSet::of({0, 1, 2, 5}).to_list(), "0-2,5");
-  EXPECT_EQ(CpuSet::single(7).to_list(), "7");
-  EXPECT_EQ(CpuSet().to_list(), "");
-  EXPECT_EQ(CpuSet::of({0, 2, 3, 4, 63}).to_list(), "0,2-4,63");
-}
-
 TEST(CpuSet, ListParsing) {
-  EXPECT_EQ(CpuSet::parse_list("0-2,5"), CpuSet::of({0, 1, 2, 5}));
+  EXPECT_EQ(CpuSet::parse_list("0-2,5"), CpuSet(0b100111));
   EXPECT_EQ(CpuSet::parse_list("7"), CpuSet::single(7));
-  EXPECT_EQ(CpuSet::parse_list("0,1"), CpuSet::of({0, 1}));
+  EXPECT_EQ(CpuSet::parse_list("0,1"), CpuSet(0b11));
   EXPECT_TRUE(CpuSet::parse_list("").empty());
   EXPECT_THROW(CpuSet::parse_list("abc"), std::invalid_argument);
   EXPECT_THROW(CpuSet::parse_list("5-2"), std::invalid_argument);
   EXPECT_THROW(CpuSet::parse_list("64"), std::invalid_argument);
-}
-
-TEST(CpuSet, ListRoundTrip) {
-  for (const auto& set :
-       {CpuSet::of({0}), CpuSet::of({0, 1, 2, 3}), CpuSet::of({1, 3, 5}),
-        CpuSet::of({0, 62, 63})}) {
-    EXPECT_EQ(CpuSet::parse_list(set.to_list()), set);
-  }
 }
 
 TEST(Affinity, OnlineCpusPositive) { EXPECT_GE(online_cpus(), 1); }

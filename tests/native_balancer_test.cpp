@@ -65,10 +65,7 @@ SysTopology two_cpu_topology() {
   for (int i = 0; i < 2; ++i) {
     SysCpu cpu;
     cpu.cpu = i;
-    cpu.package_id = 0;
     cpu.numa_node = 0;
-    cpu.thread_siblings = CpuSet::single(i);
-    cpu.cache_siblings = CpuSet::of({0, 1});
     topo.cpus.push_back(cpu);
   }
   return topo;
@@ -84,7 +81,7 @@ bool improbable_pids_free() {
 
 NativeBalancerConfig test_config() {
   NativeBalancerConfig config;
-  config.cores = CpuSet::of({0, 1});
+  config.cores = CpuSet::parse_list("0-1");
   config.initial_round_robin = false;  // Tids are fake; do not pin.
   config.interval = std::chrono::milliseconds(1);
   return config;
@@ -293,8 +290,6 @@ SysTopology flat_topology(int n) {
   for (int i = 0; i < n; ++i) {
     SysCpu cpu;
     cpu.cpu = i;
-    cpu.thread_siblings = CpuSet::single(i);
-    cpu.cache_siblings = CpuSet::single(i);
     topo.cpus.push_back(cpu);
   }
   return topo;
@@ -341,7 +336,8 @@ std::vector<int> two_allowed_cpus() {
 struct PullBack {
   explicit PullBack(int post_migration_block) {
     config = test_config();
-    config.cores = CpuSet::of({cpus[0], cpus[1]});
+    config.cores = CpuSet::single(cpus[0]);
+    config.cores.add(cpus[1]);
     config.interval = std::chrono::milliseconds(1000);
     config.post_migration_block = post_migration_block;
   }

@@ -73,7 +73,9 @@ TEST_F(TempTree, NonNumericTaskDirsIgnored) {
   EXPECT_EQ(proc.tids(100), (std::vector<pid_t>{101}));
 }
 
-TEST_F(TempTree, SysfsGarbageCpuListFallsBackToSelf) {
+TEST_F(TempTree, SysfsGarbageTopologyFilesIgnored) {
+  // The balancer reads only NUMA membership; garbage in the files it
+  // skips must not break the parse.
   fs::create_directories(root_ / "cpu0/topology");
   fs::create_directories(root_ / "cpu0/cache/index2");
   write_file("cpu0/topology/physical_package_id", "not-a-number");
@@ -81,8 +83,7 @@ TEST_F(TempTree, SysfsGarbageCpuListFallsBackToSelf) {
   write_file("cpu0/cache/index2/shared_cpu_list", "-5,");
   const auto topo = read_sys_topology(root_.string());
   ASSERT_EQ(topo.num_cpus(), 1);
-  EXPECT_TRUE(topo.cpus[0].thread_siblings.contains(0));
-  EXPECT_TRUE(topo.cpus[0].cache_siblings.contains(0));
+  EXPECT_EQ(topo.cpus[0].numa_node, 0);
 }
 
 TEST_F(TempTree, BalancerHandlesThreadVanishingBetweenSteps) {
@@ -95,7 +96,7 @@ TEST_F(TempTree, BalancerHandlesThreadVanishingBetweenSteps) {
              "3999902 (w) R 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 "
              "0 0 0 0 0 0 0 0 0 0 0 0 1");
   NativeBalancerConfig config;
-  config.cores = CpuSet::of({0, 1});
+  config.cores = CpuSet::parse_list("0-1");
   config.initial_round_robin = false;
   SysTopology topo;
   for (int i = 0; i < 2; ++i) {
@@ -123,7 +124,7 @@ TEST_F(TempTree, BalancerDetectsZombieTarget) {
              "3999905 (true) Z 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 "
              "0 0 0 0 0 0 0 0 0 0 0 0 0 0");
   NativeBalancerConfig config;
-  config.cores = CpuSet::of({0});
+  config.cores = CpuSet::single(0);
   config.initial_round_robin = false;
   SysTopology topo;
   SysCpu cpu;
@@ -139,7 +140,7 @@ TEST(NativeFailure, SetAffinityRetriesTransientInjectedFailures) {
   // Against the calling thread (tid 0) with its real mask: the syscall
   // itself succeeds, so any failure comes from the injector.
   const CpuSet self = get_affinity(0);
-  ASSERT_GT(self.count(), 0);
+  ASSERT_FALSE(self.empty());
   RetryPolicy retry;
   retry.max_attempts = 3;
   retry.initial_backoff = std::chrono::microseconds(1);
@@ -208,7 +209,7 @@ TEST_F(TempTree, BalancerSkipsPassOnInjectedSampleFailure) {
   write_file("3999910/task/3999911/stat", stat_line(3999911, 0, 0));
   write_file("3999910/task/3999912/stat", stat_line(3999912, 0, 1));
   NativeBalancerConfig config;
-  config.cores = CpuSet::of({0, 1});
+  config.cores = CpuSet::parse_list("0-1");
   config.initial_round_robin = false;
   perturb::FaultInjector inj;
   config.fault_injector = &inj;
@@ -236,7 +237,7 @@ TEST_F(TempTree, BalancerQuarantinesCoreAfterEinvalPull) {
   write_file("3999915/task/3999916/stat", stat_line(3999916, 0, 0));
   write_file("3999915/task/3999917/stat", stat_line(3999917, 0, 1));
   NativeBalancerConfig config;
-  config.cores = CpuSet::of({0, 1});
+  config.cores = CpuSet::parse_list("0-1");
   config.initial_round_robin = false;
   config.block_numa = false;
   config.dead_core_backoff_passes = 2;

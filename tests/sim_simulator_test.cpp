@@ -182,7 +182,11 @@ TEST(Simulator, MigrationChargesWarmup) {
   mem.refill_us_per_kb = 1.0;
   mem.llc_kb = 1000.0;
   params.mem = mem;
-  Simulator sim(presets::dual_socket(2), params);
+  TopologySpec dual;
+  dual.name = "dual2";
+  dual.sockets_per_node = 2;
+  dual.cores_per_socket = 2;
+  Simulator sim(Topology::build(dual), params);
   Task& t = sim.create_task({.name = "t", .mem_footprint_kb = 500.0});
   sim.assign_work(t, 1'000.0);
   sim.start_task_on(t, 0, ~0ULL);

@@ -40,8 +40,6 @@ TEST(Presets, NehalemIsSmtNuma) {
 TEST(Presets, GenericShapes) {
   EXPECT_EQ(presets::generic(1).num_cores(), 1);
   EXPECT_EQ(presets::generic(8).num_cores(), 8);
-  EXPECT_EQ(presets::dual_socket(4).num_cores(), 8);
-  EXPECT_EQ(presets::dual_socket(4).num_sockets(), 2);
 }
 
 TEST(Presets, AsymmetricScales) {

@@ -17,10 +17,6 @@ TEST(Generator, BarrierConfigsMatchRuntimes) {
   const auto usleep = workload::usleep_barrier();
   EXPECT_EQ(usleep.policy, WaitPolicy::SleepPoll);
   EXPECT_EQ(usleep.poll_period, msec(1));
-
-  const auto blocking = workload::blocking_barrier();
-  EXPECT_EQ(blocking.policy, WaitPolicy::Sleep);
-  EXPECT_EQ(blocking.block_time, 0);
 }
 
 TEST(Generator, UniformAppFields) {
