@@ -36,11 +36,11 @@ void SpeedBalancer::attach(Simulator& sim) {
 
   // One balancer per managed core, each with an independent phase.
   for (CoreId c : cores_) {
-    snapshot_time_[c] = sim.now() + params_.startup_delay;
+    snapshot_time_[c] = sim.now();
     if (!params_.automatic) continue;
     const SimTime jitter =
         static_cast<SimTime>(rng_.uniform_u64(static_cast<std::uint64_t>(params_.interval)));
-    sim.schedule_after(params_.startup_delay + params_.interval + jitter,
+    sim.schedule_after(params_.interval + jitter,
                        [this, c] { balancer_wake(c); });
   }
 }

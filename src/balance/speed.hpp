@@ -51,9 +51,6 @@ struct SpeedBalanceParams {
   /// balancer from deadlocking on exact speed ties, which cannot happen on
   /// real hardware.
   double measurement_noise = 0.02;
-  /// Delay before the balancer starts (the paper's startup delay while the
-  /// PIDs of the application's threads appear in /proc).
-  SimTime startup_delay = 0;
   /// Weight each thread's measured speed by its core's relative clock
   /// speed — the paper's adaptation for asymmetric systems (Sections 4/5:
   /// "can be easily adapted to capture behavior in asymmetric systems" by

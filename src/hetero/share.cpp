@@ -11,8 +11,11 @@ namespace speedbal::hetero {
 ShareBalancer::ShareBalancer(ShareParams params, std::vector<CoreId> cores)
     : params_(params), cores_(std::move(cores)) {
   if (cores_.empty()) throw std::invalid_argument("ShareBalancer: no cores");
-  for (std::size_t i = 0; i < cores_.size(); ++i)
-    core_index_[cores_[i]] = static_cast<int>(i);
+  for (std::size_t i = 0; i < cores_.size(); ++i) {
+    const auto c = static_cast<std::size_t>(cores_[i]);
+    if (c >= core_index_.size()) core_index_.resize(c + 1, -1);
+    core_index_[c] = static_cast<int>(i);
+  }
   shares_.assign(cores_.size(), 1.0 / static_cast<double>(cores_.size()));
 }
 
@@ -29,10 +32,10 @@ void ShareBalancer::attach(Simulator& sim) {
   // cores_[i % ncores]. SHARE never migrates afterwards — work moves,
   // threads do not.
   pin_round_robin(sim, managed_, cores_, 0, MigrationCause::Affinity);
-  snapshot_time_ = sim.now() + params_.startup_delay;
+  exec_snap_.assign(managed_.size(), 0);
+  snapshot_time_ = sim.now();
   if (params_.automatic)
-    sim.schedule_after(params_.startup_delay + params_.interval,
-                       [this] { epoch_wake(); });
+    sim.schedule_after(params_.interval, [this] { epoch_wake(); });
 }
 
 int ShareBalancer::threads_on(int core_index, int nthreads) const {
@@ -65,23 +68,23 @@ std::vector<double> ShareBalancer::measure_speeds() {
   // not "CPU time occupied" (a throttled core is busy but slow).
   std::vector<double> exec_sum(cores_.size(), 0.0);
   std::vector<int> live_on(cores_.size(), 0);
-  for (Task* t : managed_) {
+  for (std::size_t k = 0; k < managed_.size(); ++k) {
+    const Task* t = managed_[k];
     const SimTime exec = t->total_exec();
-    const SimTime delta = exec - exec_snap_[t->id()];
-    exec_snap_[t->id()] = exec;
+    const SimTime delta = exec - exec_snap_[k];
+    exec_snap_[k] = exec;
     if (t->state() == TaskState::Finished) continue;
-    const auto it = core_index_.find(t->core());
-    if (it == core_index_.end()) continue;
-    exec_sum[static_cast<std::size_t>(it->second)] +=
-        static_cast<double>(delta);
-    ++live_on[static_cast<std::size_t>(it->second)];
+    const auto c = static_cast<std::size_t>(t->core());
+    if (c >= core_index_.size() || core_index_[c] < 0) continue;
+    const auto i = static_cast<std::size_t>(core_index_[c]);
+    exec_sum[i] += static_cast<double>(delta);
+    ++live_on[i];
   }
   snapshot_time_ = sim_->now();
 
   std::vector<double> speeds(cores_.size(), 0.0);
   for (std::size_t i = 0; i < cores_.size(); ++i) {
-    const double clock =
-        params_.scale_by_clock ? sim_->topo().core(cores_[i]).clock_scale : 1.0;
+    const double clock = sim_->topo().core(cores_[i]).clock_scale;
     double s;
     if (live_on[i] == 0 || exec_sum[i] <= 0.0) {
       // No signal this epoch (empty core, or threads parked at a barrier):

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "app/partition.hpp"
@@ -45,12 +44,6 @@ struct ShareParams {
   /// modeling taskstats timing jitter (same rationale as
   /// SpeedBalanceParams::measurement_noise).
   double measurement_noise = 0.02;
-  /// Weight measured exec rates by the core's relative clock speed, so the
-  /// share reflects work-completion rate, not CPU-time occupancy. This is
-  /// what makes SHARE see heterogeneity at all.
-  bool scale_by_clock = true;
-  /// Delay before the first epoch fires.
-  SimTime startup_delay = 0;
   /// When false, attach() pins and initializes state but schedules no
   /// epochs — tests drive epoch_once directly.
   bool automatic = true;
@@ -116,14 +109,16 @@ class ShareBalancer : public Balancer, public PhasePartitioner {
 
   ShareParams params_;
   std::vector<CoreId> cores_;
-  std::map<CoreId, int> core_index_;
+  /// Position in cores_ by CoreId; -1 for a core SHARE does not manage.
+  std::vector<int> core_index_;
   std::vector<Task*> managed_;
   Simulator* sim_ = nullptr;
   Rng rng_{0};
 
   std::vector<double> shares_;  ///< Adopted partition; uniform at start.
   std::vector<double> ewma_;    ///< Smoothed speeds; empty until measured.
-  std::map<TaskId, SimTime> exec_snap_;
+  /// Each managed thread's total_exec at the last epoch, managed_ order.
+  std::vector<SimTime> exec_snap_;
   SimTime snapshot_time_ = 0;
   std::int64_t epoch_ = 0;
   obs::RunRecorder* recorder_ = nullptr;
