@@ -21,15 +21,12 @@
 // the paper constants on recovered throughput (leg 1) and p99 (leg 2); the
 // report metrics encode both as adaptive/fixed ratios (higher is better).
 
-#include <algorithm>
 #include <iostream>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "perturb/adaptation.hpp"
-#include "serve/scenarios.hpp"
 
 using namespace speedbal;
 
@@ -56,92 +53,22 @@ std::vector<Variant> variants() {
   return {paper, aggressive, adaptive};
 }
 
-struct StepOutcome {
-  double pre = 0.0;     ///< Undisturbed phases/s.
-  double steady = 0.0;  ///< Post-step phases/s, over converged runs.
-  int converged = 0;
-  int runs = 0;
-  double latency_ms = 0.0;
-  double recovered_pct() const {
-    return pre > 0.0 && converged > 0 ? 100.0 * steady / pre : 0.0;
-  }
-};
+double recovered_pct(const bench::StepResponse& r) {
+  return r.pre > 0.0 && r.converged > 0 ? 100.0 * r.steady / r.pre : 0.0;
+}
 
-/// Run the windowed phase-throughput step-response experiment (the method
-/// of resilience_adaptation.cpp) for one variant and perturbation spec.
-StepOutcome run_step(const Variant& v, const char* spec, SimTime horizon,
-                     SimTime perturb_at, int repeats, std::uint64_t seed,
-                     int jobs) {
-  const SimTime window = msec(200);
-  const auto n_windows = static_cast<std::size_t>(horizon / window);
-
-  ExperimentConfig cfg;
-  cfg.topo = presets::generic(8);
+/// The step-response experiment of resilience_adaptation.cpp for one
+/// variant and perturbation spec.
+bench::StepResponse run_step(const Variant& v, const char* spec,
+                             SimTime horizon, SimTime perturb_at, int repeats,
+                             std::uint64_t seed, int jobs) {
+  ExperimentConfig cfg = bench::step_config("adaptive-ablation", spec, horizon,
+                                            repeats, seed, jobs);
   cfg.policy = Policy::Speed;
   cfg.speed = v.speed;
   cfg.adaptive.enabled = v.adaptive;
   cfg.adaptive.speed = v.speed;
-  cfg.repeats = repeats;
-  cfg.seed = seed;
-  cfg.time_cap = horizon;
-  cfg.app.name = "adaptive-ablation";
-  cfg.app.nthreads = 8;
-  cfg.app.phases = 1000000;  // Never finishes: the horizon ends the run.
-  cfg.app.work_per_phase_us = 300000.0;
-  cfg.app.work_jitter = 0.05;
-  cfg.app.barrier.policy = WaitPolicy::Yield;
-  cfg.jobs = jobs;
-  cfg.perturb = perturb::PerturbTimeline::parse_specs(spec);
-
-  std::vector<std::vector<double>> series(static_cast<std::size_t>(repeats));
-  cfg.on_run_end = [&](Simulator&, SpmdApp& app, int rep) {
-    auto& s = series[static_cast<std::size_t>(rep)];
-    s.assign(n_windows, 0.0);
-    SimTime t = app.start_time();
-    SimTime last_done = t;
-    for (const SimTime dur : app.phase_times()) {
-      const SimTime t0 = t;
-      t += dur;
-      last_done = t;
-      if (dur <= 0) continue;
-      // One phase of progress, spread uniformly over its span.
-      for (SimTime w = (t0 / window) * window; w < t && w < horizon;
-           w += window) {
-        const SimTime lo = std::max(t0, w);
-        const SimTime hi = std::min({t, w + window, horizon});
-        if (hi > lo)
-          s[static_cast<std::size_t>(w / window)] +=
-              static_cast<double>(hi - lo) / static_cast<double>(dur);
-      }
-    }
-    s.resize(std::min(s.size(), static_cast<std::size_t>(last_done / window)));
-    for (auto& x : s) x /= to_sec(window);
-  };
-  run_experiment(cfg);
-
-  StepOutcome out;
-  const auto warmup = static_cast<std::size_t>(sec(1) / window);
-  const auto pre_end = static_cast<std::size_t>(perturb_at / window);
-  double pre_sum = 0.0, steady_sum = 0.0, latency_sum = 0.0;
-  for (const auto& s : series) {
-    if (static_cast<SimTime>(s.size()) * window <= perturb_at) continue;
-    ++out.runs;
-    double pre = 0.0;
-    for (std::size_t i = warmup; i < pre_end; ++i) pre += s[i];
-    pre_sum += pre / static_cast<double>(pre_end - warmup);
-    const auto r = perturb::analyze_step_response(s, window, perturb_at,
-                                                  /*tolerance=*/0.10);
-    if (!r.converged) continue;
-    ++out.converged;
-    steady_sum += r.steady_value;
-    latency_sum += static_cast<double>(r.latency) / 1000.0;
-  }
-  if (out.runs > 0) out.pre = pre_sum / out.runs;
-  if (out.converged > 0) {
-    out.steady = steady_sum / out.converged;
-    out.latency_ms = latency_sum / out.converged;
-  }
-  return out;
+  return bench::run_step_response(cfg, perturb_at);
 }
 
 /// One serve cell (the serve_tail_latency method at a single utilization).
@@ -149,30 +76,13 @@ serve::ServeResult run_serve_cell(const Variant& v, double utilization,
                                   SimTime duration, std::uint64_t seed,
                                   int repeats, int jobs) {
   const int cores = 8;
-  const Topology topo = presets::generic(cores);
-  serve::ServeConfig config;
-  config.topo = topo;
-  config.cores = cores;
+  serve::ServeConfig config =
+      bench::dvfs_serve_config(presets::generic(cores), cores, 2 * cores,
+                               utilization, duration, seed);
   config.policy = Policy::Speed;
   config.speed = v.speed;
   config.adaptive.enabled = v.adaptive;
   config.adaptive.speed = v.speed;
-  config.serve.workers = 2 * cores;
-  config.serve.queue_capacity = 64;
-  config.serve.dispatch = serve::DispatchPolicy::RoundRobin;
-  config.serve.idle = serve::IdleMode::Yield;
-  config.service.kind = workload::ServiceKind::Exp;
-  config.service.mean_us = 5000.0;
-  const double post_dvfs_capacity = serve::capacity(topo, cores) - 3 * 0.5;
-  config.arrival.kind = workload::ArrivalKind::Poisson;
-  config.arrival.rate_rps =
-      utilization * post_dvfs_capacity * 1e6 / config.service.mean_us;
-  config.duration = duration;
-  config.warmup = duration / 5;
-  config.seed = seed;
-  config.perturb = perturb::PerturbTimeline::parse_specs(
-      "at=100ms dvfs core=0 scale=0.5; at=100ms dvfs core=1 scale=0.5; "
-      "at=100ms dvfs core=2 scale=0.5");
   return serve::run_serve_repeats(config, repeats, jobs);
 }
 
@@ -200,17 +110,17 @@ int main(int argc, char** argv) {
                     "converged", "latency ms"});
   double fixed_recovered = 0.0, adaptive_recovered = 0.0;
   for (const Variant& v : variants()) {
-    const StepOutcome o =
+    const bench::StepResponse o =
         run_step(v, "at=2s dvfs core=0 scale=0.5", horizon, sec(2), repeats,
                  args.seed, args.jobs);
     step_table.add_row(
         {v.name, Table::num(o.pre, 2), Table::num(o.steady, 2),
-         Table::num(o.recovered_pct(), 1),
+         Table::num(recovered_pct(o), 1),
          std::to_string(o.converged) + "/" + std::to_string(o.runs),
          o.converged > 0 ? Table::num(o.latency_ms, 0) : "never"});
     if (std::string(v.name) == "SPEED fixed(paper)")
-      fixed_recovered = o.recovered_pct();
-    if (v.adaptive) adaptive_recovered = o.recovered_pct();
+      fixed_recovered = recovered_pct(o);
+    if (v.adaptive) adaptive_recovered = recovered_pct(o);
   }
   report.emit("dvfs step (recovered throughput)", step_table);
   std::cout << "\n";
@@ -248,7 +158,7 @@ int main(int argc, char** argv) {
   for (const Variant& v : variants()) {
     // Two cores alternate between half and full clock from t=2s on; the
     // step-response analysis treats t>=2s as one long disturbed regime.
-    const StepOutcome o = run_step(
+    const bench::StepResponse o = run_step(
         v,
         "at=2s dvfs core=0 scale=0.5; at=3s dvfs core=0 scale=1.0; "
         "at=3s dvfs core=1 scale=0.5; at=4s dvfs core=1 scale=1.0; "
@@ -256,7 +166,7 @@ int main(int argc, char** argv) {
         horizon, sec(2), repeats, args.seed, args.jobs);
     saw_table.add_row(
         {v.name, Table::num(o.pre, 2), Table::num(o.steady, 2),
-         Table::num(o.recovered_pct(), 1),
+         Table::num(recovered_pct(o), 1),
          std::to_string(o.converged) + "/" + std::to_string(o.runs),
          o.converged > 0 ? Table::num(o.latency_ms, 0) : "never"});
   }

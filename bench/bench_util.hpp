@@ -5,6 +5,7 @@
 // the regenerated rows/series, through the same Table formatter, so that
 // EXPERIMENTS.md can quote either verbatim.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -17,6 +18,8 @@
 #include <vector>
 
 #include "core/scenarios.hpp"
+#include "perturb/adaptation.hpp"
+#include "serve/scenarios.hpp"
 #include "topo/presets.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
@@ -107,6 +110,151 @@ inline double mean_over_repeats(int jobs, int repeats,
   double sum = 0.0;
   for (const double v : vals) sum += v;
   return sum / static_cast<double>(repeats);
+}
+
+/// The step-response experiment of resilience_adaptation and
+/// adaptive_ablation: a long-running SPMD job (8 threads on 8 cores, yield
+/// barriers, 300ms phases) that `horizon` ends, with the perturbations of
+/// `spec` (perturb::parse_specs). The caller sets the policy.
+inline ExperimentConfig step_config(std::string name, const char* spec,
+                                    SimTime horizon, int repeats,
+                                    std::uint64_t seed, int jobs) {
+  ExperimentConfig cfg;
+  cfg.topo = presets::generic(8);
+  cfg.repeats = repeats;
+  cfg.seed = seed;
+  cfg.time_cap = horizon;
+  cfg.app.name = std::move(name);
+  cfg.app.nthreads = 8;
+  cfg.app.phases = 1000000;  // Never finishes: the horizon ends the run.
+  cfg.app.work_per_phase_us = 300000.0;
+  cfg.app.work_jitter = 0.05;
+  cfg.app.barrier.policy = WaitPolicy::Yield;
+  cfg.jobs = jobs;  // on_run_end only touches its repeat's slot.
+  cfg.perturb = perturb::PerturbTimeline::parse_specs(spec);
+  return cfg;
+}
+
+/// Phase throughput around a perturbation, averaged over a run's repeats:
+/// `pre` over the runs that reach the perturbation, the rest over the runs
+/// whose throughput re-converged (0 when none did).
+struct StepResponse {
+  int runs = 0;
+  int converged = 0;
+  double pre = 0.0;         ///< Undisturbed phases/s.
+  double steady = 0.0;      ///< Post-step phases/s.
+  double latency_ms = 0.0;  ///< Perturbation to re-convergence.
+  double disruption = 0.0;  ///< Integral of |throughput - steady|, phases.
+};
+
+/// Run `cfg` (from step_config) and analyse each repeat's windowed phase
+/// throughput, a 200ms-window series rebuilt from the barrier-to-barrier
+/// times: each phase's unit of progress is attributed fractionally to the
+/// windows it spans, so the series is smooth at any phase length.
+inline StepResponse run_step_response(ExperimentConfig cfg,
+                                      SimTime perturb_at) {
+  const SimTime window = msec(200);
+  const SimTime horizon = cfg.time_cap;
+  const auto n_windows = static_cast<std::size_t>(horizon / window);
+  std::vector<std::vector<double>> series(
+      static_cast<std::size_t>(cfg.repeats));
+  cfg.on_run_end = [&](Simulator&, SpmdApp& app, int rep) {
+    auto& s = series[static_cast<std::size_t>(rep)];
+    s.assign(n_windows, 0.0);
+    SimTime t = app.start_time();
+    SimTime last_done = t;
+    for (const SimTime dur : app.phase_times()) {
+      // One phase of progress, spread uniformly over its span [t, t+dur):
+      // each overlapped window receives its share of the phase.
+      const SimTime t0 = t;
+      t += dur;
+      last_done = t;
+      if (dur <= 0) continue;
+      for (SimTime w = (t0 / window) * window; w < t && w < horizon;
+           w += window) {
+        const SimTime lo = std::max(t0, w);
+        const SimTime hi = std::min({t, w + window, horizon});
+        if (hi > lo)
+          s[static_cast<std::size_t>(w / window)] +=
+              static_cast<double>(hi - lo) / static_cast<double>(dur);
+      }
+    }
+    // Drop windows past the last finished phase: the in-flight phase's
+    // progress is unknown and would read as a spurious throughput dip.
+    s.resize(std::min(s.size(), static_cast<std::size_t>(last_done / window)));
+    for (auto& v : s) v /= to_sec(window);  // Phase shares -> phases/s.
+  };
+  run_experiment(cfg);
+
+  // Skip the first second of each run when estimating the undisturbed
+  // throughput: fork placement and the first balance passes ramp it up.
+  const auto warmup = static_cast<std::size_t>(sec(1) / window);
+  const auto pre_end = static_cast<std::size_t>(perturb_at / window);
+  StepResponse out;
+  double pre_sum = 0.0, steady_sum = 0.0, latency_sum = 0.0,
+         disruption_sum = 0.0;
+  for (const auto& s : series) {
+    if (static_cast<SimTime>(s.size()) * window <= perturb_at) continue;
+    ++out.runs;
+    double pre = 0.0;
+    for (std::size_t i = warmup; i < pre_end; ++i) pre += s[i];
+    pre_sum += pre / static_cast<double>(pre_end - warmup);
+    // 10% band: phase-granular throughput is inherently noisier than
+    // the per-interval speed series (one late thread moves a window).
+    const auto r = perturb::analyze_step_response(s, window, perturb_at,
+                                                  /*tolerance=*/0.10);
+    if (!r.converged) continue;
+    ++out.converged;
+    steady_sum += r.steady_value;
+    latency_sum += static_cast<double>(r.latency) / 1000.0;
+    disruption_sum += r.imbalance_integral;
+  }
+  if (out.runs > 0) out.pre = pre_sum / out.runs;
+  if (out.converged > 0) {
+    out.steady = steady_sum / out.converged;
+    out.latency_ms = latency_sum / out.converged;
+    out.disruption = disruption_sum / out.converged;
+  }
+  return out;
+}
+
+/// The serving DVFS cell of serve_tail_latency and adaptive_ablation: an
+/// open-loop Poisson stream of exp 5 ms requests on `cores` cores of
+/// `topo`, round-robin dispatch to busy-poll workers, and three cores
+/// throttled to half speed at 100 ms. `utilization` is of the
+/// post-throttle capacity. The caller sets the policy.
+inline serve::ServeConfig dvfs_serve_config(const Topology& topo, int cores,
+                                            int workers, double utilization,
+                                            SimTime duration,
+                                            std::uint64_t seed) {
+  // Capacity after the throttle events: cores 0-2 run at half speed.
+  const double post_dvfs_capacity = serve::capacity(topo, cores) - 3 * 0.5;
+  serve::ServeConfig config;
+  config.topo = topo;
+  config.cores = cores;
+  config.serve.workers = workers;
+  config.serve.queue_capacity = 64;
+  // Round-robin dispatch: oblivious routing keeps the dispatch layer from
+  // masking placement effects — the balancer under test is the variable.
+  config.serve.dispatch = serve::DispatchPolicy::RoundRobin;
+  // Busy-poll workers (the high-performance runtime configuration, and the
+  // serving analogue of the paper's yield-waiting barriers): run-queue
+  // lengths stay flat, so only a speed signal reveals the throttled cores.
+  config.serve.idle = serve::IdleMode::Yield;
+  config.service.kind = workload::ServiceKind::Exp;
+  config.service.mean_us = 5000.0;
+  config.arrival.kind = workload::ArrivalKind::Poisson;
+  config.arrival.rate_rps =
+      utilization * post_dvfs_capacity * 1e6 / config.service.mean_us;
+  config.duration = duration;
+  config.warmup = duration / 5;
+  config.seed = seed;
+  // Thermal throttling early in the run: three cores drop to half speed, so
+  // nearly the whole measured window runs on a heterogeneous machine.
+  config.perturb = perturb::PerturbTimeline::parse_specs(
+      "at=100ms dvfs core=0 scale=0.5; at=100ms dvfs core=1 scale=0.5; "
+      "at=100ms dvfs core=2 scale=0.5");
+  return config;
 }
 
 /// Mirrors a bench binary's printed tables into a flat JSON run report when

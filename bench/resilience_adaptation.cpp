@@ -17,12 +17,10 @@
 // (time until the series stays within 10% of its post-step steady value)
 // and the disruption integral |throughput - steady| dt.
 
-#include <algorithm>
 #include <iostream>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "perturb/adaptation.hpp"
 
 using namespace speedbal;
 
@@ -31,15 +29,6 @@ namespace {
 struct Scenario {
   const char* name;
   const char* spec;  ///< Compact perturbation spec (perturb::parse_specs).
-};
-
-struct PolicyRow {
-  int converged = 0;
-  int runs = 0;
-  double pre_sum = 0.0;        ///< Pre-perturbation phases/s, over runs.
-  double steady_sum = 0.0;     ///< Phases/s, over converged runs.
-  double latency_sum_ms = 0.0; ///< Over converged runs.
-  double disruption_sum = 0.0; ///< Phases, over converged runs.
 };
 
 }  // namespace
@@ -54,10 +43,8 @@ int main(int argc, char** argv) {
       "cpu-hog through yield barriers and never recovers the lost share.");
 
   const SimTime horizon = args.quick ? sec(6) : sec(10);
-  const SimTime window = msec(200);
   const SimTime perturb_at = sec(2);
   const int repeats = args.quick ? 2 : args.repeats;
-  const auto n_windows = static_cast<std::size_t>(horizon / window);
 
   const std::vector<Scenario> scenarios = {
       {"cpu-hog step", "at=2s hog-start core=0"},
@@ -76,85 +63,17 @@ int main(int argc, char** argv) {
     Table table({"policy", "pre ph/s", "steady ph/s", "recovered%",
                  "converged", "latency ms", "disruption ph"});
     for (const Policy policy : policies) {
-      ExperimentConfig cfg;
-      cfg.topo = presets::generic(8);
+      ExperimentConfig cfg = bench::step_config(
+          "resilience", scenario.spec, horizon, repeats, args.seed, args.jobs);
       cfg.policy = policy;
-      cfg.repeats = repeats;
-      cfg.seed = args.seed;
-      cfg.time_cap = horizon;
-      cfg.app.name = "resilience";
-      cfg.app.nthreads = 8;
-      cfg.app.phases = 1000000;  // Never finishes: the horizon ends the run.
-      cfg.app.work_per_phase_us = 300000.0;
-      cfg.app.work_jitter = 0.05;
-      cfg.app.barrier.policy = WaitPolicy::Yield;
-      cfg.jobs = args.jobs;  // on_run_end only touches its repeat's slot.
-      cfg.perturb = perturb::PerturbTimeline::parse_specs(scenario.spec);
-
-      // Windowed phase-throughput series, one per repeat, rebuilt from the
-      // barrier-to-barrier times once each run's horizon is reached.
-      std::vector<std::vector<double>> series(
-          static_cast<std::size_t>(repeats));
-      cfg.on_run_end = [&](Simulator&, SpmdApp& app, int rep) {
-        auto& s = series[static_cast<std::size_t>(rep)];
-        s.assign(n_windows, 0.0);
-        SimTime t = app.start_time();
-        SimTime last_done = t;
-        for (const SimTime dur : app.phase_times()) {
-          // One phase of progress, spread uniformly over its span [t, t+dur):
-          // each overlapped window receives its share of the phase.
-          const SimTime t0 = t;
-          t += dur;
-          last_done = t;
-          if (dur <= 0) continue;
-          for (SimTime w = (t0 / window) * window; w < t && w < horizon;
-               w += window) {
-            const SimTime lo = std::max(t0, w);
-            const SimTime hi = std::min({t, w + window, horizon});
-            if (hi > lo)
-              s[static_cast<std::size_t>(w / window)] +=
-                  static_cast<double>(hi - lo) / static_cast<double>(dur);
-          }
-        }
-        // Drop windows past the last finished phase: the in-flight phase's
-        // progress is unknown and would read as a spurious throughput dip.
-        s.resize(std::min(s.size(), static_cast<std::size_t>(last_done / window)));
-        for (auto& v : s) v /= to_sec(window);  // Phase shares -> phases/s.
-      };
-      run_experiment(cfg);
-
-      PolicyRow row;
-      // Skip the first second of each run when estimating the undisturbed
-      // throughput: fork placement and the first balance passes ramp it up.
-      const auto warmup = static_cast<std::size_t>(sec(1) / window);
-      const auto pre_end = static_cast<std::size_t>(perturb_at / window);
-      for (const auto& s : series) {
-        if (static_cast<SimTime>(s.size()) * window <= perturb_at) continue;
-        ++row.runs;
-        double pre = 0.0;
-        for (std::size_t i = warmup; i < pre_end; ++i) pre += s[i];
-        row.pre_sum += pre / static_cast<double>(pre_end - warmup);
-        // 10% band: phase-granular throughput is inherently noisier than
-        // the per-interval speed series (one late thread moves a window).
-        const auto r = perturb::analyze_step_response(s, window, perturb_at,
-                                                      /*tolerance=*/0.10);
-        if (!r.converged) continue;
-        ++row.converged;
-        row.steady_sum += r.steady_value;
-        row.latency_sum_ms += static_cast<double>(r.latency) / 1000.0;
-        row.disruption_sum += r.imbalance_integral;
-      }
-      const double n = row.converged > 0 ? row.converged : 1;
-      const double pre = row.runs > 0 ? row.pre_sum / row.runs : 0.0;
-      const double steady = row.steady_sum / n;
-      table.add_row({to_string(policy), Table::num(pre, 2),
-                     Table::num(steady, 2),
-                     pre > 0.0 ? Table::num(100.0 * steady / pre, 0) : "-",
-                     std::to_string(row.converged) + "/" +
-                         std::to_string(row.runs),
-                     row.converged > 0 ? Table::num(row.latency_sum_ms / n, 0)
-                                       : "never",
-                     Table::num(row.disruption_sum / n, 1)});
+      const bench::StepResponse r = bench::run_step_response(cfg, perturb_at);
+      table.add_row({to_string(policy), Table::num(r.pre, 2),
+                     Table::num(r.steady, 2),
+                     r.pre > 0.0 ? Table::num(100.0 * r.steady / r.pre, 0) : "-",
+                     std::to_string(r.converged) + "/" +
+                         std::to_string(r.runs),
+                     r.converged > 0 ? Table::num(r.latency_ms, 0) : "never",
+                     Table::num(r.disruption, 1)});
     }
     report.emit(scenario.name, table);
     std::cout << "\n";

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "serve/scenarios.hpp"
 
 namespace {
 
@@ -31,34 +30,11 @@ struct Cell {
 };
 
 Cell run_cell(const Topology& topo, int cores, int workers, Policy policy,
-              double utilization, double post_dvfs_capacity, SimTime duration,
-              std::uint64_t seed, int repeats, int jobs) {
-  serve::ServeConfig config;
-  config.topo = topo;
-  config.cores = cores;
+              double utilization, SimTime duration, std::uint64_t seed,
+              int repeats, int jobs) {
+  serve::ServeConfig config = bench::dvfs_serve_config(
+      topo, cores, workers, utilization, duration, seed);
   config.policy = policy;
-  config.serve.workers = workers;
-  config.serve.queue_capacity = 64;
-  // Round-robin dispatch: oblivious routing keeps the dispatch layer from
-  // masking placement effects — the balancer under test is the variable.
-  config.serve.dispatch = serve::DispatchPolicy::RoundRobin;
-  // Busy-poll workers (the high-performance runtime configuration, and the
-  // serving analogue of the paper's yield-waiting barriers): run-queue
-  // lengths stay flat, so only a speed signal reveals the throttled cores.
-  config.serve.idle = serve::IdleMode::Yield;
-  config.service.kind = workload::ServiceKind::Exp;
-  config.service.mean_us = 5000.0;
-  config.arrival.kind = workload::ArrivalKind::Poisson;
-  config.arrival.rate_rps =
-      utilization * post_dvfs_capacity * 1e6 / config.service.mean_us;
-  config.duration = duration;
-  config.warmup = duration / 5;
-  config.seed = seed;
-  // Thermal throttling early in the run: three cores drop to half speed, so
-  // nearly the whole measured window runs on a heterogeneous machine.
-  config.perturb = perturb::PerturbTimeline::parse_specs(
-      "at=100ms dvfs core=0 scale=0.5; at=100ms dvfs core=1 scale=0.5; "
-      "at=100ms dvfs core=2 scale=0.5");
 
   Cell cell;
   cell.rate_rps = config.arrival.rate_rps;
@@ -81,8 +57,6 @@ int main(int argc, char** argv) {
       cli.get_double("duration-s", args.quick ? 4.0 : 10.0) * kSec);
 
   const Topology topo = presets::generic(cores);
-  // Capacity after the throttle events: cores 0-2 run at half speed.
-  const double post_dvfs_capacity = serve::capacity(topo, cores) - 3 * 0.5;
 
   bench::print_paper_note(
       "the serving-workload analogue of Figs. 5-6 (dynamic interference)",
@@ -100,9 +74,9 @@ int main(int argc, char** argv) {
 
   for (const double util : {0.5, 0.8, 0.95}) {
     for (const Policy policy : {Policy::Speed, Policy::Load, Policy::Pinned}) {
-      const Cell cell = run_cell(topo, cores, workers, policy, util,
-                                 post_dvfs_capacity, duration, args.seed,
-                                 args.quick ? 1 : args.repeats, args.jobs);
+      const Cell cell = run_cell(topo, cores, workers, policy, util, duration,
+                                 args.seed, args.quick ? 1 : args.repeats,
+                                 args.jobs);
       const serve::ServeStats& s = cell.result.stats;
       std::vector<std::string> row = {Table::num(util, 2), to_string(policy),
                                       Table::num(cell.rate_rps, 0)};
