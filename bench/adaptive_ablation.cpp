@@ -53,10 +53,6 @@ std::vector<Variant> variants() {
   return {paper, aggressive, adaptive};
 }
 
-double recovered_pct(const bench::StepResponse& r) {
-  return r.pre > 0.0 && r.converged > 0 ? 100.0 * r.steady / r.pre : 0.0;
-}
-
 /// The step-response experiment of resilience_adaptation.cpp for one
 /// variant and perturbation spec.
 bench::StepResponse run_step(const Variant& v, const char* spec,
@@ -115,12 +111,12 @@ int main(int argc, char** argv) {
                  args.seed, args.jobs);
     step_table.add_row(
         {v.name, Table::num(o.pre, 2), Table::num(o.steady, 2),
-         Table::num(recovered_pct(o), 1),
+         Table::num(o.recovered_pct(), 1),
          std::to_string(o.converged) + "/" + std::to_string(o.runs),
          o.converged > 0 ? Table::num(o.latency_ms, 0) : "never"});
     if (std::string(v.name) == "SPEED fixed(paper)")
-      fixed_recovered = recovered_pct(o);
-    if (v.adaptive) adaptive_recovered = recovered_pct(o);
+      fixed_recovered = o.recovered_pct();
+    if (v.adaptive) adaptive_recovered = o.recovered_pct();
   }
   report.emit("dvfs step (recovered throughput)", step_table);
   std::cout << "\n";
@@ -166,7 +162,7 @@ int main(int argc, char** argv) {
         horizon, sec(2), repeats, args.seed, args.jobs);
     saw_table.add_row(
         {v.name, Table::num(o.pre, 2), Table::num(o.steady, 2),
-         Table::num(recovered_pct(o), 1),
+         Table::num(o.recovered_pct(), 1),
          std::to_string(o.converged) + "/" + std::to_string(o.runs),
          o.converged > 0 ? Table::num(o.latency_ms, 0) : "never"});
   }

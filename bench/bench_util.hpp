@@ -145,6 +145,10 @@ struct StepResponse {
   double steady = 0.0;      ///< Post-step phases/s.
   double latency_ms = 0.0;  ///< Perturbation to re-convergence.
   double disruption = 0.0;  ///< Integral of |throughput - steady|, phases.
+  /// Post-step throughput as a share of the undisturbed rate.
+  double recovered_pct() const {
+    return pre > 0.0 && converged > 0 ? 100.0 * steady / pre : 0.0;
+  }
 };
 
 /// Run `cfg` (from step_config) and analyse each repeat's windowed phase

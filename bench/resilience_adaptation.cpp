@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
       const bench::StepResponse r = bench::run_step_response(cfg, perturb_at);
       table.add_row({to_string(policy), Table::num(r.pre, 2),
                      Table::num(r.steady, 2),
-                     r.pre > 0.0 ? Table::num(100.0 * r.steady / r.pre, 0) : "-",
+                     r.pre > 0.0 ? Table::num(r.recovered_pct(), 0) : "-",
                      std::to_string(r.converged) + "/" +
                          std::to_string(r.runs),
                      r.converged > 0 ? Table::num(r.latency_ms, 0) : "never",
