@@ -494,14 +494,21 @@ TEST(SimrunCli, JobsDoNotChangeServeReport) {
 #define OBSQUERY_BIN "obsquery"
 #endif
 
-/// Run obsquery with stdout captured; returns exit status.
-int run_obsquery(std::vector<std::string> args, std::string* stdout_out) {
+/// Run obsquery with stdout captured, and stderr too when `stderr_out` is
+/// non-null; returns exit status.
+int run_obsquery(std::vector<std::string> args, std::string* stdout_out,
+                 std::string* stderr_out = nullptr) {
   const std::string out_path = testing::TempDir() + "obsquery_stdout_" +
+                               std::to_string(getpid()) + ".txt";
+  const std::string err_path = testing::TempDir() + "obsquery_stderr_" +
                                std::to_string(getpid()) + ".txt";
   const pid_t child = fork();
   if (child < 0) return -1;
   if (child == 0) {
     if (freopen(out_path.c_str(), "w", stdout) == nullptr) _exit(125);
+    if (stderr_out != nullptr &&
+        freopen(err_path.c_str(), "w", stderr) == nullptr)
+      _exit(125);
     std::vector<char*> argv;
     std::string bin = OBSQUERY_BIN;
     argv.push_back(bin.data());
@@ -517,6 +524,13 @@ int run_obsquery(std::vector<std::string> args, std::string* stdout_out) {
   ss << is.rdbuf();
   *stdout_out = ss.str();
   std::remove(out_path.c_str());
+  if (stderr_out != nullptr) {
+    std::ifstream es(err_path);
+    std::ostringstream err;
+    err << es.rdbuf();
+    *stderr_out = err.str();
+    std::remove(err_path.c_str());
+  }
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
@@ -562,6 +576,35 @@ TEST(ObsqueryCli, UsageErrorWithoutReport) {
 TEST(ObsqueryCli, MissingReportFileFails) {
   std::string out;
   EXPECT_EQ(run_obsquery({"--report=/nonexistent-dir/report.json"}, &out), 1);
+}
+
+TEST(ObsqueryCli, TruncatedReportFailsWithTheParseOffset) {
+  // A report cut short, as a run killed mid-write leaves it: every view
+  // fails with the parse error, whatever section it reads.
+  const std::string report =
+      write_report(SIMRUN_BIN, {"--setup=SPEED-YIELD", "--repeats=1"});
+  std::string text;
+  {
+    std::ifstream is(report);
+    std::ostringstream ss;
+    ss << is.rdbuf();
+    text = ss.str();
+  }
+  ASSERT_GT(text.size(), 2u);
+  {
+    std::ofstream os(report, std::ios::trunc);
+    os << text.substr(0, text.size() / 2);
+  }
+  for (const std::vector<std::string>& view :
+       {std::vector<std::string>{}, {"--storms"}, {"--tuning"}}) {
+    std::vector<std::string> args = view;
+    args.insert(args.begin(), "--report=" + report);
+    std::string out, err;
+    EXPECT_EQ(run_obsquery(args, &out, &err), 1);
+    EXPECT_EQ(err.rfind("obsquery: JSON parse error at offset ", 0), 0u) << err;
+    EXPECT_EQ(out, "");
+  }
+  std::remove(report.c_str());
 }
 
 TEST(ObsqueryCli, AnswersQueriesOverATracedServeReport) {
