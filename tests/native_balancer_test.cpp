@@ -424,9 +424,9 @@ TEST(NativeSpeedBalancer, PullsReachTheMigrationLogAndTheTrace) {
   const auto trace = JsonValue::parse(trace_os.str());
   const auto& events = trace.at("traceEvents");
   std::int64_t instants = 0;
-  for (std::size_t i = 0; i < events.size(); ++i)
-    if (events[i].at("ph").as_string() == "i" &&
-        events[i].at("name").as_string() == "migration")
+  for (const JsonValue& ev : events.items())
+    if (ev.at("ph").as_string() == "i" &&
+        ev.at("name").as_string() == "migration")
       ++instants;
   EXPECT_EQ(instants, pulled);
 }
