@@ -344,10 +344,10 @@ int main(int argc, char** argv) {
     std::stringstream buf;
     buf << is.rdbuf();
     const auto doc = JsonValue::parse(buf.str());
-    const JsonValue* base = doc.find("metrics");
-    if (base == nullptr) base = &doc;  // Allow a bare metrics object.
+    // Allow a bare metrics object.
+    const JsonValue base = doc.find("metrics").value_or(doc);
     int failures = 0;
-    for (const auto& [name, baseline] : base->members()) {
+    for (const auto& [name, baseline] : base.members()) {
       const auto it = metrics.find(name);
       if (it == metrics.end()) continue;  // Metrics may be added over time.
       const double floor = baseline.as_number() * (1.0 - tolerance);

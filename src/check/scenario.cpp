@@ -56,7 +56,7 @@ std::string FuzzScenario::to_json() const {
 
 FuzzScenario FuzzScenario::from_json(std::string_view text) {
   FuzzScenario sc;
-  read_record(JsonValue::parse(text), sc);
+  read_record(JsonValue::parse(std::string(text)), sc);
   sc.validate();
   return sc;
 }

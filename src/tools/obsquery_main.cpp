@@ -19,10 +19,12 @@
 // Everything is computed from the report file alone — the tool never touches
 // the simulator, so it can answer "why was p99 slow?" long after the run.
 
+#include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <sstream>
+#include <optional>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "obs/attribution.hpp"
@@ -106,12 +108,12 @@ int print_storms(const JsonValue& root, std::int64_t window_us,
 }
 
 void print_pulls(const JsonValue& root) {
-  const JsonValue* decisions = root.find("decisions");
+  const std::optional<JsonValue> decisions = root.find("decisions");
   Table t({"t_ms", "victim", "from", "to", "sample_seq", "warmup_us",
            "src_speed", "local_speed", "global"});
   std::int64_t pulls = 0;
   for (const obs::DecisionRecord& d : read_records<obs::DecisionRecord>(
-           decisions != nullptr ? decisions->find("records") : nullptr)) {
+           decisions ? decisions->find("records") : std::nullopt)) {
     if (d.reason != obs::PullReason::Pulled) continue;
     ++pulls;
     t.add_row({ms(static_cast<double>(d.ts_us)), std::to_string(d.victim),
@@ -126,8 +128,8 @@ void print_pulls(const JsonValue& root) {
 }
 
 int print_rebalances(const JsonValue& root, const Cli& cli) {
-  const JsonValue* rebalances = root.find("rebalances");
-  if (rebalances == nullptr) {
+  const std::optional<JsonValue> rebalances = root.find("rebalances");
+  if (!rebalances) {
     std::cout << "no rebalances section (not a clustersim report, or the "
                  "rebalancer never ran)\n";
     return 0;
@@ -161,8 +163,8 @@ int print_rebalances(const JsonValue& root, const Cli& cli) {
 }
 
 int print_shares(const JsonValue& root) {
-  const JsonValue* shares = root.find("shares");
-  if (shares == nullptr) {
+  const std::optional<JsonValue> shares = root.find("shares");
+  if (!shares) {
     std::cout << "no shares section (SHARE policy did not run, or nothing "
                  "was recorded)\n";
     return 0;
@@ -188,8 +190,8 @@ int print_shares(const JsonValue& root) {
 }
 
 int print_tuning(const JsonValue& root) {
-  const JsonValue* tuning = root.find("tuning");
-  if (tuning == nullptr) {
+  const std::optional<JsonValue> tuning = root.find("tuning");
+  if (!tuning) {
     std::cout << "no tuning section (--adaptive did not run, or nothing "
                  "was recorded)\n";
     return 0;
@@ -218,18 +220,18 @@ int print_tuning(const JsonValue& root) {
 void print_summary(const JsonValue& root,
                    const std::vector<obs::RequestSpan>& spans) {
   Table t({"field", "value"});
-  if (const JsonValue* meta = root.find("meta"))
+  if (const auto meta = root.find("meta"))
     for (const auto& [k, v] : meta->members())
       t.add_row({k, v.as_string()});
-  if (const JsonValue* tel = root.find("telemetry")) {
+  if (const auto tel = root.find("telemetry")) {
     t.add_row({"spans", std::to_string(tel->at("spans").as_int())});
     t.add_row({"telemetry records", std::to_string(tel->at("records").as_int())});
   }
   // Nonzero once the speed timeline reached its cap: the report's
   // global_speed statistics then cover only the kept (earliest) samples.
   std::int64_t timeline_dropped = 0;
-  if (const JsonValue* counters = root.find("counters"))
-    if (const JsonValue* n = counters->find("speed_timeline.dropped"))
+  if (const auto counters = root.find("counters"))
+    if (const auto n = counters->find("speed_timeline.dropped"))
       timeline_dropped = n->as_int();
   t.add_row({"speed samples dropped", std::to_string(timeline_dropped)});
   t.print(std::cout);
@@ -254,18 +256,28 @@ int run(const Cli& cli) {
     std::cerr << "obsquery: cannot open " << path << "\n";
     return 1;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const JsonValue root = JsonValue::parse(buf.str());
-  const auto spans = read_records<obs::RequestSpan>(root.find("requests"));
+  // The report's one copy, which the parsed root views.
+  std::string text;
+  std::error_code size_error;
+  if (const auto size = std::filesystem::file_size(path, size_error);
+      !size_error)
+    text.reserve(size);
+  char chunk[1 << 16];
+  while (in.read(chunk, sizeof chunk) || in.gcount() > 0)
+    text.append(chunk, static_cast<std::size_t>(in.gcount()));
+  const JsonValue root = JsonValue::parse(std::move(text));
+  // The request spans, read only by the views that print them.
+  const auto spans = [&root] {
+    return read_records<obs::RequestSpan>(root.find("requests"));
+  };
 
   if (cli.has("slowest")) {
-    print_slowest(spans,
+    print_slowest(spans(),
                   static_cast<std::size_t>(cli.get_int("slowest", 10)));
     return 0;
   }
   if (cli.has("blame")) {
-    print_blame(spans);
+    print_blame(spans());
     return 0;
   }
   if (cli.has("storms")) {
@@ -280,7 +292,7 @@ int run(const Cli& cli) {
   if (cli.has("rebalances")) return print_rebalances(root, cli);
   if (cli.has("shares")) return print_shares(root);
   if (cli.has("tuning")) return print_tuning(root);
-  print_summary(root, spans);
+  print_summary(root, spans());
   return 0;
 }
 

@@ -568,8 +568,9 @@ std::string array_text(const std::string& report, const std::string& key) {
 /// key goes into `seen`.
 template <class R>
 void expect_round_trip(const std::string& report, const std::string& key,
-                       const JsonValue* array, std::set<std::string>& seen) {
-  if (array == nullptr) return;
+                       const std::optional<JsonValue>& array,
+                       std::set<std::string>& seen) {
+  if (!array) return;
   if (array->size() > 0) seen.insert(key);
   std::ostringstream os;
   JsonWriter w(os);
@@ -597,7 +598,7 @@ void expect_sections_round_trip(const obs::RunRecorder& rec,
   expect_round_trip<obs::SpeedSample>(report, "speed_timeline",
                                       root.find("speed_timeline"), seen);
   expect_round_trip<obs::DecisionRecord>(
-      report, "records", &root.at("decisions").at("records"), seen);
+      report, "records", root.at("decisions").at("records"), seen);
 }
 
 TEST(ReportRoundTrip, RecordSectionsWriteTheSameBytesAgain) {
