@@ -84,6 +84,10 @@ class PerturbTimeline {
   /// ("at=2s dvfs core=3 scale=0.6; at=4s offline core=1").
   static PerturbTimeline parse_specs(std::string_view specs);
 
+  /// The events' compact specs joined with "; ", which parse_specs reads
+  /// back: the run report's "perturb" meta.
+  std::string to_specs() const;
+
   /// Parse the JSON file format:
   ///   {"events": [{"at_us": 2000000, "kind": "dvfs", "core": 3,
   ///                "scale": 0.6}, ...]}

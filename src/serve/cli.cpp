@@ -130,14 +130,8 @@ int serve_main(const Cli& cli, std::string_view tool) {
       rate << config.arrival.rate_rps;
       recorder.set_meta("rate_rps", rate.str());
     }
-    if (!config.perturb.empty()) {
-      std::ostringstream specs;
-      for (const auto& ev : config.perturb.events()) {
-        if (specs.tellp() > 0) specs << "; ";
-        specs << ev.to_spec();
-      }
-      recorder.set_meta("perturb", specs.str());
-    }
+    if (!config.perturb.empty())
+      recorder.set_meta("perturb", config.perturb.to_specs());
     config.recorder = &recorder;
   }
 

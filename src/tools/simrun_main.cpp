@@ -140,14 +140,7 @@ int main(int argc, char** argv) {
       recorder.set_meta("cores", std::to_string(cores));
       recorder.set_meta("seed", std::to_string(seed));
       if (config.adaptive.enabled) recorder.set_meta("adaptive", "1");
-      if (!timeline.empty()) {
-        std::ostringstream specs;
-        for (const auto& ev : timeline.events()) {
-          if (specs.tellp() > 0) specs << "; ";
-          specs << ev.to_spec();
-        }
-        recorder.set_meta("perturb", specs.str());
-      }
+      if (!timeline.empty()) recorder.set_meta("perturb", timeline.to_specs());
       config.recorder = &recorder;
     }
     const auto result = run_experiment(config);
