@@ -156,6 +156,27 @@ memory_streamed_trace() {
 }
 run_leg "memory: the Chrome trace streams from the recorder's logs" memory_streamed_trace
 
+memory_obsquery() {
+  # obsquery holds its report as one string and reads a checked view of the
+  # text, decoding only the sections a view prints. On the 43 MB report of
+  # the 15 s serve episode each view below peaks at about 46-65 MB; a reader
+  # that builds the whole report as a tree first peaked at 629 MB on every
+  # view. Fails when a view peaks above 100,000 KB.
+  local report="$repo/build/obsquery_serve15_report.json" view peak
+  "${serve_spec[@]}" --duration-s=15 --report-json="$report" >/dev/null
+  for view in summary --slowest=3 --storms --tuning; do
+    local args=()
+    if [[ "$view" != summary ]]; then args=("$view"); fi
+    peak="$(peak_kb "$repo/build/src/obsquery" --report="$report" "${args[@]}")"
+    echo "obsquery $view peak RSS: ${peak} KB"
+    if (( peak > 100000 )); then
+      echo "FAIL: obsquery $view peak RSS exceeds 100,000 KB"
+      exit 1
+    fi
+  done
+}
+run_leg "memory: obsquery reads a report without building a tree of it" memory_obsquery
+
 bench_smoke() {
   # Tolerance 0.5 (not the bench's default 0.2): shared CI hosts show up to
   # ~40% run-to-run noise, while the regressions this gate exists to catch —
